@@ -19,6 +19,10 @@ Global blocks:
 
 The homogeneous Dirichlet condition on u is natural in this mixed form, so
 no edge degrees of freedom are eliminated.
+
+`assemble` forms the blocks of all triangles at once.  `element_flux_mass`,
+`element_div` and `element_scalar_mass` compute the blocks of one triangle
+and are the reference it is tested against.
 """
 
 from dataclasses import dataclass
@@ -27,7 +31,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .coefficients import (COEFF_EPS, ProblemSpec, QuadratureRule,
-                           integrate_triangle, quad_points, triangle_rule)
+                           field_values, integrate_triangle, quad_points,
+                           rowdot, triangle_rule)
 from .mesh import Mesh
 
 DEGENERATE_AREA = 1e-14
@@ -116,51 +121,77 @@ def element_scalar_mass(tri, coeff, rule: QuadratureRule) -> float:
     return integrate_triangle(coeff, tri, rule)
 
 
-def _inverted_tensor_field(prob: ProblemSpec, t: int):
-    """Closed-form pointwise 2x2 inverse of A with SPD validation."""
-
-    def ainv(x, y):
-        a = np.asarray(prob.A(x, y), dtype=float)
-        if a.shape != (2, 2):
-            raise AssemblyError(
-                f"A must return a 2x2 matrix, got shape {a.shape} "
-                f"at ({x:g}, {y:g}) in triangle {t}")
-        scale = max(1.0, float(np.abs(a).max()))
-        if abs(a[0, 1] - a[1, 0]) > 1e-10 * scale:
-            raise AssemblyError(
-                f"A is not symmetric at ({x:g}, {y:g}) in triangle {t}")
-        tr = a[0, 0] + a[1, 1]
-        det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-        lam_min = 0.5 * (tr - np.sqrt(max((a[0, 0] - a[1, 1]) ** 2
-                                          + 4.0 * a[0, 1] ** 2, 0.0)))
-        if lam_min < COEFF_EPS or det < COEFF_EPS:
-            raise AssemblyError(
-                f"A is not positive definite at ({x:g}, {y:g}) "
-                f"in triangle {t}: min eigenvalue {lam_min:g}")
-        return np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]) / det
-
-    return ainv
+def _coefficient(f, name, x, y, tail=()):
+    try:
+        return field_values(f, x, y, tail)
+    except ValueError as exc:
+        raise AssemblyError(f"coefficient {name}: {exc}") from None
 
 
-def _checked_scalar(f, name, lower, t):
-    def g(x, y):
-        v = float(f(x, y))
-        if v < lower:
-            raise AssemblyError(
-                f"coefficient {name} = {v:g} below {lower:g} "
-                f"at ({x:g}, {y:g}) in triangle {t}")
-        return v
+def _first_violation(pts, checks):
+    """Raise for the first triangle in mesh order that fails a check.
 
-    return g
+    `checks` holds ((T, Q) bool mask, message) pairs in the order they apply
+    at one triangle; message(t, q, where) formats the error for point q of
+    triangle t, `where` naming the point and the triangle.
+    """
+    found = [(int(np.argmax(mask.any(axis=1))), k)
+             for k, (mask, _) in enumerate(checks) if mask.any()]
+    if not found:
+        return
+    t, k = min(found)
+    mask, message = checks[k]
+    q = int(np.argmax(mask[t]))
+    x, y = pts[t, q]
+    raise AssemblyError(message(t, q, f"at ({x:g}, {y:g}) in triangle {t}"))
+
+
+def _tensor_check(a):
+    """Symmetry and positive definiteness of the 2x2 tensors a (T, Q, 2, 2),
+    as a _first_violation check."""
+    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
+    asym = np.abs(a01 - a10) > 1e-10 * scale
+    det = a00 * a11 - a01 * a10
+    lam_min = 0.5 * (a00 + a11 - np.sqrt(np.maximum((a00 - a11) ** 2
+                                                    + 4.0 * a01 ** 2, 0.0)))
+    indefinite = (lam_min < COEFF_EPS) | (det < COEFF_EPS)
+
+    def message(t, q, where):
+        if asym[t, q]:
+            return f"A is not symmetric {where}"
+        return (f"A is not positive definite {where}: "
+                f"min eigenvalue {lam_min[t, q]:g}")
+
+    return asym | indefinite, message
+
+
+def _lower_bound_check(vals, name, lower):
+    return (vals < lower, lambda t, q, where: (
+        f"coefficient {name} = {vals[t, q]:g} below {lower:g} {where}"))
+
+
+def _inverse_tensor(a):
+    """Closed-form inverses of 2x2 tensors stacked on the last two axes."""
+    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    det = a00 * a11 - a01 * a10
+    inv = np.stack([np.stack([a11, -a01], axis=-1),
+                    np.stack([-a10, a00], axis=-1)], axis=-2)
+    return inv / det[..., None, None]
 
 
 def assemble(mesh: Mesh, prob: ProblemSpec,
              rule: QuadratureRule | None = None) -> AssembledSystem:
     """Assemble the global mixed system by element scatter-add.
 
-    Coefficient invariants (A SPD, c >= 0, b > 0) are checked at every
-    quadrature point; a violation raises AssemblyError naming the triangle
-    and point.  Duplicate scatter entries are summed.
+    The coefficients are evaluated once on the quadrature points of all
+    triangles and the element blocks of all triangles are formed together;
+    they equal those of element_flux_mass, element_div and
+    element_scalar_mass bit for bit.  Element geometry and the coefficient
+    invariants (A SPD, c >= 0, b > 0) are checked at every quadrature
+    point; a violation raises AssemblyError naming the first offending
+    triangle in mesh order and the point.  Duplicate scatter entries are
+    summed.
     """
     if rule is None:
         rule = triangle_rule(2)
@@ -170,33 +201,49 @@ def assemble(mesh: Mesh, prob: ProblemSpec,
             f"mesh domain {mesh.rect} differs from problem domain {prob.domain}")
 
     nt, ne = mesh.num_triangles, mesh.num_edges
-    m_rows = np.empty((nt, 3, 3), dtype=np.int64)
-    m_cols = np.empty((nt, 3, 3), dtype=np.int64)
-    m_vals = np.empty((nt, 3, 3))
-    b_vals = np.empty((nt, 3))
-    c_diag = np.empty(nt)
-    d_diag = np.empty(nt)
+    tri = mesh.vertices[mesh.triangles]  # (T, 3, 2)
+    u, v = tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]
+    area = 0.5 * np.abs(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
+    pts = quad_points(tri, rule)  # (T, Q, 2)
+    x, y = pts[..., 0], pts[..., 1]
+    a = _coefficient(prob.A, "A", x, y, (2, 2))
+    c_vals = _coefficient(prob.c, "c", x, y)
+    b_vals = _coefficient(prob.b, "b", x, y)
+    _first_violation(pts, [
+        (np.broadcast_to(area[:, None] < DEGENERATE_AREA, x.shape),
+         lambda t, q, where: (
+             f"degenerate triangle {t} with area {area[t]:g}")),
+        _tensor_check(a),
+        _lower_bound_check(c_vals, "c", 0.0),
+        _lower_bound_check(b_vals, "b", COEFF_EPS),
+    ])
 
-    for t in range(nt):
-        tri = mesh.triangle_coords(t)
-        edges = mesh.triangle_edges[t]
-        signs = mesh.triangle_edge_signs[t]
-        ainv = _inverted_tensor_field(prob, t)
-        m_vals[t] = element_flux_mass(tri, signs, ainv, rule)
-        m_rows[t] = edges[:, None]
-        m_cols[t] = edges[None, :]
-        b_vals[t] = element_div(tri, signs)
-        c_diag[t] = element_scalar_mass(
-            tri, _checked_scalar(prob.c, "c", 0.0, t), rule)
-        d_diag[t] = element_scalar_mass(
-            tri, _checked_scalar(prob.b, "b", COEFF_EPS, t), rule)
+    # edge opposite vertex i connects the other two vertices
+    opposite = tri[:, [2, 0, 1]] - tri[:, [1, 2, 0]]
+    div_vals = mesh.triangle_edge_signs * np.sqrt(rowdot(opposite, opposite))
+    coeff = div_vals / (2.0 * area[:, None])
+    ainv = _inverse_tensor(a)
+    m_vals = np.zeros((nt, 3, 3))
+    c_diag = np.zeros(nt)
+    d_diag = np.zeros(nt)
+    for q, w in enumerate(rule.weights):
+        phi = coeff[:, :, None] * (pts[:, q, None, :] - tri)  # (T, 3, 2)
+        m_vals += w * (phi @ ainv[:, q] @ phi.transpose(0, 2, 1))
+        c_diag += w * c_vals[:, q]
+        d_diag += w * b_vals[:, q]
+    m_vals *= area[:, None, None]
+    m_vals = 0.5 * (m_vals + m_vals.transpose(0, 2, 1))
+    c_diag *= area
+    d_diag *= area
 
+    te = mesh.triangle_edges
     M = sp.coo_matrix(
-        (m_vals.ravel(), (m_rows.ravel(), m_cols.ravel())),
+        (m_vals.ravel(),
+         (np.repeat(te, 3, axis=1).ravel(), np.tile(te, 3).ravel())),
         shape=(ne, ne)).tocsr()
     b_rows = np.repeat(np.arange(nt), 3)
     B = sp.coo_matrix(
-        (b_vals.ravel(), (b_rows, mesh.triangle_edges.ravel())),
+        (div_vals.ravel(), (b_rows, te.ravel())),
         shape=(nt, ne)).tocsr()
 
     return AssembledSystem(M=M, B=B, C=c_diag, D=d_diag,

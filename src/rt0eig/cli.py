@@ -83,6 +83,11 @@ class StudyConfig:
             raise ConfigError(
                 f"k = {self.k} exceeds the {max_k} unknowns of level "
                 f"n = {self.levels[0]}")
+        if self.solver == "iterative" and self.k > max_k - 1:
+            raise ConfigError(
+                f"k = {self.k} exceeds {max_k - 1}: the iterative solver "
+                f"needs k below the {max_k} unknowns of level "
+                f"n = {self.levels[0]}")
         if self.expansion_order <= 0:
             raise ConfigError(
                 f"expansion order must be positive, got {self.expansion_order}")

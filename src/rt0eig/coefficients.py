@@ -6,8 +6,21 @@ The continuous problem is
     u = 0                               on the boundary,
 
 with A(x) a symmetric positive definite 2x2 tensor, c(x) >= 0 and b(x) > 0.
-Coefficients are plain callables of a point (x, y); evaluation must be
-reentrant.  Quadrature rules are immutable value objects.
+
+Coefficients are callables f(x, y) of coordinate arrays and must broadcast:
+x and y share one shape S (all triangles by all quadrature points during
+assembly, or 0-d for a single point), a scalar field returns an array
+broadcastable to S and the tensor A one broadcastable to S + (2, 2).
+Constants such as `1.0` or `np.eye(2)` therefore work as they are; a
+non-constant A fills the trailing 2x2 axes, for example
+
+    def A(x, y):
+        a = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)) + (2, 2))
+        a[..., 0, 0] = 1.0 + x
+        a[..., 1, 1] = 1.0 + y
+        return a
+
+Evaluation must be reentrant.  Quadrature rules are immutable value objects.
 """
 
 from dataclasses import dataclass
@@ -91,8 +104,34 @@ def edge_rule(npts: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def quad_points(tri: np.ndarray, rule: QuadratureRule) -> np.ndarray:
-    """Physical quadrature points of `rule` on the triangle `tri` (3x2)."""
+    """Physical quadrature points of `rule` on the triangle `tri` (3x2),
+    shape (Q, 2); a stack of triangles (..., 3, 2) gives (..., Q, 2)."""
     return rule.points @ np.asarray(tri, dtype=float)
+
+
+def field_values(f: Callable, x: np.ndarray, y: np.ndarray,
+                 tail: tuple[int, ...] = ()) -> np.ndarray:
+    """f(x, y) broadcast to shape x.shape + tail (read-only).
+
+    Raises ValueError naming the returned shape if it does not broadcast.
+    """
+    vals = np.asarray(f(x, y), dtype=float)
+    try:
+        return np.broadcast_to(vals, np.shape(x) + tail)
+    except ValueError:
+        raise ValueError(
+            f"returned shape {vals.shape}, which does not broadcast to "
+            f"{np.shape(x) + tail}") from None
+
+
+def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis.
+
+    Each one is the same BLAS dot as a 1-D `a @ b`, so the result matches a
+    point-by-point evaluation bit for bit (a plain multiply-and-sum may
+    round differently from the fused operations of the BLAS kernel).
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def triangle_area(tri: np.ndarray) -> float:
@@ -104,7 +143,8 @@ def triangle_area(tri: np.ndarray) -> float:
 def integrate_triangle(f: Callable[[float, float], float],
                        tri: np.ndarray,
                        rule: QuadratureRule) -> float:
-    """Area-weighted quadrature of f over the triangle with vertices `tri`."""
+    """Area-weighted quadrature of f over the triangle with vertices `tri`,
+    evaluating f one point at a time."""
     area = triangle_area(tri)
     pts = quad_points(tri, rule)
     acc = 0.0
@@ -113,8 +153,10 @@ def integrate_triangle(f: Callable[[float, float], float],
     return area * acc
 
 
-ScalarField = Callable[[float, float], float]
-TensorField = Callable[[float, float], np.ndarray]
+# f(x, y) on coordinate arrays of one shape S; results broadcast to S
+# (scalar fields) or S + (2, 2) (tensor fields)
+ScalarField = Callable[[np.ndarray, np.ndarray], np.ndarray | float]
+TensorField = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -155,11 +197,18 @@ def _make_laplace(name="laplace", shift=0.0):
     )
 
 
+def _variable_tensor(x, y):
+    a = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)) + (2, 2))
+    a[..., 0, 0] = 1.0 + x
+    a[..., 1, 1] = 1.0 + y
+    return a
+
+
 def _make_variable():
     return ProblemSpec(
         name="variable",
         domain=UNIT_SQUARE,
-        A=lambda x, y: np.array([[1.0 + x, 0.0], [0.0, 1.0 + y]]),
+        A=_variable_tensor,
         c=lambda x, y: x * y,
         b=lambda x, y: 1.0 + (x + y) / 4.0,
         analytic_shift=None,

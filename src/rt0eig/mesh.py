@@ -146,47 +146,33 @@ def build_structured_mesh(rect: Rectangle, n: int) -> Mesh:
     xx, yy = np.meshgrid(xs, ys)  # row-major: index iy*(n+1)+ix
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
 
-    triangles = np.empty((2 * n * n, 3), dtype=np.int64)
-    t = 0
-    for iy in range(n):
-        for ix in range(n):
-            v00 = iy * (n + 1) + ix
-            v10 = v00 + 1
-            v01 = v00 + (n + 1)
-            v11 = v01 + 1
-            triangles[t] = (v00, v10, v11)      # lower triangle
-            triangles[t + 1] = (v00, v11, v01)  # upper triangle
-            t += 2
+    # square (ix, iy) has lower-left vertex iy*(n+1)+ix and is split into
+    # its lower triangle (v00, v10, v11) and upper triangle (v00, v11, v01)
+    iy, ix = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    v00 = iy * (n + 1) + ix
+    v10, v01 = v00 + 1, v00 + (n + 1)
+    v11 = v01 + 1
+    triangles = np.stack([v00, v10, v11, v00, v11, v01],
+                         axis=1).reshape(2 * n * n, 3)
 
-    edge_index: dict[tuple[int, int], int] = {}
-    edge_list: list[tuple[int, int]] = []
-    triangle_edges = np.empty((2 * n * n, 3), dtype=np.int64)
-    triangle_edge_signs = np.empty((2 * n * n, 3), dtype=np.int64)
-    edge_tris: list[int] = []
-
-    for t in range(triangles.shape[0]):
-        tri = triangles[t]
-        for i in range(3):
-            # local edge opposite vertex i, walked counterclockwise
-            a = int(tri[(i + 1) % 3])
-            b = int(tri[(i + 2) % 3])
-            key = (a, b) if a < b else (b, a)
-            e = edge_index.get(key)
-            if e is None:
-                e = len(edge_list)
-                edge_index[key] = e
-                edge_list.append(key)
-                edge_tris.append(0)
-            edge_tris[e] += 1
-            triangle_edges[t, i] = e
-            # Counterclockwise walk a->b has the outward normal clockwise of
-            # the walk direction; the global normal is counterclockwise of
-            # the low->high direction, so the two agree exactly when the
-            # walk descends the vertex indices.
-            triangle_edge_signs[t, i] = 1 if a > b else -1
-
-    edges = np.asarray(edge_list, dtype=np.int64)
-    boundary_edge_flags = np.asarray(edge_tris, dtype=np.int64) == 1
+    # local edge i is opposite vertex i, walked counterclockwise from a to b
+    a = triangles[:, [1, 2, 0]].ravel()
+    b = triangles[:, [2, 0, 1]].ravel()
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    # number the edges in the order the walk over triangles first meets them
+    _, first, walk_edge = np.unique(lo * len(vertices) + hi,
+                                    return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    triangle_edges = rank[walk_edge].reshape(-1, 3)
+    edges = np.column_stack([lo, hi])[first[order]]
+    boundary_edge_flags = np.bincount(triangle_edges.ravel()) == 1
+    # The counterclockwise walk a->b has the outward normal clockwise of the
+    # walk direction; the global normal is counterclockwise of the low->high
+    # direction, so the two agree exactly when the walk descends the vertex
+    # indices.
+    triangle_edge_signs = np.where(a > b, 1, -1).reshape(-1, 3)
 
     areas = _signed_areas(vertices, triangles)
     if np.any(areas <= 0):

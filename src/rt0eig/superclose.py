@@ -17,7 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .coefficients import QuadratureRule, edge_rule, quad_points, triangle_rule
+from .coefficients import (QuadratureRule, edge_rule, field_values,
+                           quad_points, rowdot, triangle_rule)
 from .mesh import Mesh, Rectangle, edge_normals
 
 
@@ -32,12 +33,13 @@ class AnalyticEigenpair:
 
     normalized so the integral of u^2 over the rectangle is 1.  On the unit
     square this reduces to lam = (m^2 + n^2) pi^2, u = 2 sin(m pi x)
-    sin(n pi y).
+    sin(n pi y).  `u` and `grad_u` broadcast over coordinate arrays;
+    `grad_u` puts the two components on a new last axis.
     """
 
     lam: float
-    u: Callable[[float, float], float]
-    grad_u: Callable[[float, float], np.ndarray]
+    u: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    grad_u: Callable[[np.ndarray, np.ndarray], np.ndarray]
     mode: tuple[int, int]
 
 
@@ -55,13 +57,13 @@ def laplace_eigenpair(m: int, n: int, rect: Rectangle,
     x0, y0 = rect.x0, rect.y0
 
     def u(x, y):
-        return amp * math.sin(km * (x - x0)) * math.sin(kn * (y - y0))
+        return amp * np.sin(km * (x - x0)) * np.sin(kn * (y - y0))
 
     def grad_u(x, y):
-        return amp * np.array([
-            km * math.cos(km * (x - x0)) * math.sin(kn * (y - y0)),
-            kn * math.sin(km * (x - x0)) * math.cos(kn * (y - y0)),
-        ])
+        return amp * np.stack([
+            km * np.cos(km * (x - x0)) * np.sin(kn * (y - y0)),
+            kn * np.sin(km * (x - x0)) * np.cos(kn * (y - y0)),
+        ], axis=-1)
 
     return AnalyticEigenpair(lam=lam, u=u, grad_u=grad_u, mode=(m, n))
 
@@ -69,30 +71,55 @@ def laplace_eigenpair(m: int, n: int, rect: Rectangle,
 def laplace_eigenvalues(count: int, rect: Rectangle,
                         shift: float = 0.0) -> np.ndarray:
     """The `count` smallest analytic eigenvalues, ascending."""
-    grid = max(2, int(math.isqrt(4 * count)) + 2)
     lx, ly = rect.width, rect.height
+    # The modes (m, 1), m <= count, along the longer side are `count`
+    # eigenvalues, so the count-th smallest is at most pi^2 * bound.  A mode
+    # (m, n) at or below that has m^2/lx^2 <= bound - 1/ly^2 and
+    # n^2/ly^2 <= bound - 1/lx^2, which bounds each axis by its own length.
+    bound = count**2 / max(lx, ly) ** 2 + 1.0 / min(lx, ly) ** 2
+    m_max = int(lx * math.sqrt(bound - 1.0 / ly**2)) + 1
+    n_max = int(ly * math.sqrt(bound - 1.0 / lx**2)) + 1
     vals = sorted(
         math.pi**2 * (m**2 / lx**2 + n**2 / ly**2) + shift
-        for m in range(1, grid + 1) for n in range(1, grid + 1)
+        for m in range(1, m_max + 1) for n in range(1, n_max + 1)
     )
     return np.array(vals[:count])
 
 
-def p0_project(u_exact: Callable[[float, float], float], mesh: Mesh,
-               rule: QuadratureRule | None = None) -> np.ndarray:
-    """Elementwise mean of u_exact: entry t is the average over triangle t."""
-    if rule is None:
-        rule = triangle_rule(2)
-    out = np.empty(mesh.num_triangles)
-    for t in range(mesh.num_triangles):
-        pts = quad_points(mesh.triangle_coords(t), rule)
-        out[t] = sum(w * u_exact(x, y)
-                     for (x, y), w in zip(pts, rule.weights))
+def _element_points(mesh: Mesh, rule: QuadratureRule):
+    """Vertices (T, 3, 2) and quadrature points (T, Q, 2) of all triangles."""
+    tri = mesh.vertices[mesh.triangles]
+    return tri, quad_points(tri, rule)
+
+
+def _element_means(vals: np.ndarray, rule: QuadratureRule) -> np.ndarray:
+    """Quadrature means over each triangle of point values (T, Q, ...),
+    accumulated point by point in rule order."""
+    out = np.zeros(vals.shape[:1] + vals.shape[2:])
+    for q, w in enumerate(rule.weights):
+        out += w * vals[:, q]
     return out
 
 
-def fortin_interpolate(sigma_exact: Callable[[float, float], np.ndarray],
-                       mesh: Mesh, npts: int = 3) -> np.ndarray:
+def _sequential_sum(vals: np.ndarray) -> float:
+    """Left-to-right sum, rounded like a running total over the triangles,
+    so that reported errors do not depend on a summation order."""
+    return float(np.cumsum(vals)[-1])
+
+
+def p0_project(u_exact: Callable[[np.ndarray, np.ndarray], np.ndarray],
+               mesh: Mesh, rule: QuadratureRule | None = None) -> np.ndarray:
+    """Elementwise mean of u_exact: entry t is the average over triangle t."""
+    if rule is None:
+        rule = triangle_rule(2)
+    _, pts = _element_points(mesh, rule)
+    return _element_means(
+        field_values(u_exact, pts[..., 0], pts[..., 1]), rule)
+
+
+def fortin_interpolate(
+        sigma_exact: Callable[[np.ndarray, np.ndarray], np.ndarray],
+        mesh: Mesh, npts: int = 3) -> np.ndarray:
     """Edge-flux interpolant coefficients of a smooth vector field.
 
     Entry e is the mean normal flux (1/|e|) * integral over e of
@@ -100,19 +127,18 @@ def fortin_interpolate(sigma_exact: Callable[[float, float], np.ndarray],
     an npts-point Gauss rule along the edge.  These are the coefficients of
     the interpolant in the assembly basis, so B applied to the result
     reproduces the elementwise integral of div(sigma_exact) up to
-    quadrature error.
+    quadrature error.  sigma_exact returns its components on the last axis.
     """
     nodes, weights = edge_rule(npts)
     normals = edge_normals(mesh)
     p0 = mesh.vertices[mesh.edges[:, 0]]
     vec = mesh.vertices[mesh.edges[:, 1]] - p0
-    out = np.empty(mesh.num_edges)
-    for e in range(mesh.num_edges):
-        acc = 0.0
-        for s, w in zip(nodes, weights):
-            x, y = p0[e] + s * vec[e]
-            acc += w * float(np.dot(sigma_exact(x, y), normals[e]))
-        out[e] = acc
+    pts = p0[:, None, :] + nodes[None, :, None] * vec[:, None, :]  # (E, S, 2)
+    sigma = field_values(sigma_exact, pts[..., 0], pts[..., 1], (2,))
+    flux = rowdot(sigma, normals[:, None, :])
+    out = np.zeros(mesh.num_edges)
+    for s, w in enumerate(weights):
+        out += w * flux[:, s]
     return out
 
 
@@ -140,22 +166,9 @@ def superclose_distance(u_h: np.ndarray, pu: np.ndarray, D: np.ndarray,
     return float(np.linalg.norm(diff))
 
 
-def _flux_at(mesh, t, sigma_coeff, x, y):
-    """Value of the discrete flux field inside triangle t at (x, y)."""
-    tri = mesh.triangle_coords(t)
-    area = mesh.areas[t]
-    val = np.zeros(2)
-    for i in range(3):
-        e = mesh.triangle_edges[t, i]
-        s = mesh.triangle_edge_signs[t, i]
-        val += (sigma_coeff[e] * s * mesh.edge_lengths[e] / (2.0 * area)
-                * (np.array([x, y]) - tri[i]))
-    return val
-
-
 def l2_errors(pair, exact: AnalyticEigenpair, mesh: Mesh,
               rule: QuadratureRule | None = None,
-              A: Callable[[float, float], np.ndarray] | None = None
+              A: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
               ) -> tuple[float, float]:
     """L2 errors of the discrete eigenfunction and its flux.
 
@@ -167,28 +180,27 @@ def l2_errors(pair, exact: AnalyticEigenpair, mesh: Mesh,
     """
     if rule is None:
         rule = triangle_rule(3)
-    weights = rule.weights
+    tri, pts = _element_points(mesh, rule)
+    x, y = pts[..., 0], pts[..., 1]
+    u = field_values(exact.u, x, y)
     # sign alignment: compare elementwise means against the exact function
-    overlap = 0.0
-    for t in range(mesh.num_triangles):
-        pts = quad_points(mesh.triangle_coords(t), rule)
-        mean = sum(w * exact.u(x, y) for (x, y), w in zip(pts, weights))
-        overlap += mesh.areas[t] * pair.u[t] * mean
+    overlap = _sequential_sum(
+        mesh.areas * pair.u * _element_means(u, rule))
     sign = 1.0 if overlap >= 0 else -1.0
 
-    err_u_sq = 0.0
-    err_sigma_sq = 0.0
-    for t in range(mesh.num_triangles):
-        pts = quad_points(mesh.triangle_coords(t), rule)
-        u_t = sign * pair.u[t]
-        acc_u = 0.0
-        acc_s = 0.0
-        for (x, y), w in zip(pts, weights):
-            acc_u += w * (exact.u(x, y) - u_t) ** 2
-            g = exact.grad_u(x, y)
-            flux = g if A is None else np.asarray(A(x, y)) @ g
-            dsig = flux - sign * _flux_at(mesh, t, pair.sigma, x, y)
-            acc_s += w * float(dsig @ dsig)
-        err_u_sq += mesh.areas[t] * acc_u
-        err_sigma_sq += mesh.areas[t] * acc_s
-    return math.sqrt(err_u_sq), math.sqrt(err_sigma_sq)
+    flux = field_values(exact.grad_u, x, y, (2,))
+    if A is not None:
+        flux = (field_values(A, x, y, (2, 2)) @ flux[..., None])[..., 0]
+    # discrete flux at each point: sum over the local basis phi_i, with
+    # coefficient sigma_e * s_i * |e_i| / (2 |T|), of (point - vertex i)
+    te = mesh.triangle_edges
+    coeff = (pair.sigma[te] * mesh.triangle_edge_signs
+             * mesh.edge_lengths[te] / (2.0 * mesh.areas[:, None]))
+    sigma_h = np.zeros(pts.shape)
+    for i in range(3):
+        sigma_h += coeff[:, i, None, None] * (pts - tri[:, None, i])
+    dsig = flux - sign * sigma_h
+    err_u = _element_means((u - sign * pair.u[:, None]) ** 2, rule)
+    err_sigma = _element_means(rowdot(dsig, dsig), rule)
+    return (math.sqrt(_sequential_sum(mesh.areas * err_u)),
+            math.sqrt(_sequential_sum(mesh.areas * err_sigma)))

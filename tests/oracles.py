@@ -1,14 +1,25 @@
 """Independent reference computations for the test suite.
 
-Everything here deliberately avoids the package's own quadrature rules and
+Most of these deliberately avoid the package's own quadrature rules and
 solver paths: element matrices come from symbolic integration, triangle
 integrals from a Duffy-transform tensor Gauss rule, and eigenvalues of the
 reduced problem from the dense saddle-point pencil.
+
+The per-element and per-point references at the end redo, one triangle,
+edge or point at a time, what the package computes on whole arrays: global
+assembly from the element routines, the dict walk that numbers mesh edges,
+and the projections and L2 errors of the superclose module.
 """
 
+import math
+
 import numpy as np
+import scipy.sparse as sp
 import sympy
 from numpy.polynomial.legendre import leggauss
+
+from rt0eig import (edge_normals, edge_rule, element_div, element_flux_mass,
+                    integrate_triangle)
 
 
 def symbolic_flux_mass(tri, signs):
@@ -105,3 +116,102 @@ def brute_force_edges(triangles):
             a, b = int(tri[i]), int(tri[(i + 1) % 3])
             edges.add((min(a, b), max(a, b)))
     return edges
+
+
+def element_assembly(mesh, prob, rule):
+    """Global (M, B, C, D) by a loop over triangles of the element routines.
+
+    A^-1 is the closed-form 2x2 inverse at each point, as in the package.
+    """
+    def ainv(x, y):
+        a = np.asarray(prob.A(x, y), dtype=float)
+        det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+        return np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]) / det
+
+    nt, ne = mesh.num_triangles, mesh.num_edges
+    rows, cols, vals, b_vals = [], [], [], []
+    c_diag, d_diag = np.empty(nt), np.empty(nt)
+    for t in range(nt):
+        tri, e = mesh.triangle_coords(t), mesh.triangle_edges[t]
+        signs = mesh.triangle_edge_signs[t]
+        vals.append(element_flux_mass(tri, signs, ainv, rule).ravel())
+        rows.append(np.repeat(e, 3))
+        cols.append(np.tile(e, 3))
+        b_vals.append(element_div(tri, signs))
+        c_diag[t] = integrate_triangle(lambda x, y: float(prob.c(x, y)),
+                                       tri, rule)
+        d_diag[t] = integrate_triangle(lambda x, y: float(prob.b(x, y)),
+                                       tri, rule)
+    M = sp.coo_matrix((np.concatenate(vals),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(ne, ne)).tocsr()
+    B = sp.coo_matrix((np.concatenate(b_vals),
+                       (np.repeat(np.arange(nt), 3),
+                        mesh.triangle_edges.ravel())),
+                      shape=(nt, ne)).tocsr()
+    return M, B, c_diag, d_diag
+
+
+def dict_walk_topology(triangles):
+    """Edges in first-seen order, triangle edges and signs, and boundary
+    flags, by walking the triangles and numbering edges in a dict."""
+    index, edges, uses = {}, [], []
+    tri_edges = np.empty((len(triangles), 3), dtype=np.int64)
+    signs = np.empty((len(triangles), 3), dtype=np.int64)
+    for t, tri in enumerate(np.asarray(triangles)):
+        for i in range(3):
+            a, b = int(tri[(i + 1) % 3]), int(tri[(i + 2) % 3])
+            key = (min(a, b), max(a, b))
+            if key not in index:
+                index[key] = len(edges)
+                edges.append(key)
+                uses.append(0)
+            uses[index[key]] += 1
+            tri_edges[t, i] = index[key]
+            signs[t, i] = 1 if a > b else -1
+    return (np.array(edges, dtype=np.int64), tri_edges, signs,
+            np.array(uses) == 1)
+
+
+def pointwise_p0_project(u, mesh, rule):
+    """Quadrature mean of u over each triangle, one point at a time."""
+    return np.array([
+        sum(w * float(u(x, y))
+            for (x, y), w in zip(rule.points @ mesh.triangle_coords(t),
+                                 rule.weights))
+        for t in range(mesh.num_triangles)])
+
+
+def pointwise_fortin(sigma, mesh, npts):
+    """Mean normal flux of sigma across each edge, one point at a time."""
+    nodes, weights = edge_rule(npts)
+    normals = edge_normals(mesh)
+    out = np.empty(mesh.num_edges)
+    for e, (a, b) in enumerate(mesh.edges):
+        p0, vec = mesh.vertices[a], mesh.vertices[b] - mesh.vertices[a]
+        out[e] = sum(w * float(np.dot(sigma(*(p0 + s * vec)), normals[e]))
+                     for s, w in zip(nodes, weights))
+    return out
+
+
+def pointwise_l2_errors(pair, exact, mesh, rule, A=None):
+    """(err_u, err_sigma) with the discrete flux expanded in the element
+    basis at each quadrature point."""
+    means = pointwise_p0_project(exact.u, mesh, rule)
+    sign = 1.0 if np.sum(mesh.areas * pair.u * means) >= 0 else -1.0
+    err_u = err_sigma = 0.0
+    for t in range(mesh.num_triangles):
+        tri, area = mesh.triangle_coords(t), mesh.areas[t]
+        for (x, y), w in zip(rule.points @ tri, rule.weights):
+            flux = np.asarray(exact.grad_u(x, y))
+            if A is not None:
+                flux = np.asarray(A(x, y)) @ flux
+            for i in range(3):
+                e = mesh.triangle_edges[t, i]
+                flux = flux - sign * (
+                    pair.sigma[e] * mesh.triangle_edge_signs[t, i]
+                    * mesh.edge_lengths[e] / (2.0 * area)
+                    * (np.array([x, y]) - tri[i]))
+            err_u += area * w * (float(exact.u(x, y)) - sign * pair.u[t]) ** 2
+            err_sigma += area * w * float(flux @ flux)
+    return math.sqrt(err_u), math.sqrt(err_sigma)

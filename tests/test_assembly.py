@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from rt0eig import (AssemblyError, assemble, build_structured_mesh,
-                    dump_matrix, element_div, element_flux_mass,
-                    element_scalar_mass, get_preset, refine, triangle_rule,
-                    UNIT_SQUARE)
+from rt0eig import (AssemblyError, Rectangle, assemble,
+                    build_structured_mesh, dump_matrix, element_div,
+                    element_flux_mass, element_scalar_mass, get_preset, refine,
+                    triangle_rule, UNIT_SQUARE)
 from rt0eig.coefficients import ProblemSpec
-from oracles import symbolic_flux_mass
+from oracles import element_assembly, symbolic_flux_mass
 
 REF_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 IDENTITY = lambda x, y: np.eye(2)
@@ -183,3 +183,123 @@ def test_dump_matrix_coordinate_format():
     # 17 significant digits survive a round-trip
     val = float(dump_matrix(np.array([1.0 / 3.0])).split()[2])
     assert val == 1.0 / 3.0
+
+
+def _custom_tensor(x, y):
+    a = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)) + (2, 2))
+    a[..., 0, 0] = 2.0 + np.sin(x)
+    a[..., 0, 1] = a[..., 1, 0] = 0.25 * x * y
+    a[..., 1, 1] = 1.0 + y * y
+    return a
+
+
+CUSTOM = ProblemSpec(name="custom", domain=Rectangle(0.0, 0.0, 2.0, 1.0),
+                     A=_custom_tensor, c=lambda x, y: x * y**2,
+                     b=lambda x, y: 1.0 + 0.5 * np.cos(x * y))
+
+
+def _assert_dumps_identical(mesh, prob):
+    sys_ = assemble(mesh, prob)
+    want = element_assembly(mesh, prob, triangle_rule(2))
+    for name, block in zip("MBCD", want):
+        assert dump_matrix(getattr(sys_, name)) == dump_matrix(block), name
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 16])
+@pytest.mark.parametrize("name", ["laplace", "shifted", "variable"])
+def test_array_assembly_byte_identical_to_element_loop(name, n):
+    prob = get_preset(name)
+    _assert_dumps_identical(build_structured_mesh(prob.domain, n), prob)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_array_assembly_byte_identical_custom_rectangle(n):
+    _assert_dumps_identical(build_structured_mesh(CUSTOM.domain, n), CUSTOM)
+
+
+def _with(**coeffs):
+    base = get_preset("laplace")
+    return ProblemSpec(name="bad", domain=base.domain,
+                       A=coeffs.get("A", base.A), c=coeffs.get("c", base.c),
+                       b=coeffs.get("b", base.b))
+
+
+def _first_triangle_with_point(mesh, inside):
+    """Scan triangles in mesh order for a quadrature point where `inside`."""
+    rule = triangle_rule(2)
+    for t in range(mesh.num_triangles):
+        if any(inside(x, y) for x, y in rule.points @ mesh.triangle_coords(t)):
+            return t
+    raise AssertionError("no quadrature point inside the region")
+
+
+def test_assembly_error_names_first_bad_interior_triangle(unit_mesh_n4):
+    corner = lambda x, y: (x > 0.6) & (y > 0.6)
+    t = _first_triangle_with_point(unit_mesh_n4, corner)
+    assert t > 0
+    prob = _with(c=lambda x, y: np.where(corner(x, y), -1.0, 0.0))
+    with pytest.raises(AssemblyError,
+                       match=rf"coefficient c = -1 .* in triangle {t}$"):
+        assemble(unit_mesh_n4, prob)
+
+
+def test_assembly_error_earliest_triangle_over_all_checks(unit_mesh_n4):
+    """b is checked after c at each triangle, but its violation sits in an
+    earlier triangle, so it is the one reported."""
+    corner = lambda x, y: (x > 0.6) & (y > 0.6)
+    left = lambda x, y: (x < 0.3) & (y > 0.6)
+    t_c = _first_triangle_with_point(unit_mesh_n4, corner)
+    t_b = _first_triangle_with_point(unit_mesh_n4, left)
+    assert 0 < t_b < t_c
+    prob = _with(c=lambda x, y: np.where(corner(x, y), -1.0, 0.0),
+                 b=lambda x, y: np.where(left(x, y), 0.0, 1.0))
+    with pytest.raises(AssemblyError,
+                       match=rf"coefficient b = 0 .* in triangle {t_b}$"):
+        assemble(unit_mesh_n4, prob)
+
+
+def _interior_edge_midpoint(mesh, e):
+    """Midpoint of edge e and the first triangle in mesh order using it."""
+    mid = mesh.vertices[mesh.edges[e]].mean(axis=0)
+    owners = np.flatnonzero((mesh.triangle_edges == e).any(axis=1))
+    assert len(owners) == 2
+    return mid, int(owners.min())
+
+
+@pytest.mark.parametrize("bad, message", [
+    (-np.eye(2), "not positive definite"),
+    (np.array([[1.0, 0.5], [0.0, 1.0]]), "not symmetric"),
+])
+def test_tensor_error_names_triangle_of_single_bad_point(unit_mesh_n4, bad,
+                                                         message):
+    mesh = unit_mesh_n4
+    e = mesh.num_edges // 2
+    (mx, my), t = _interior_edge_midpoint(mesh, e)
+    assert t > 0
+
+    def A(x, y):
+        at = (np.abs(x - mx) < 1e-12) & (np.abs(y - my) < 1e-12)
+        return np.where(at[..., None, None], bad, np.eye(2))
+
+    with pytest.raises(AssemblyError, match=(
+            rf"{message} at \({mx:g}, {my:g}\) in triangle {t}\b")):
+        assemble(mesh, _with(A=A))
+
+
+def test_non_broadcastable_coefficient_names_shape(unit_mesh_n2):
+    # built for a single point: the (2, 2) axes come first, not last
+    pointwise = lambda x, y: np.array([[1.0 + x, 0.0 * x], [0.0 * x, 1.0 + y]])
+    with pytest.raises(AssemblyError,
+                       match=r"coefficient A: returned shape \(2, 2, 8, 3\)"):
+        assemble(unit_mesh_n2, _with(A=pointwise))
+    with pytest.raises(AssemblyError,
+                       match=r"coefficient c: returned shape \(5,\)"):
+        assemble(unit_mesh_n2, _with(c=lambda x, y: np.ones(5)))
+
+
+def test_assemble_rejects_degenerate_triangle():
+    tiny = Rectangle(0.0, 0.0, 1e-7, 1e-7)
+    base = get_preset("laplace")
+    prob = ProblemSpec(name="tiny", domain=tiny, A=base.A, c=base.c, b=base.b)
+    with pytest.raises(AssemblyError, match="degenerate triangle 0"):
+        assemble(build_structured_mesh(tiny, 1), prob)

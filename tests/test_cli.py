@@ -230,3 +230,18 @@ def test_iterative_solver_study(tmp_path):
     table_d, _ = run_study(dense)
     for ri, rd in zip(table.rows, table_d.rows):
         assert np.abs(ri.raw - rd.raw).max() <= 1e-8 * np.abs(rd.raw).max()
+
+
+def test_iterative_k_above_unknowns_minus_one_is_config_error(tmp_path,
+                                                              capsys):
+    with pytest.raises(ConfigError, match="iterative"):
+        StudyConfig(preset="laplace", levels=[1, 2], k=2,
+                    solver="iterative").validate()
+    StudyConfig(preset="laplace", levels=[1, 2], k=1,
+                solver="iterative").validate()
+    StudyConfig(preset="laplace", levels=[1, 2], k=2).validate()
+    text = GOOD_CONFIG.format(out=tmp_path / "r").replace(
+        "levels = 2 4", "levels = 1 2\nsolver = iterative")
+    assert main(["run", str(_write(tmp_path, text))]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()

@@ -3,7 +3,7 @@ import pytest
 
 from rt0eig import (MeshError, Rectangle, UNIT_SQUARE, build_structured_mesh,
                     dump_mesh, edge_normals, refine)
-from oracles import brute_force_edges
+from oracles import brute_force_edges, dict_walk_topology
 
 
 def test_rectangle_rejects_nonpositive_extent():
@@ -154,3 +154,14 @@ def test_dump_mesh_n1_golden():
         "4 0 2 1\n"
     )
     assert dump_mesh(m) == expected
+
+
+@pytest.mark.parametrize("rect, n", [(UNIT_SQUARE, n) for n in range(1, 6)]
+                         + [(Rectangle(0.0, 0.0, 2.0, 1.0), 3)])
+def test_edge_numbering_matches_dict_walk(rect, n):
+    m = build_structured_mesh(rect, n)
+    edges, tri_edges, signs, boundary = dict_walk_topology(m.triangles)
+    assert np.array_equal(m.edges, edges)
+    assert np.array_equal(m.triangle_edges, tri_edges)
+    assert np.array_equal(m.triangle_edge_signs, signs)
+    assert np.array_equal(m.boundary_edge_flags, boundary)

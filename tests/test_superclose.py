@@ -7,7 +7,9 @@ from rt0eig import (assemble, build_structured_mesh, fortin_interpolate,
                     superclose_distance, triangle_rule, UNIT_SQUARE)
 from rt0eig.eigensolver import EigenPair
 from rt0eig.mesh import Rectangle, edge_normals
-from oracles import duffy_triangle_integral, gauss_edge_integral
+from oracles import (duffy_triangle_integral, gauss_edge_integral,
+                     pointwise_fortin, pointwise_l2_errors,
+                     pointwise_p0_project)
 
 
 def test_analytic_eigenpair_unit_square():
@@ -197,3 +199,64 @@ def test_superclose_beats_plain_error():
         err.append(l2_errors(res.pairs[0], pair, mesh)[0])
         assert dist[-1] < err[-1]
     assert np.log2(dist[0] / dist[1]) > np.log2(err[0] / err[1])
+
+
+@pytest.mark.parametrize("rect", [Rectangle(0.0, 0.0, 10.0, 1.0),
+                                  Rectangle(0.0, 0.0, 1.0, 2.0),
+                                  Rectangle(0.0, 0.0, 4.0, 1.0),
+                                  UNIT_SQUARE])
+@pytest.mark.parametrize("count", [1, 7, 20, 45])
+def test_laplace_eigenvalues_match_brute_force(rect, count):
+    m, n = np.meshgrid(np.arange(1, 201), np.arange(1, 201))
+    brute = np.sort(np.pi**2 * (m**2 / rect.width**2
+                                + n**2 / rect.height**2), axis=None)
+    got = laplace_eigenvalues(count, rect, shift=1.5)
+    assert got == pytest.approx(brute[:count] + 1.5, rel=1e-14)
+
+
+def test_eigenpair_broadcasts_over_point_arrays():
+    pair = laplace_eigenpair(2, 1, Rectangle(0.0, 0.0, 2.0, 1.5))
+    rng = np.random.default_rng(21)
+    x, y = rng.uniform(0, 1.5, (2, 3, 4))
+    u, g = pair.u(x, y), pair.grad_u(x, y)
+    assert u.shape == (3, 4) and g.shape == (3, 4, 2)
+    for i in range(3):
+        for j in range(4):
+            assert u[i, j] == pair.u(x[i, j], y[i, j])
+            assert np.array_equal(g[i, j], pair.grad_u(x[i, j], y[i, j]))
+
+
+def _tensor(x, y):
+    a = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)) + (2, 2))
+    a[..., 0, 0] = 2.0 + x
+    a[..., 0, 1] = a[..., 1, 0] = 0.3 * y
+    a[..., 1, 1] = 1.0 + x * y
+    return a
+
+
+@pytest.mark.parametrize("rect, n, mode", [
+    (UNIT_SQUARE, 8, (1, 1)), (Rectangle(0.0, 0.0, 2.0, 1.0), 4, (1, 2))])
+def test_projections_and_errors_match_pointwise_oracles(rect, n, mode):
+    mesh = build_structured_mesh(rect, n)
+    pair = laplace_eigenpair(*mode, rect)
+    rng = np.random.default_rng(n)
+    for rule in (triangle_rule(2), triangle_rule(3)):
+        got = p0_project(pair.u, mesh, rule)
+        want = pointwise_p0_project(pair.u, mesh, rule)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    for npts in (2, 3):
+        got = fortin_interpolate(pair.grad_u, mesh, npts)
+        want = pointwise_fortin(pair.grad_u, mesh, npts)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    discrete = EigenPair(
+        lambda_h=pair.lam,
+        u=-p0_project(pair.u, mesh) + 0.05 * rng.standard_normal(
+            mesh.num_triangles),
+        sigma=-fortin_interpolate(pair.grad_u, mesh) + 0.05
+        * rng.standard_normal(mesh.num_edges),
+        residual=0.0)
+    rule3 = triangle_rule(3)
+    for A in (None, _tensor):
+        got = l2_errors(discrete, pair, mesh, rule3, A=A)
+        want = pointwise_l2_errors(discrete, pair, mesh, rule3, A=A)
+        assert got == pytest.approx(want, rel=1e-13)

@@ -1,0 +1,43 @@
+"""The benchmark's tracer (benchmarks/spans.py) patches package functions by
+name and reads the mesh from fixed argument positions.  These checks make a
+refactor that breaks those names or positions fail the test suite, not only
+the traced benchmark run."""
+
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+import rt0eig
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_spans", ROOT / "benchmarks" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_package_under_test_is_this_tree():
+    assert Path(rt0eig.__file__).resolve().parent == ROOT / "src" / "rt0eig"
+
+
+def test_every_trace_target_resolves(spans):
+    for path, attr in [t[:2] for t in spans.TARGETS] + [spans.LEVEL_TARGET]:
+        assert callable(getattr(spans._resolve(path), attr, None)), (
+            f"{path}.{attr}")
+
+
+def test_traced_argument_positions(spans):
+    cli = spans._resolve("rt0eig.cli")
+    params = lambda fn: list(inspect.signature(fn).parameters)
+    # the tracer tags spans with args[1].n of p0_project, args[2].n of
+    # l2_errors, and calls run_level as fn(cfg, prob, n)
+    assert params(cli.p0_project)[1] == "mesh"
+    assert params(cli.l2_errors)[2] == "mesh"
+    assert params(cli.run_level)[:3] == ["cfg", "prob", "n"]
