@@ -8,8 +8,10 @@ The saddle-point system
 is reduced by eliminating the flux: S = B M^-1 B^T + C is symmetric positive
 definite and S u = lambda D u has exactly the finite eigenvalues of the full
 block pencil.  The dense path forms S explicitly and diagonalizes the
-similarity transform D^-1/2 S D^-1/2; the iterative path applies S as an
-operator and runs shift-invert ARPACK around zero.
+similarity transform D^-1/2 S D^-1/2.  The iterative path never forms S nor
+factorizes M: one sparse LU of the block matrix K = [[M, B^T], [B, -C]]
+applies S^-1 for shift-invert ARPACK and then gives the fluxes and the
+residuals of the eigentriples.
 """
 
 from dataclasses import dataclass, field
@@ -39,8 +41,12 @@ class EigenPair:
     """One discrete eigentriple.
 
     `u` is normalized to u^T D u = 1 with its largest-magnitude entry
-    positive; `sigma` solves M sigma = -B^T u; `residual` is the 2-norm of
-    S u - lambda D u.
+    positive; `sigma` solves M sigma = -B^T u.  `residual` is the 2-norm of
+    S u - lambda D u on the dense path.  The iterative path does not apply S
+    and reports the 2-norm of C u - B sigma - lambda D u instead, the scalar
+    row of the saddle-point system; it differs from S u - lambda D u by
+    B M^-1 (M sigma + B^T u), the image of the flux row's residual, which
+    is checked against FLUX_RTOL.
     """
 
     lambda_h: float
@@ -94,13 +100,14 @@ def schur_complement(sys) -> np.ndarray:
     the result is not symmetric to within tolerance.
     """
     solve = sys.solve_flux_mass
-    bt = sys.B.T.toarray()
+    bt = sys.B.T.tocsc()
     s = np.empty((sys.num_triangles, sys.num_triangles))
-    # chunk the multi-RHS solve to bound peak memory on fine meshes
+    # densify and solve one column chunk of B^T at a time to bound peak
+    # memory on fine meshes
     chunk = max(1, min(sys.num_triangles, (1 << 22) // max(sys.num_edges, 1)))
     for lo in range(0, sys.num_triangles, chunk):
         hi = min(lo + chunk, sys.num_triangles)
-        s[:, lo:hi] = sys.B @ solve(bt[:, lo:hi])
+        s[:, lo:hi] = sys.B @ solve(bt[:, lo:hi].toarray())
     s[np.diag_indices_from(s)] += sys.C
     scale = float(np.abs(s).max())
     asym = float(np.abs(s - s.T).max())
@@ -116,11 +123,13 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
 
     Ties in magnitude resolve to the lowest index (argmax takes the first).
     """
+    return vecs * _column_signs(vecs)[None, :]
+
+
+def _column_signs(vecs: np.ndarray) -> np.ndarray:
+    """+1 or -1 per column, the sign of its first largest-magnitude entry."""
     idx = np.argmax(np.abs(vecs), axis=0)
-    flip = vecs[idx, np.arange(vecs.shape[1])] < 0
-    vecs = vecs.copy()
-    vecs[:, flip] *= -1.0
-    return vecs
+    return np.where(vecs[idx, np.arange(vecs.shape[1])] < 0, -1.0, 1.0)
 
 
 def solve_gevp(S: np.ndarray, D: np.ndarray, k: int):
@@ -162,23 +171,35 @@ def _check_residuals(residuals, s_norm):
 
 def solve_gevp_iterative(sys, k: int, seed: int = 0):
     """Shift-invert ARPACK variant of solve_gevp acting on the assembled
-    system without forming S densely.
+    system without forming S or factorizing M.
 
-    The inverse apply routes through one sparse LU of the full saddle-point
-    block matrix.  The iteration budget is 500 per requested eigenvalue;
-    exhausting it is an error, never a silent partial result.
+    Returns (values, vectors, residuals) like solve_gevp.  One sparse LU of
+    the saddle-point block K = [[M, B^T], [B, -C]] serves the whole solve:
+
+    * ARPACK finds the largest eigenvalues 1/lambda of D^1/2 S^-1 D^1/2,
+      applying S^-1 v as the triangle block of K^-1 [0; -v], from a start
+      vector drawn from `seed`;
+    * one solve K [sigma; w] = [0; -lambda D u] for all pairs, refined
+      once, is an inverse-iteration step; the pairs are reported as
+      u = w / ||w||_D with sigma scaled alike, so sigma is their flux;
+    * the flux row ||M sigma + B^T u|| is checked against FLUX_RTOL, and
+      the residual ||C u - B sigma - lambda D u|| against RESIDUAL_RTOL
+      times max_j lambda_j / (u_j . u_j) (see _check_eigentriples).
+
+    The iteration budget is 500 per requested eigenvalue; exhausting it is
+    an error, never a silent partial result.
     """
+    vals, vecs, _, residuals = _iterative_eigentriples(sys, k, seed)
+    return vals, vecs, residuals
+
+
+def _iterative_eigentriples(sys, k, seed):
+    """(values, vectors, fluxes, residuals) of solve_gevp_iterative."""
     t = sys.num_triangles
     if not (1 <= k <= t - 1):
         raise NumericalError(
             f"iterative path needs 1 <= k <= {t - 1}, got {k}")
     d = sys.D
-    msolve = sys.solve_flux_mass
-
-    def s_matvec(x):
-        return sys.B @ msolve(sys.B.T @ x) + sys.C * x
-
-    s_op = spla.LinearOperator((t, t), matvec=s_matvec, dtype=float)
     k_block = sp.bmat(
         [[sys.M, sys.B.T], [sys.B, -sp.diags(sys.C)]], format="csc")
     try:
@@ -188,35 +209,66 @@ def solve_gevp_iterative(sys, k: int, seed: int = 0):
             f"saddle-point factorization failed: {exc}") from exc
 
     ne = sys.num_edges
+    sqd = np.sqrt(d)
 
-    def s_inv(v):
-        rhs = np.concatenate([np.zeros(ne), -np.asarray(v)])
-        return k_lu.solve(rhs)[ne:]
+    def shift_invert(y):
+        # D^1/2 S^-1 D^1/2 y; S^-1 v is the triangle block of K^-1 [0; -v]
+        rhs = np.concatenate([np.zeros(ne), -sqd * np.ravel(y)])
+        return sqd * k_lu.solve(rhs)[ne:]
 
-    opinv = spla.LinearOperator((t, t), matvec=s_inv, dtype=float)
+    op = spla.LinearOperator((t, t), matvec=shift_invert, dtype=float)
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(t)
     try:
-        vals, y = spla.eigsh(
-            s_op, k=k, M=sp.diags(d).tocsc(), sigma=0.0, OPinv=opinv,
-            which="LM", v0=v0, maxiter=ITER_BUDGET_PER_EIGENVALUE * k)
+        mu, y = spla.eigsh(op, k=k, which="LM", v0=v0,
+                           maxiter=ITER_BUDGET_PER_EIGENVALUE * k)
     except spla.ArpackNoConvergence as exc:
         raise NumericalError(
             f"iterative eigensolver did not converge for k={k}: {exc}"
         ) from exc
-    order = np.argsort(vals)
-    vals = vals[order]
-    vecs = y[:, order]
-    # eigsh returns D-orthonormal vectors; renormalize against roundoff
-    vecs = vecs / np.sqrt(np.sum(d[:, None] * vecs**2, axis=0))[None, :]
-    vecs = _fix_signs(vecs)
-    sv = np.column_stack([s_matvec(vecs[:, j]) for j in range(k)])
-    residuals = _residuals(sv, d[:, None] * vecs, vals)
-    # cheap lower bound on ||S||_F keeps the residual check conservative
+    order = np.argsort(mu)[::-1]
+    vals = 1.0 / mu[order]
+    vecs = y[:, order] / sqd[:, None]
+    # one inverse-iteration step K [sigma; w] = [0; -lambda D u] for all
+    # pairs, whose flux block is the flux of w.  One step of iterative
+    # refinement of that solve makes the flux row hold to roundoff; what is
+    # left of it reaches S w - lambda D w amplified by M^-1.
+    rhs = np.zeros((ne + t, k))
+    rhs[ne:] = -(d[:, None] * vecs) * vals[None, :]
+    sol = k_lu.solve(rhs)
+    sol += k_lu.solve(rhs - k_block @ sol)
+    w = sol[ne:]
+    scale = np.sqrt(np.sum(d[:, None] * w**2, axis=0)) * _column_signs(w)
+    vecs, sigmas = w / scale[None, :], sol[:ne] / scale[None, :]
+    residuals = _check_eigentriples(sys, vals, vecs, sigmas)
+    return vals, vecs, sigmas, residuals
+
+
+def _check_eigentriples(sys, vals, vecs, sigmas):
+    """Residuals of eigentriples (lambda_j, u_j, sigma_j), columns of vecs
+    and sigmas; raises NumericalError naming the first pair that fails.
+
+    The flux row ||M sigma + B^T u|| must stay below FLUX_RTOL * ||B^T u||,
+    as in recover_flux.  C u - B sigma is then S u up to B M^-1 times the
+    flux row, and the residual ||C u - B sigma - lambda D u|| must stay
+    below RESIDUAL_RTOL times max_j lambda_j / (u_j . u_j), a Rayleigh
+    quotient of S and so a lower bound on its norm.
+    """
+    bt_u = sys.B.T @ vecs
+    flux = np.linalg.norm(sys.M @ sigmas + bt_u, axis=0)
+    rhs_norm = np.linalg.norm(bt_u, axis=0)
+    bad = np.flatnonzero(flux > FLUX_RTOL * rhs_norm)
+    if bad.size:
+        j = int(bad[0])
+        raise NumericalError(
+            f"eigenpair {j} flux residual {flux[j]:g} exceeds "
+            f"{FLUX_RTOL:g} * {rhs_norm[j]:g}")
+    residuals = _residuals(sys.C[:, None] * vecs - sys.B @ sigmas,
+                           sys.D[:, None] * vecs, vals)
     s_norm = max(float(vals[j] / (vecs[:, j] @ vecs[:, j]))
-                 for j in range(k))
+                 for j in range(len(vals)))
     _check_residuals(residuals, s_norm)
-    return vals, vecs, residuals
+    return residuals
 
 
 def recover_flux(u: np.ndarray, sys) -> np.ndarray:
@@ -247,13 +299,15 @@ def solve_mixed_eigenproblem(mesh, sys, k: int, method: str = "dense",
     if method == "dense":
         s = schur_complement(sys)
         vals, vecs, residuals = solve_gevp(s, sys.D, k)
+        sigmas = [recover_flux(vecs[:, j], sys) for j in range(k)]
     elif method == "iterative":
-        vals, vecs, residuals = solve_gevp_iterative(sys, k, seed=seed)
+        vals, vecs, fluxes, residuals = _iterative_eigentriples(
+            sys, k, seed)
+        sigmas = list(fluxes.T)
     else:
         raise NumericalError(f"unknown solver method {method!r}")
     pairs = [
-        EigenPair(lambda_h=float(vals[j]), u=vecs[:, j],
-                  sigma=recover_flux(vecs[:, j], sys),
+        EigenPair(lambda_h=float(vals[j]), u=vecs[:, j], sigma=sigmas[j],
                   residual=float(residuals[j]))
         for j in range(k)
     ]

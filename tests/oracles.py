@@ -2,8 +2,9 @@
 
 Most of these deliberately avoid the package's own quadrature rules and
 solver paths: element matrices come from symbolic integration, triangle
-integrals from a Duffy-transform tensor Gauss rule, and eigenvalues of the
-reduced problem from the dense saddle-point pencil.
+integrals from a Duffy-transform tensor Gauss rule, eigenvalues of the
+reduced problem from the dense saddle-point pencil, and eigenpair residuals
+through a factorization of M rather than of the saddle-point block.
 
 The per-element and per-point references at the end redo, one triangle,
 edge or point at a time, what the package computes on whole arrays: global
@@ -15,6 +16,7 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 import sympy
 from numpy.polynomial.legendre import leggauss
 
@@ -106,6 +108,43 @@ def saddle_point_eigenvalues(sys):
     finite = mu[np.abs(mu) > cutoff]
     assert np.abs(finite.imag).max() < 1e-10 * np.abs(finite.real).max()
     return np.sort(1.0 / finite.real)
+
+
+def full_densify_schur_complement(sys):
+    """S = B M^-1 B^T + C, densifying all of B^T before the chunked solves.
+
+    The same chunks, solves and symmetrization as schur_complement, which
+    densifies one chunk of B^T at a time instead.
+    """
+    bt = sys.B.T.toarray()
+    s = np.empty((sys.num_triangles, sys.num_triangles))
+    chunk = max(1, min(sys.num_triangles, (1 << 22) // max(sys.num_edges, 1)))
+    for lo in range(0, sys.num_triangles, chunk):
+        hi = min(lo + chunk, sys.num_triangles)
+        s[:, lo:hi] = sys.B @ sys.solve_flux_mass(bt[:, lo:hi])
+    s[np.diag_indices_from(s)] += sys.C
+    return 0.5 * (s + s.T)
+
+
+def schur_residuals(sys, vals, vecs):
+    """2-norms of S u_j - lambda_j D u_j for the columns u_j of vecs.
+
+    S is applied as B M^-1 B^T + C through a sparse LU of M alone, not
+    through the saddle-point block the iterative solver factorizes.
+    """
+    m_lu = spla.splu(sys.M.tocsc())
+    su = sys.B @ m_lu.solve(sys.B.T @ vecs) + sys.C[:, None] * vecs
+    return np.linalg.norm(su - sys.D[:, None] * vecs * vals[None, :], axis=0)
+
+
+def flux_row_image(sys, vecs, sigmas):
+    """2-norms of B M^-1 (M sigma_j + B^T u_j), through a sparse LU of M.
+
+    C u - B sigma - lambda D u differs from S u - lambda D u by this term.
+    """
+    m_lu = spla.splu(sys.M.tocsc())
+    return np.linalg.norm(
+        sys.B @ m_lu.solve(sys.M @ sigmas + sys.B.T @ vecs), axis=0)
 
 
 def brute_force_edges(triangles):

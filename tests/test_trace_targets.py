@@ -41,3 +41,26 @@ def test_traced_argument_positions(spans):
     assert params(cli.p0_project)[1] == "mesh"
     assert params(cli.l2_errors)[2] == "mesh"
     assert params(cli.run_level)[:3] == ["cfg", "prob", "n"]
+
+
+def test_traced_iterative_study_factorizes_once_per_level(spans, tmp_path):
+    """The tracer wraps eigsh's positional operator and counts splu fill;
+    the iterative path factorizes only the saddle-point block."""
+    cli = spans._resolve("rt0eig.cli")
+    tracer = spans.Tracer("iterative")
+    cfg = cli.StudyConfig(preset="laplace", levels=[4, 8], k=3,
+                          solver="iterative", output_dir=tmp_path)
+    with tracer.installed(), tracer.study(0):
+        cli.run_study(cfg)
+    layers = tracer.study_layers(0)
+    assert layers["eigensolver.op_applies"] > 0
+    assert layers["eigensolver.factor_fill"] > 0
+    assert layers["eigensolver.mass_solve_rhs"] == 0
+    splu_levels = [s["n"] for s in tracer.spans
+                   if s["name"] == "eigensolver.spla.splu"]
+    assert sorted(splu_levels) == [4, 8]
+    names = {s["name"] for s in tracer.spans}
+    assert "eigensolver.spla.eigsh" in names
+    assert not names & {"eigensolver.flux_mass_solver",
+                        "eigensolver.la.cho_factor",
+                        "eigensolver.recover_flux"}
