@@ -6,7 +6,7 @@ distances on uniformly refined rectangle meshes."""
 __version__ = "0.1.0"
 
 from .assembly import (AssembledSystem, AssemblyError, assemble, dump_matrix,
-                       element_div, element_flux_mass, element_scalar_mass)
+                       element_div, element_flux_mass)
 from .coefficients import (ProblemSpec, QuadratureRule, edge_rule, get_preset,
                            integrate_triangle, preset_names, triangle_rule)
 from .eigensolver import (EigenPair, EigenResult, NumericalError,
@@ -29,7 +29,7 @@ __all__ = [
     "Rectangle", "SupercloseBlock", "UNIT_SQUARE", "assemble",
     "build_structured_mesh", "build_table", "dump_matrix", "dump_mesh",
     "edge_normals", "edge_rule", "element_div", "element_flux_mass",
-    "element_scalar_mass", "fortin_interpolate", "get_preset",
+    "fortin_interpolate", "get_preset",
     "integrate_triangle", "l2_errors", "laplace_eigenpair",
     "laplace_eigenvalues", "match_and_cluster", "observed_order",
     "p0_project", "preset_names", "recover_flux", "refine", "richardson",

@@ -20,9 +20,9 @@ Global blocks:
 The homogeneous Dirichlet condition on u is natural in this mixed form, so
 no edge degrees of freedom are eliminated.
 
-`assemble` forms the blocks of all triangles at once.  `element_flux_mass`,
-`element_div` and `element_scalar_mass` compute the blocks of one triangle
-and are the reference it is tested against.
+`assemble` forms the blocks of all triangles at once.  `element_flux_mass`
+and `element_div` compute M and B of one triangle, `integrate_triangle` its
+entries of C and D; they are the reference it is tested against.
 """
 
 from dataclasses import dataclass
@@ -31,8 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .coefficients import (COEFF_EPS, ProblemSpec, QuadratureRule,
-                           field_values, integrate_triangle, quad_points,
-                           rowdot, triangle_rule)
+                           field_values, quad_points, rowdot, triangle_rule)
 from .mesh import Mesh
 
 DEGENERATE_AREA = 1e-14
@@ -116,11 +115,6 @@ def element_div(tri, signs) -> np.ndarray:
     return np.asarray(signs, dtype=float) * lengths
 
 
-def element_scalar_mass(tri, coeff, rule: QuadratureRule) -> float:
-    """Integral of a scalar coefficient over the triangle."""
-    return integrate_triangle(coeff, tri, rule)
-
-
 def _coefficient(f, name, x, y, tail=()):
     try:
         return field_values(f, x, y, tail)
@@ -187,7 +181,7 @@ def assemble(mesh: Mesh, prob: ProblemSpec,
     The coefficients are evaluated once on the quadrature points of all
     triangles and the element blocks of all triangles are formed together;
     they equal those of element_flux_mass, element_div and
-    element_scalar_mass bit for bit.  Element geometry and the coefficient
+    integrate_triangle bit for bit.  Element geometry and the coefficient
     invariants (A SPD, c >= 0, b > 0) are checked at every quadrature
     point; a violation raises AssemblyError naming the first offending
     triangle in mesh order and the point.  Duplicate scatter entries are

@@ -14,7 +14,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +94,13 @@ class StudyConfig:
         if self.solver not in ("dense", "iterative"):
             raise ConfigError(
                 f"solver must be 'dense' or 'iterative', got {self.solver!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if (self.compute_superclose
+                and not get_preset(self.preset).has_analytic_spectrum):
+            raise ConfigError(
+                f"compute_superclose needs an analytic spectrum, which "
+                f"preset {self.preset!r} does not have")
         return self
 
 
@@ -194,7 +201,7 @@ def run_level(cfg: StudyConfig, prob, n: int) -> LevelRun:
     return LevelRun(mesh=mesh, system=sys_, result=result)
 
 
-def _superclose_block(cfg, prob, runs) -> SupercloseBlock:
+def _superclose_block(prob, runs) -> SupercloseBlock:
     """Projection distances and plain errors for the first (simple) mode."""
     exact = laplace_eigenpair(1, 1, prob.domain)
     rule3 = triangle_rule(3)
@@ -251,8 +258,8 @@ def run_study(cfg: StudyConfig):
             reference = laplace_eigenvalues(
                 cfg.k, prob.domain, shift=prob.analytic_shift)
         table = build_table(seq, p=cfg.expansion_order, reference=reference)
-        if cfg.compute_superclose and prob.has_analytic_spectrum:
-            table.superclose = _superclose_block(cfg, prob, runs)
+        if cfg.compute_superclose:
+            table.superclose = _superclose_block(prob, runs)
 
     results = [r.result for r in runs]
     emit_reports(table, cfg, results, failures)
@@ -268,54 +275,51 @@ def run_study(cfg: StudyConfig):
 # ---------------------------------------------------------------------------
 # reporting
 
+def _fmt(v, spec) -> str:
+    """`v` formatted by `spec`, empty for missing or NaN."""
+    if v is None or math.isnan(v):
+        return ""
+    return format(float(v), spec)
+
+
 def _f12(v) -> str:
     """12-significant-digit text for a float, empty for missing."""
-    if v is None:
-        return ""
-    v = float(v)
-    if math.isnan(v):
-        return ""
-    return f"{v:.12g}"
+    return _fmt(v, ".12g")
 
 
 def _round12(v):
     """Float rounded to 12 significant digits; None for missing/NaN."""
-    if v is None:
-        return None
-    v = float(v)
-    if math.isnan(v):
-        return None
-    return float(f"{v:.12g}")
+    text = _f12(v)
+    return float(text) if text else None
 
 
-def _csv_rows(table: ConvergenceTable):
-    rows = []
-    nlev = len(table.level_ns)
+def _level_records(table: ConvergenceTable):
+    """Per cluster row, one record per level keyed by CSV_COLUMNS.
+
+    Extrapolated values, their errors and the raw orders come from the
+    level pair ending at a level, extrapolated orders from the level
+    triple; a column that does not apply at a level holds None.  The
+    superclose columns fill only the row that carries the first mode.
+    """
     sc = table.superclose
+    records = []
     for row in table.rows:
-        carries_mode = 0 in row.indices
-        for i in range(nlev):
-            rec = {
-                "eigen": row.label,
-                "level_n": str(table.level_ns[i]),
-                "h": _f12(table.level_hs[i]),
-                "lambda_h": _f12(row.raw[i]),
-                "lambda_extrap": _f12(row.extrapolated[i - 1]) if i else "",
-                "err_raw": _f12(row.err_raw[i]),
-                "err_extrap": _f12(row.err_extrap[i - 1]) if i else "",
-                "order_raw": _f12(row.order_raw[i - 1]) if i else "",
-                "order_extrap": (_f12(row.order_extrap[i - 2])
-                                 if i >= 2 else ""),
-                "superclose": "",
-                "err_u": "",
-                "err_sigma": "",
-            }
-            if sc is not None and carries_mode:
-                rec["superclose"] = _f12(sc.distance[i])
-                rec["err_u"] = _f12(sc.err_u[i])
-                rec["err_sigma"] = _f12(sc.err_sigma[i])
-            rows.append(rec)
-    return rows
+        mode = sc if sc is not None and 0 in row.indices else None
+        records.append([{
+            "eigen": row.label,
+            "level_n": n,
+            "h": h,
+            "lambda_h": row.raw[i],
+            "lambda_extrap": row.extrapolated[i - 1] if i >= 1 else None,
+            "err_raw": row.err_raw[i],
+            "err_extrap": row.err_extrap[i - 1] if i >= 1 else None,
+            "order_raw": row.order_raw[i - 1] if i >= 1 else None,
+            "order_extrap": row.order_extrap[i - 2] if i >= 2 else None,
+            "superclose": mode.distance[i] if mode else None,
+            "err_u": mode.err_u[i] if mode else None,
+            "err_sigma": mode.err_sigma[i] if mode else None,
+        } for i, (n, h) in enumerate(zip(table.level_ns, table.level_hs))])
+    return records
 
 
 def _json_payload(table, cfg, results, failures):
@@ -352,30 +356,20 @@ def _json_payload(table, cfg, results, failures):
     if table is None:
         return payload
     payload["reference_kind"] = table.reference_kind
-    for row in table.rows:
-        payload["eigen"].append({
-            "label": row.label,
-            "indices": [i + 1 for i in row.indices],
-            "reference": _round12(row.reference),
-            "lambda_h": [_round12(v) for v in row.raw],
-            "lambda_extrap": [_round12(v) for v in row.extrapolated],
-            "err_raw": [_round12(v) for v in row.err_raw],
-            "err_extrap": [_round12(v) for v in row.err_extrap],
-            "order_raw": [_round12(v) for v in row.order_raw],
-            "order_extrap": [_round12(v) for v in row.order_extrap],
-        })
+    for row, recs in zip(table.rows, _level_records(table)):
+        entry = {"label": row.label,
+                 "indices": [i + 1 for i in row.indices],
+                 "reference": _round12(row.reference)}
+        for col in CSV_COLUMNS[3:9]:  # lambda_h ... order_extrap
+            values = [rec[col] for rec in recs if rec[col] is not None]
+            entry[col] = [_round12(v) for v in values]
+        payload["eigen"].append(entry)
     sc = table.superclose
     if sc is not None:
-        payload["superclose"] = {
-            "mode": list(sc.mode),
-            "distance": [_round12(v) for v in sc.distance],
-            "distance_plain": [_round12(v) for v in sc.distance_plain],
-            "err_u": [_round12(v) for v in sc.err_u],
-            "err_sigma": [_round12(v) for v in sc.err_sigma],
-            "order_distance": [_round12(v) for v in sc.order_distance],
-            "order_err_u": [_round12(v) for v in sc.order_err_u],
-            "order_err_sigma": [_round12(v) for v in sc.order_err_sigma],
-        }
+        # every array of the block, in declaration order
+        payload["superclose"] = {"mode": list(sc.mode)} | {
+            f.name: [_round12(v) for v in getattr(sc, f.name)]
+            for f in fields(sc)[1:]}
     return payload
 
 
@@ -385,9 +379,10 @@ def emit_reports(table, cfg: StudyConfig, results, failures=()):
     try:
         out.mkdir(parents=True, exist_ok=True)
         csv_lines = [",".join(CSV_COLUMNS)]
-        if table is not None:
-            for rec in _csv_rows(table):
-                csv_lines.append(",".join(rec[c] for c in CSV_COLUMNS))
+        for recs in _level_records(table) if table is not None else ():
+            for rec in recs:
+                csv_lines.append(",".join(
+                    [rec["eigen"]] + [_f12(rec[c]) for c in CSV_COLUMNS[1:]]))
         (out / "report.csv").write_text("\n".join(csv_lines) + "\n")
         payload = _json_payload(table, cfg, results, list(failures))
         (out / "report.json").write_text(
@@ -410,8 +405,8 @@ def _write_timings(cfg, timings, total):
         pass  # timings are advisory
 
 
-def _print_summary(table, cfg, results, failures, timings, total, out=None):
-    w = (out or sys.stdout).write
+def _print_summary(table, cfg, results, failures, timings, total):
+    w = sys.stdout.write
     w(f"study: preset={cfg.preset} levels={cfg.levels} k={cfg.k} "
       f"solver={cfg.solver}\n")
     for res, secs in zip(results, timings):
@@ -425,26 +420,21 @@ def _print_summary(table, cfg, results, failures, timings, total, out=None):
                   f"{'extrapolated':>16} {'err_raw':>11} {'err_extrap':>11} "
                   f"{'ord':>6} {'ord_x':>6}\n")
         w(header)
-        for row in table.rows:
-            for i, n in enumerate(table.level_ns):
-                lam_x = _f12(row.extrapolated[i - 1]) if i else ""
-                err_x = f"{row.err_extrap[i - 1]:.5e}" if i else ""
-                p_raw = (f"{row.order_raw[i - 1]:.2f}"
-                         if i and not math.isnan(row.order_raw[i - 1]) else "")
-                p_x = (f"{row.order_extrap[i - 2]:.2f}"
-                       if i >= 2 and not math.isnan(row.order_extrap[i - 2])
-                       else "")
-                w(f"{row.label:>6} {n:>5} {row.raw[i]:>16.10g} "
-                  f"{lam_x:>16.16s} {row.err_raw[i]:>11.5e} "
-                  f"{err_x:>11} {p_raw:>6} {p_x:>6}\n")
+        for recs in _level_records(table):
+            for r in recs:
+                w(f"{r['eigen']:>6} {r['level_n']:>5} {r['lambda_h']:>16.10g} "
+                  f"{_f12(r['lambda_extrap']):>16.16s} {r['err_raw']:>11.5e} "
+                  f"{_fmt(r['err_extrap'], '.5e'):>11} "
+                  f"{_fmt(r['order_raw'], '.2f'):>6} "
+                  f"{_fmt(r['order_extrap'], '.2f'):>6}\n")
         sc = table.superclose
         if sc is not None:
             w("superclose (mode 1,1):\n")
+            od = [""] + [f"{v:.2f}" for v in sc.order_distance]
+            ou = [""] + [f"{v:.2f}" for v in sc.order_err_u]
             for i, n in enumerate(table.level_ns):
-                od = (f"{sc.order_distance[i - 1]:.2f}" if i else "")
-                ou = (f"{sc.order_err_u[i - 1]:.2f}" if i else "")
-                w(f"  n={n:<4d} distance={sc.distance[i]:.6e} ({od:>5}) "
-                  f"err_u={sc.err_u[i]:.6e} ({ou:>5}) "
+                w(f"  n={n:<4d} distance={sc.distance[i]:.6e} ({od[i]:>5}) "
+                  f"err_u={sc.err_u[i]:.6e} ({ou[i]:>5}) "
                   f"err_sigma={sc.err_sigma[i]:.6e}\n")
     w(f"total time: {total:.2f}s\n")
 
@@ -481,12 +471,7 @@ def main(argv=None) -> int:
             cfg = replace(cfg, levels=_parse_levels(args.levels))
         if args.k is not None:
             cfg = replace(cfg, k=args.k)
-        cfg.validate()
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        run_study(cfg)
+        run_study(cfg)  # validates the overridden configuration first
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -147,7 +147,6 @@ class ConvergenceTable:
 
     level_ns: list[int]
     level_hs: list[float]
-    expansion_order: float
     reference_kind: str  # "analytic" or "self"
     rows: list[ClusterRow] = field(default_factory=list)
     superclose: SupercloseBlock | None = None
@@ -169,7 +168,6 @@ def build_table(seq: LevelSequence, p: float = 2.0,
     table = ConvergenceTable(
         level_ns=[n for n, _, _ in seq.levels],
         level_hs=[h for _, h, _ in seq.levels],
-        expansion_order=p,
         reference_kind="analytic" if reference is not None else "self",
     )
     nlev = len(seq.levels)

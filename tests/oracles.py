@@ -9,10 +9,15 @@ through a factorization of M rather than of the saddle-point block.
 The per-element and per-point references at the end redo, one triangle,
 edge or point at a time, what the package computes on whole arrays: global
 assembly from the element routines, the dict walk that numbers mesh edges,
-and the projections and L2 errors of the superclose module.
+and the projections and L2 errors of the superclose module.  Last come the
+report renderers that walk the convergence table once per output, each
+with its own level offsets.
 """
 
+import io
+import json
 import math
+import sys
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,8 +25,10 @@ import scipy.sparse.linalg as spla
 import sympy
 from numpy.polynomial.legendre import leggauss
 
-from rt0eig import (edge_normals, edge_rule, element_div, element_flux_mass,
-                    integrate_triangle)
+from rt0eig import (__version__, edge_normals, edge_rule, element_div,
+                    element_flux_mass, integrate_triangle)
+from rt0eig.cli import CSV_COLUMNS
+from rt0eig.extrapolation import ConvergenceTable
 
 
 def symbolic_flux_mass(tri, signs):
@@ -254,3 +261,179 @@ def pointwise_l2_errors(pair, exact, mesh, rule, A=None):
             err_u += area * w * (float(exact.u(x, y)) - sign * pair.u[t]) ** 2
             err_sigma += area * w * float(flux @ flux)
     return math.sqrt(err_u), math.sqrt(err_sigma)
+
+
+# ---------------------------------------------------------------------------
+# report renderers, one walk of ConvergenceTable per output
+
+
+def _f12(v) -> str:
+    """12-significant-digit text for a float, empty for missing."""
+    if v is None:
+        return ""
+    v = float(v)
+    if math.isnan(v):
+        return ""
+    return f"{v:.12g}"
+
+
+def _round12(v):
+    """Float rounded to 12 significant digits; None for missing/NaN."""
+    if v is None:
+        return None
+    v = float(v)
+    if math.isnan(v):
+        return None
+    return float(f"{v:.12g}")
+
+
+def _csv_rows(table: ConvergenceTable):
+    rows = []
+    nlev = len(table.level_ns)
+    sc = table.superclose
+    for row in table.rows:
+        carries_mode = 0 in row.indices
+        for i in range(nlev):
+            rec = {
+                "eigen": row.label,
+                "level_n": str(table.level_ns[i]),
+                "h": _f12(table.level_hs[i]),
+                "lambda_h": _f12(row.raw[i]),
+                "lambda_extrap": _f12(row.extrapolated[i - 1]) if i else "",
+                "err_raw": _f12(row.err_raw[i]),
+                "err_extrap": _f12(row.err_extrap[i - 1]) if i else "",
+                "order_raw": _f12(row.order_raw[i - 1]) if i else "",
+                "order_extrap": (_f12(row.order_extrap[i - 2])
+                                 if i >= 2 else ""),
+                "superclose": "",
+                "err_u": "",
+                "err_sigma": "",
+            }
+            if sc is not None and carries_mode:
+                rec["superclose"] = _f12(sc.distance[i])
+                rec["err_u"] = _f12(sc.err_u[i])
+                rec["err_sigma"] = _f12(sc.err_sigma[i])
+            rows.append(rec)
+    return rows
+
+
+def _json_payload(table, cfg, results, failures):
+    levels = []
+    for res in results:
+        levels.append({
+            "n": res.n,
+            "h": _round12(res.h),
+            "edges": res.num_edges,
+            "triangles": res.num_triangles,
+            "status": "ok",
+            "eigenvalues": [_round12(p.lambda_h) for p in res.pairs],
+            "residuals": [_round12(p.residual) for p in res.pairs],
+        })
+    for f in failures:
+        levels.append({"n": f["n"], "status": "failed", "error": f["error"]})
+
+    payload = {
+        "tool": {"name": "rt0eig", "version": __version__},
+        "study": {
+            "preset": cfg.preset,
+            "levels": list(cfg.levels),
+            "k": cfg.k,
+            "expansion_order": cfg.expansion_order,
+            "solver": cfg.solver,
+            "seed": cfg.seed,
+            "compute_superclose": cfg.compute_superclose,
+        },
+        "status": "failed" if failures else "ok",
+        "levels": levels,
+        "eigen": [],
+        "superclose": None,
+    }
+    if table is None:
+        return payload
+    payload["reference_kind"] = table.reference_kind
+    for row in table.rows:
+        payload["eigen"].append({
+            "label": row.label,
+            "indices": [i + 1 for i in row.indices],
+            "reference": _round12(row.reference),
+            "lambda_h": [_round12(v) for v in row.raw],
+            "lambda_extrap": [_round12(v) for v in row.extrapolated],
+            "err_raw": [_round12(v) for v in row.err_raw],
+            "err_extrap": [_round12(v) for v in row.err_extrap],
+            "order_raw": [_round12(v) for v in row.order_raw],
+            "order_extrap": [_round12(v) for v in row.order_extrap],
+        })
+    sc = table.superclose
+    if sc is not None:
+        payload["superclose"] = {
+            "mode": list(sc.mode),
+            "distance": [_round12(v) for v in sc.distance],
+            "distance_plain": [_round12(v) for v in sc.distance_plain],
+            "err_u": [_round12(v) for v in sc.err_u],
+            "err_sigma": [_round12(v) for v in sc.err_sigma],
+            "order_distance": [_round12(v) for v in sc.order_distance],
+            "order_err_u": [_round12(v) for v in sc.order_err_u],
+            "order_err_sigma": [_round12(v) for v in sc.order_err_sigma],
+        }
+    return payload
+
+
+def _print_summary(table, cfg, results, failures, timings, total, out=None):
+    w = (out or sys.stdout).write
+    w(f"study: preset={cfg.preset} levels={cfg.levels} k={cfg.k} "
+      f"solver={cfg.solver}\n")
+    for res, secs in zip(results, timings):
+        w(f"  level n={res.n:<4d} h={res.h:.6g}  edges={res.num_edges} "
+          f"triangles={res.num_triangles}  [{secs:.2f}s]\n")
+    for f in failures:
+        w(f"  level n={f['n']:<4d} FAILED: {f['error']}\n")
+    if table is not None:
+        w(f"reference: {table.reference_kind}\n")
+        header = (f"{'eigen':>6} {'n':>5} {'lambda_h':>16} "
+                  f"{'extrapolated':>16} {'err_raw':>11} {'err_extrap':>11} "
+                  f"{'ord':>6} {'ord_x':>6}\n")
+        w(header)
+        for row in table.rows:
+            for i, n in enumerate(table.level_ns):
+                lam_x = _f12(row.extrapolated[i - 1]) if i else ""
+                err_x = f"{row.err_extrap[i - 1]:.5e}" if i else ""
+                p_raw = (f"{row.order_raw[i - 1]:.2f}"
+                         if i and not math.isnan(row.order_raw[i - 1]) else "")
+                p_x = (f"{row.order_extrap[i - 2]:.2f}"
+                       if i >= 2 and not math.isnan(row.order_extrap[i - 2])
+                       else "")
+                w(f"{row.label:>6} {n:>5} {row.raw[i]:>16.10g} "
+                  f"{lam_x:>16.16s} {row.err_raw[i]:>11.5e} "
+                  f"{err_x:>11} {p_raw:>6} {p_x:>6}\n")
+        sc = table.superclose
+        if sc is not None:
+            w("superclose (mode 1,1):\n")
+            for i, n in enumerate(table.level_ns):
+                od = (f"{sc.order_distance[i - 1]:.2f}" if i else "")
+                ou = (f"{sc.order_err_u[i - 1]:.2f}" if i else "")
+                w(f"  n={n:<4d} distance={sc.distance[i]:.6e} ({od:>5}) "
+                  f"err_u={sc.err_u[i]:.6e} ({ou:>5}) "
+                  f"err_sigma={sc.err_sigma[i]:.6e}\n")
+    w(f"total time: {total:.2f}s\n")
+
+
+def csv_text(table):
+    """report.csv as written by the per-output renderers."""
+    csv_lines = [",".join(CSV_COLUMNS)]
+    if table is not None:
+        for rec in _csv_rows(table):
+            csv_lines.append(",".join(rec[c] for c in CSV_COLUMNS))
+    return "\n".join(csv_lines) + "\n"
+
+
+def json_text(table, cfg, results, failures):
+    """report.json as written by the per-output renderers."""
+    payload = _json_payload(table, cfg, results, list(failures))
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def summary_text(table, cfg, results, failures, timings, total):
+    """The stdout summary as printed by the per-output renderers."""
+    out = io.StringIO()
+    _print_summary(table, cfg, results, failures, timings, total, out=out)
+    return out.getvalue()

@@ -3,8 +3,8 @@ import pytest
 
 from rt0eig import (AssemblyError, Rectangle, assemble,
                     build_structured_mesh, dump_matrix, element_div,
-                    element_flux_mass, element_scalar_mass, get_preset, refine,
-                    triangle_rule, UNIT_SQUARE)
+                    element_flux_mass, get_preset, refine, triangle_rule,
+                    UNIT_SQUARE)
 from rt0eig.coefficients import ProblemSpec
 from oracles import element_assembly, symbolic_flux_mass
 
@@ -72,13 +72,6 @@ def test_element_div_reference_triangle():
     assert row == pytest.approx([np.sqrt(2.0), 1.0, 1.0], abs=1e-15)
     flipped = element_div(REF_TRI, [1, -1, 1])
     assert flipped == pytest.approx([np.sqrt(2.0), -1.0, 1.0], abs=1e-15)
-
-
-def test_element_scalar_mass():
-    rule = triangle_rule(2)
-    assert element_scalar_mass(REF_TRI, lambda x, y: 1.0, rule) == pytest.approx(0.5, abs=1e-15)
-    assert element_scalar_mass(REF_TRI, lambda x, y: x, rule) == pytest.approx(1.0 / 6.0, abs=1e-15)
-    assert element_scalar_mass(REF_TRI, lambda x, y: 0.0, rule) == 0.0
 
 
 def test_assemble_laplace_n2_shapes_and_masses(unit_mesh_n2):

@@ -245,3 +245,31 @@ def test_iterative_k_above_unknowns_minus_one_is_config_error(tmp_path,
     assert main(["run", str(_write(tmp_path, text))]) == 1
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
+
+
+def test_negative_seed_is_config_error(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        StudyConfig(preset="laplace", levels=[2, 4], k=1, seed=-1,
+                    solver="iterative").validate()
+    StudyConfig(preset="laplace", levels=[2, 4], k=1, seed=0,
+                solver="iterative").validate()
+    text = GOOD_CONFIG.format(out=tmp_path / "r").replace(
+        "levels = 2 4", "levels = 2 4\nsolver = iterative\nseed = -1")
+    assert main(["run", str(_write(tmp_path, text))]) == 1
+    assert "config error: seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_superclose_needs_analytic_preset(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="'variable'"):
+        StudyConfig(preset="variable", levels=[2, 4], k=1,
+                    compute_superclose=True).validate()
+    StudyConfig(preset="variable", levels=[2, 4], k=1).validate()
+    for preset in ("laplace", "shifted"):
+        StudyConfig(preset=preset, levels=[2, 4], k=1,
+                    compute_superclose=True).validate()
+    text = GOOD_CONFIG.format(out=tmp_path / "r").replace(
+        "preset = laplace", "preset = variable\ncompute_superclose = true")
+    assert main(["run", str(_write(tmp_path, text))]) == 1
+    assert "compute_superclose" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
