@@ -32,7 +32,7 @@ import scipy.sparse as sp
 
 from .coefficients import (COEFF_EPS, ProblemSpec, QuadratureRule,
                            field_values, quad_points, rowdot, triangle_rule)
-from .mesh import Mesh
+from .mesh import Mesh, nested_dissection_order
 
 DEGENERATE_AREA = 1e-14
 
@@ -46,7 +46,10 @@ class AssembledSystem:
     """Sparse blocks of the discrete mixed eigenvalue problem.
 
     C and D hold the diagonals of the (diagonal) reaction and weight mass
-    matrices as 1-D arrays of length num_triangles.
+    matrices as 1-D arrays of length num_triangles.  `order` is the
+    nested-dissection permutation of the mesh's unknowns, edges first and
+    then triangles, in which the iterative solver factorizes the
+    saddle-point block.
     """
 
     M: sp.csr_matrix
@@ -55,6 +58,7 @@ class AssembledSystem:
     D: np.ndarray
     num_edges: int
     num_triangles: int
+    order: np.ndarray
 
     def __post_init__(self):
         self._m_solve = None
@@ -241,7 +245,8 @@ def assemble(mesh: Mesh, prob: ProblemSpec,
         shape=(nt, ne)).tocsr()
 
     return AssembledSystem(M=M, B=B, C=c_diag, D=d_diag,
-                           num_edges=ne, num_triangles=nt)
+                           num_edges=ne, num_triangles=nt,
+                           order=nested_dissection_order(mesh))
 
 
 def dump_matrix(mat) -> str:

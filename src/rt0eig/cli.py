@@ -34,6 +34,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 
+# The dense path holds the T x T Schur complement in float64: 8192
+# triangles (n = 64) take 537 MB, n = 128 would take 8.6 GB.
+DENSE_MAX_TRIANGLES = 8192
+
 CSV_COLUMNS = [
     "eigen", "level_n", "h", "lambda_h", "lambda_extrap", "err_raw",
     "err_extrap", "order_raw", "order_extrap", "superclose", "err_u",
@@ -94,6 +98,12 @@ class StudyConfig:
         if self.solver not in ("dense", "iterative"):
             raise ConfigError(
                 f"solver must be 'dense' or 'iterative', got {self.solver!r}")
+        n = self.levels[-1]
+        if self.solver == "dense" and 2 * n * n > DENSE_MAX_TRIANGLES:
+            raise ConfigError(
+                f"level n = {n} has {2 * n * n} triangles, more than the "
+                f"{DENSE_MAX_TRIANGLES} the dense solver can hold; use "
+                f"solver = iterative")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if (self.compute_superclose
@@ -132,7 +142,7 @@ def parse_config(path) -> StudyConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     parser.optionxform = str  # keep keys case-sensitive
     try:
         parser.read(path)

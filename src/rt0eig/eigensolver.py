@@ -9,9 +9,10 @@ is reduced by eliminating the flux: S = B M^-1 B^T + C is symmetric positive
 definite and S u = lambda D u has exactly the finite eigenvalues of the full
 block pencil.  The dense path forms S explicitly and diagonalizes the
 similarity transform D^-1/2 S D^-1/2.  The iterative path never forms S nor
-factorizes M: one sparse LU of the block matrix K = [[M, B^T], [B, -C]]
-applies S^-1 for shift-invert ARPACK and then gives the fluxes and the
-residuals of the eigentriples.
+factorizes M: one sparse LU of the block matrix K = [[M, B^T], [B, -C]],
+its unknowns in the mesh's nested-dissection order, applies S^-1 for
+shift-invert ARPACK and then gives the fluxes and the residuals of the
+eigentriples.
 """
 
 from dataclasses import dataclass, field
@@ -174,14 +175,18 @@ def solve_gevp_iterative(sys, k: int, seed: int = 0):
     system without forming S or factorizing M.
 
     Returns (values, vectors, residuals) like solve_gevp.  One sparse LU of
-    the saddle-point block K = [[M, B^T], [B, -C]] serves the whole solve:
+    the saddle-point block K = [[M, B^T], [B, -C]] serves the whole solve.
+    K's rows and columns are taken in the nested-dissection order of
+    `sys.order`, and SuperLU keeps that column order, pivoting rows only.
+    Through that factor:
 
     * ARPACK finds the largest eigenvalues 1/lambda of D^1/2 S^-1 D^1/2,
       applying S^-1 v as the triangle block of K^-1 [0; -v], from a start
       vector drawn from `seed`;
-    * one solve K [sigma; w] = [0; -lambda D u] for all pairs, refined
-      once, is an inverse-iteration step; the pairs are reported as
-      u = w / ||w||_D with sigma scaled alike, so sigma is their flux;
+    * two solves K [sigma; w] = [0; -lambda D u] for all pairs, each
+      refined once, are two inverse-iteration steps; the pairs are
+      reported as u = w / ||w||_D with sigma scaled alike, so sigma is
+      their flux;
     * the flux row ||M sigma + B^T u|| is checked against FLUX_RTOL, and
       the residual ||C u - B sigma - lambda D u|| against RESIDUAL_RTOL
       times max_j lambda_j / (u_j . u_j) (see _check_eigentriples).
@@ -200,21 +205,27 @@ def _iterative_eigentriples(sys, k, seed):
         raise NumericalError(
             f"iterative path needs 1 <= k <= {t - 1}, got {k}")
     d = sys.D
-    k_block = sp.bmat(
-        [[sys.M, sys.B.T], [sys.B, -sp.diags(sys.C)]], format="csc")
+    ne = sys.num_edges
+    # K with its unknowns in nested-dissection order; unknown i (edges,
+    # then triangles) sits at row and column at[i]
+    k_block = sp.bmat([[sys.M, sys.B.T], [sys.B, -sp.diags(sys.C)]],
+                      format="csc")[sys.order][:, sys.order]
+    at = np.empty_like(sys.order)
+    at[sys.order] = np.arange(ne + t)
     try:
-        k_lu = spla.splu(k_block)
+        k_lu = spla.splu(k_block, permc_spec="NATURAL")
     except RuntimeError as exc:
         raise NumericalError(
             f"saddle-point factorization failed: {exc}") from exc
 
-    ne = sys.num_edges
+    edge_at, tri_at = at[:ne], at[ne:]
     sqd = np.sqrt(d)
 
     def shift_invert(y):
         # D^1/2 S^-1 D^1/2 y; S^-1 v is the triangle block of K^-1 [0; -v]
-        rhs = np.concatenate([np.zeros(ne), -sqd * np.ravel(y)])
-        return sqd * k_lu.solve(rhs)[ne:]
+        rhs = np.zeros(ne + t)
+        rhs[tri_at] = -sqd * np.ravel(y)
+        return sqd * k_lu.solve(rhs)[tri_at]
 
     op = spla.LinearOperator((t, t), matvec=shift_invert, dtype=float)
     rng = np.random.default_rng(seed)
@@ -229,17 +240,24 @@ def _iterative_eigentriples(sys, k, seed):
     order = np.argsort(mu)[::-1]
     vals = 1.0 / mu[order]
     vecs = y[:, order] / sqd[:, None]
-    # one inverse-iteration step K [sigma; w] = [0; -lambda D u] for all
+    # inverse-iteration steps K [sigma; w] = [0; -lambda D u] for all
     # pairs, whose flux block is the flux of w.  One step of iterative
-    # refinement of that solve makes the flux row hold to roundoff; what is
-    # left of it reaches S w - lambda D w amplified by M^-1.
+    # refinement of each solve makes the flux row hold to roundoff; what is
+    # left of it reaches S w - lambda D w amplified by M^-1.  The second
+    # step takes out what the first leaves of the error that ARPACK's
+    # unrefined solves put into its vectors: on laplace at n = 256, over
+    # eight start vectors, the largest scalar-row residual is 1.2e-14 to
+    # 3.1e-14 after one step and 1.8e-15 to 6.4e-15 after two, against a
+    # bound of 6.0e-14.
     rhs = np.zeros((ne + t, k))
-    rhs[ne:] = -(d[:, None] * vecs) * vals[None, :]
-    sol = k_lu.solve(rhs)
-    sol += k_lu.solve(rhs - k_block @ sol)
-    w = sol[ne:]
-    scale = np.sqrt(np.sum(d[:, None] * w**2, axis=0)) * _column_signs(w)
-    vecs, sigmas = w / scale[None, :], sol[:ne] / scale[None, :]
+    for _ in range(2):
+        rhs[tri_at] = -(d[:, None] * vecs) * vals[None, :]
+        sol = k_lu.solve(rhs)
+        sol += k_lu.solve(rhs - k_block @ sol)
+        w = sol[tri_at]
+        scale = (np.sqrt(np.sum(d[:, None] * w**2, axis=0))
+                 * _column_signs(w))
+        vecs, sigmas = w / scale[None, :], sol[edge_at] / scale[None, :]
     residuals = _check_eigentriples(sys, vals, vecs, sigmas)
     return vals, vecs, sigmas, residuals
 

@@ -209,6 +209,81 @@ def refine(mesh: Mesh) -> Mesh:
     return build_structured_mesh(mesh.rect, 2 * mesh.n)
 
 
+def _doubled_centers(ids, n):
+    """Grid coordinates, doubled, of the bounding-box centers of the vertex
+    index rows `ids` of an n-by-n grid."""
+    iy, ix = np.divmod(np.ascontiguousarray(ids.T), n + 1)
+    return ix.min(axis=0) + ix.max(axis=0), iy.min(axis=0) + iy.max(axis=0)
+
+
+def nested_dissection_order(mesh: Mesh) -> np.ndarray:
+    """Nested-dissection permutation of the mixed unknowns.
+
+    The unknowns are numbered edges first (0 .. E-1), then triangles
+    (E .. E+T-1).  The cell grid is bisected along the middle grid line of
+    its longer side (counted in cells, the x-side on a tie), and the
+    grid-line edges on that line are the separator: the flux mass matrix
+    couples only the edges of one triangle and the divergence only a
+    triangle with its edges, so removing them disconnects the two halves.
+    Each half is ordered before its separator, recursively down to single
+    cells.  A cell's unknowns are its diagonal edge, its two triangles and
+    its domain-boundary edges; unknowns of one cell or one separator keep
+    their mesh order.
+
+    The tree is walked one level at a time, all boxes of a level at once.
+    Every node gets a base-3 sort key whose digits spell its path (0 lower
+    half, 1 upper half, 2 separator, then zeros), so the keys compare as
+    the post-order of the tree.  The keys live in a table over doubled
+    grid coordinates, from which every unknown reads its own.
+
+    Returns
+    -------
+    (E + T,) int array `p` such that K[p][:, p] is the reordered matrix.
+    """
+    n = mesh.n
+    # key[Y, X] at doubled grid coordinates: even on a grid line, odd
+    # inside a cell row or column
+    key = np.zeros((2 * n + 1, 2 * n + 1), dtype=np.int64)
+    # each axis is cut at most ceil(log2 n) times
+    place = 3 ** (2 * (n - 1).bit_length())
+    # the boxes of cells [x0, x1) x [y0, y1) of one level and their keys
+    x0 = y0 = box_key = np.zeros(1, dtype=np.int64)
+    x1 = y1 = np.full(1, n, dtype=np.int64)
+    while box_key.size:
+        place //= 3
+        w, h = x1 - x0, y1 - y0
+        cell = (w == 1) & (h == 1)
+        key[2 * y0[cell] + 1, 2 * x0[cell] + 1] = box_key[cell]
+        x0, y0, x1, y1, w, h, box_key = (
+            a[~cell] for a in (x0, y0, x1, y1, w, h, box_key))
+        vertical = w >= h
+        cut = np.where(vertical, x0 + w // 2, y0 + h // 2)
+        # the separator's edges sit at 2 * cut across the cut and at the
+        # odd coordinates of the box's cells along it
+        first = np.where(vertical, y0, x0)
+        count = np.where(vertical, h, w)
+        offset = np.repeat(np.cumsum(count) - count - first, count)
+        along = 2 * (np.arange(offset.size) - offset) + 1
+        across = np.repeat(2 * cut, count)
+        on_x = np.repeat(vertical, count)
+        key[np.where(on_x, along, across), np.where(on_x, across, along)] = (
+            np.repeat(box_key + 2 * place, count))
+        # the lower (left or bottom) half keeps the key, the upper adds place
+        x0, x1 = (np.concatenate([x0, np.where(vertical, cut, x0)]),
+                  np.concatenate([np.where(vertical, cut, x1), x1]))
+        y0, y1 = (np.concatenate([y0, np.where(vertical, y0, cut)]),
+                  np.concatenate([np.where(vertical, y1, cut), y1]))
+        box_key = np.concatenate([box_key, box_key + place])
+
+    # edge midpoints and cell centers; a domain-boundary edge moves inside
+    # the one cell it bounds
+    ex, ey = _doubled_centers(mesh.edges, n)
+    tx, ty = _doubled_centers(mesh.triangles, n)
+    x = np.clip(np.concatenate([ex, tx]), 1, 2 * n - 1)
+    y = np.clip(np.concatenate([ey, ty]), 1, 2 * n - 1)
+    return np.argsort(key[y, x], kind="stable")
+
+
 def edge_normals(mesh: Mesh) -> np.ndarray:
     """Unit global normals per edge, the oriented direction rotated 90
     degrees counterclockwise."""

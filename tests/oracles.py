@@ -9,7 +9,9 @@ through a factorization of M rather than of the saddle-point block.
 The per-element and per-point references at the end redo, one triangle,
 edge or point at a time, what the package computes on whole arrays: global
 assembly from the element routines, the dict walk that numbers mesh edges,
-and the projections and L2 errors of the superclose module.  Last come the
+the nested-dissection order of the unknowns by recursion over boxes, the
+iterative eigenvalues through a COLAMD-ordered factorization, and the
+projections and L2 errors of the superclose module.  Last come the
 report renderers that walk the convergence table once per output, each
 with its own level offsets.
 """
@@ -217,6 +219,69 @@ def dict_walk_topology(triangles):
             signs[t, i] = 1 if a > b else -1
     return (np.array(edges, dtype=np.int64), tri_edges, signs,
             np.array(uses) == 1)
+
+
+def recursive_nested_dissection(mesh):
+    """The nested-dissection order of the mixed unknowns (edges, then
+    triangles), by recursion over boxes of cells.
+
+    Unknowns are placed from vertex coordinates: an axis-aligned interior
+    edge on a grid line belongs to that line, every other unknown to the
+    cell it lies in.  A box is cut at the middle grid line of its longer
+    side (the x-side on a tie); its order is the lower half's, the upper
+    half's, then the cut's edges in mesh order.
+    """
+    n, rect = mesh.n, mesh.rect
+    grid = np.rint(np.column_stack([
+        (mesh.vertices[:, 0] - rect.x0) / rect.width * n,
+        (mesh.vertices[:, 1] - rect.y0) / rect.height * n])).astype(int)
+    cells, lines = {}, {}
+    for e, (a, b) in enumerate(mesh.edges):
+        (xa, ya), (xb, yb) = grid[a], grid[b]
+        if xa == xb and 0 < xa < n:
+            lines[("x", xa, min(ya, yb))] = e
+        elif ya == yb and 0 < ya < n:
+            lines[("y", ya, min(xa, xb))] = e
+        else:
+            cell = (min(xa, xb, n - 1), min(ya, yb, n - 1))
+            cells.setdefault(cell, []).append(e)
+    for t, tri in enumerate(mesh.triangles):
+        xs, ys = grid[tri, 0], grid[tri, 1]
+        cells[(xs.min(), ys.min())].append(mesh.num_edges + t)
+
+    def order(x0, x1, y0, y1):
+        w, h = x1 - x0, y1 - y0
+        if w == h == 1:
+            return cells[(x0, y0)]
+        if w >= h:
+            c = x0 + w // 2
+            return (order(x0, c, y0, y1) + order(c, x1, y0, y1)
+                    + [lines[("x", c, r)] for r in range(y0, y1)])
+        c = y0 + h // 2
+        return (order(x0, x1, y0, c) + order(x0, x1, c, y1)
+                + [lines[("y", c, r)] for r in range(x0, x1)])
+
+    return np.array(order(0, n, 0, n))
+
+
+def colamd_eigenvalues(sys, k, seed):
+    """k smallest eigenvalues of the iterative path with the saddle-point
+    block K factorized in SuperLU's default COLAMD column order, K's own
+    numbering untouched: ARPACK on D^1/2 S^-1 D^1/2 from the same start
+    vector."""
+    ne, t = sys.num_edges, sys.num_triangles
+    k_lu = spla.splu(sp.bmat(
+        [[sys.M, sys.B.T], [sys.B, -sp.diags(sys.C)]], format="csc"))
+    sqd = np.sqrt(sys.D)
+
+    def shift_invert(y):
+        rhs = np.concatenate([np.zeros(ne), -sqd * np.ravel(y)])
+        return sqd * k_lu.solve(rhs)[ne:]
+
+    op = spla.LinearOperator((t, t), matvec=shift_invert, dtype=float)
+    mu, _ = spla.eigsh(op, k=k, which="LM",
+                       v0=np.random.default_rng(seed).standard_normal(t))
+    return np.sort(1.0 / mu)
 
 
 def pointwise_p0_project(u, mesh, rule):

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +35,22 @@ def test_parse_good_config(tmp_path):
     assert cfg.expansion_order == 2.0
     assert cfg.solver == "dense"
     assert not cfg.compute_superclose
+
+
+def test_parse_readme_example(tmp_path):
+    """The INI block of README.md, copied verbatim, comments and all."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    cfg = parse_config(_write(tmp_path, block))
+    assert cfg.preset == "laplace"
+    assert cfg.levels == [8, 16, 32]
+    assert cfg.k == 4
+    assert cfg.expansion_order == 2.0
+    assert cfg.seed == 0
+    assert cfg.compute_superclose
+    assert not cfg.dump_matrices
+    assert cfg.solver == "dense"
+    assert cfg.output_dir == Path("results/laplace")
 
 
 def test_parse_rejects_unknown_key(tmp_path):
@@ -272,4 +290,22 @@ def test_superclose_needs_analytic_preset(tmp_path, capsys):
         "preset = laplace", "preset = variable\ncompute_superclose = true")
     assert main(["run", str(_write(tmp_path, text))]) == 1
     assert "compute_superclose" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_dense_solver_rejects_levels_it_cannot_hold(tmp_path, capsys):
+    assert 2 * 64 * 64 == cli.DENSE_MAX_TRIANGLES
+    StudyConfig(preset="laplace", levels=[32, 64], k=1).validate()
+    StudyConfig(preset="laplace", levels=[64, 128], k=1,
+                solver="iterative").validate()
+    with pytest.raises(ConfigError,
+                       match=r"n = 128 .*use solver = iterative"):
+        StudyConfig(preset="laplace", levels=[32, 64, 128], k=1).validate()
+    text = GOOD_CONFIG.format(out=tmp_path / "r").replace(
+        "levels = 2 4", "levels = 64 128")
+    assert main(["run", str(_write(tmp_path, text))]) == 1
+    assert "n = 128" in capsys.readouterr().err
+    cfgfile = _write(tmp_path, GOOD_CONFIG.format(out=tmp_path / "r"), "ok.ini")
+    assert main(["run", str(cfgfile), "--levels", "128,256"]) == 1
+    assert "solver = iterative" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()

@@ -65,7 +65,7 @@ def test_not_spd_mass_rejected(laplace_systems):
     bad = type(sys_)(M=-sp.identity(sys_.num_edges, format="csr"),
                      B=sys_.B, C=sys_.C, D=sys_.D,
                      num_edges=sys_.num_edges,
-                     num_triangles=sys_.num_triangles)
+                     num_triangles=sys_.num_triangles, order=sys_.order)
     with pytest.raises(NumericalError, match="positive definite"):
         schur_complement(bad)
 

@@ -1,16 +1,19 @@
-"""The iterative path's single saddle-point factorization: its eigenpairs,
-the checks it makes on them, and the chunked dense Schur complement."""
+"""The iterative path's single saddle-point factorization: its
+nested-dissection order, its eigenpairs, the checks it makes on them, and
+the chunked dense Schur complement."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from rt0eig import (NumericalError, UNIT_SQUARE, assemble,
                     build_structured_mesh, get_preset, schur_complement,
                     solve_mixed_eigenproblem)
 from rt0eig.eigensolver import (RESIDUAL_RTOL, _check_eigentriples,
                                 _iterative_eigentriples)
-from oracles import (flux_row_image, full_densify_schur_complement,
-                     schur_residuals)
+from oracles import (colamd_eigenvalues, flux_row_image,
+                     full_densify_schur_complement, schur_residuals)
 
 
 def _system(preset, n):
@@ -45,6 +48,35 @@ def test_iterative_n64_passes_residual_bound():
     for p in res.pairs:
         assert abs(p.u @ (sys_.D * p.u) - 1.0) <= 1e-12
         assert p.u[np.argmax(np.abs(p.u))] > 0
+
+
+def test_nested_dissection_halves_the_fill_n64(monkeypatch):
+    """The factor the solver makes, in nested-dissection order, against
+    SuperLU's default COLAMD ordering of K in its own numbering."""
+    _, sys_ = _system("laplace", 64)
+    splu, factors = spla.splu, []
+
+    def recording_splu(*args, **kwargs):
+        factors.append(splu(*args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    _iterative_eigentriples(sys_, 1, 0)
+    monkeypatch.undo()
+    (lu,) = factors
+    colamd = splu(sp.bmat([[sys_.M, sys_.B.T], [sys_.B, -sp.diags(sys_.C)]],
+                          format="csc"))
+    fill = lu.L.nnz + lu.U.nnz
+    assert fill < 0.7 * (colamd.L.nnz + colamd.U.nnz)
+
+
+def test_nested_dissection_n128_matches_colamd():
+    _, sys_ = _system("laplace", 128)
+    vals, vecs, sigmas, residuals = _iterative_eigentriples(sys_, 4, 0)
+    assert np.array_equal(_check_eigentriples(sys_, vals, vecs, sigmas),
+                          residuals)
+    reference = colamd_eigenvalues(sys_, 4, 0)
+    assert np.all(np.abs(vals - reference) <= 1e-12 * reference)
 
 
 def test_iterative_matches_dense_n16():

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from rt0eig import (MeshError, Rectangle, UNIT_SQUARE, build_structured_mesh,
-                    dump_mesh, edge_normals, refine)
-from oracles import brute_force_edges, dict_walk_topology
+from rt0eig import (MeshError, Rectangle, UNIT_SQUARE, assemble,
+                    build_structured_mesh, dump_mesh, edge_normals, get_preset,
+                    refine)
+from rt0eig.mesh import nested_dissection_order
+from oracles import (brute_force_edges, dict_walk_topology,
+                     recursive_nested_dissection)
 
 
 def test_rectangle_rejects_nonpositive_extent():
@@ -165,3 +168,44 @@ def test_edge_numbering_matches_dict_walk(rect, n):
     assert np.array_equal(m.triangle_edges, tri_edges)
     assert np.array_equal(m.triangle_edge_signs, signs)
     assert np.array_equal(m.boundary_edge_flags, boundary)
+
+
+NESTED_DISSECTION_MESHES = [(UNIT_SQUARE, n) for n in range(1, 10)] + [
+    (Rectangle(0.0, 0.0, 2.0, 1.0), 1), (Rectangle(0.0, 0.0, 2.0, 1.0), 6)]
+
+
+@pytest.mark.parametrize("rect,n", NESTED_DISSECTION_MESHES)
+def test_nested_dissection_order_is_a_permutation(rect, n):
+    m = build_structured_mesh(rect, n)
+    order = nested_dissection_order(m)
+    assert np.array_equal(np.sort(order),
+                          np.arange(m.num_edges + m.num_triangles))
+
+
+@pytest.mark.parametrize("rect,n", NESTED_DISSECTION_MESHES)
+def test_nested_dissection_order_matches_recursion(rect, n):
+    m = build_structured_mesh(rect, n)
+    assert np.array_equal(nested_dissection_order(m),
+                          recursive_nested_dissection(m))
+
+
+def test_nested_dissection_separator_splits_the_coupling():
+    """Cutting the n=4 grid at x = 2 leaves no entry of M or B between an
+    unknown of the left half and one of the right half."""
+    m = build_structured_mesh(UNIT_SQUARE, 4)
+    sys_ = assemble(m, get_preset("laplace"))
+    order = nested_dissection_order(m)
+    # each 2x4 half: 3 unknowns in each of its 8 cells, 10 interior
+    # grid-line edges and 8 domain-boundary edges; then the 4 cut edges
+    half = 3 * 8 + 10 + 8
+    assert len(order) == 2 * half + 4
+    left, right = order[:half], order[half:2 * half]
+    edge_side = np.zeros(m.num_edges, dtype=int)
+    tri_side = np.zeros(m.num_triangles, dtype=int)
+    for side, ids in ((1, left), (2, right)):
+        edge_side[ids[ids < m.num_edges]] = side
+        tri_side[ids[ids >= m.num_edges] - m.num_edges] = side
+    for mat, rows, cols in ((sys_.M, edge_side, edge_side),
+                            (sys_.B, tri_side, edge_side)):
+        coo = mat.tocoo()
+        assert not np.any(rows[coo.row] * cols[coo.col] == 2)
