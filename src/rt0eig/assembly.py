@@ -48,8 +48,15 @@ class AssembledSystem:
     C and D hold the diagonals of the (diagonal) reaction and weight mass
     matrices as 1-D arrays of length num_triangles.  `order` is the
     nested-dissection permutation of the mesh's unknowns, edges first and
-    then triangles, in which the iterative solver factorizes the
-    saddle-point block.
+    then triangles; the iterative solver numbers its interface multipliers,
+    one per interior edge, in the order it gives their edges.
+
+    The element blocks that M and B are summed from stay alongside them
+    for the iterative solver, which hybridizes the mixed system triangle by
+    triangle: `m_vals` (T, 3, 3) holds each triangle's flux mass block and
+    `div_vals` (T, 3) its row of B, both over its local edges, and
+    `triangle_edges` (T, 3) the global edge of each local edge (the mesh's
+    array of that name).
     """
 
     M: sp.csr_matrix
@@ -59,6 +66,9 @@ class AssembledSystem:
     num_edges: int
     num_triangles: int
     order: np.ndarray
+    m_vals: np.ndarray
+    div_vals: np.ndarray
+    triangle_edges: np.ndarray
 
     def __post_init__(self):
         self._m_solve = None
@@ -246,7 +256,9 @@ def assemble(mesh: Mesh, prob: ProblemSpec,
 
     return AssembledSystem(M=M, B=B, C=c_diag, D=d_diag,
                            num_edges=ne, num_triangles=nt,
-                           order=nested_dissection_order(mesh))
+                           order=nested_dissection_order(mesh),
+                           m_vals=m_vals, div_vals=div_vals,
+                           triangle_edges=te)
 
 
 def dump_matrix(mat) -> str:

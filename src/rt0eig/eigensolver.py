@@ -9,10 +9,16 @@ is reduced by eliminating the flux: S = B M^-1 B^T + C is symmetric positive
 definite and S u = lambda D u has exactly the finite eigenvalues of the full
 block pencil.  The dense path forms S explicitly and diagonalizes the
 similarity transform D^-1/2 S D^-1/2.  The iterative path never forms S nor
-factorizes M: one sparse LU of the block matrix K = [[M, B^T], [B, -C]],
-its unknowns in the mesh's nested-dissection order, applies S^-1 for
-shift-invert ARPACK and then gives the fluxes and the residuals of the
-eigentriples.
+factorizes M or the block matrix K = [[M, B^T], [B, -C]].  It hybridizes K
+(Arnold and Brezzi, M2AN 19, 1985): the flux space is broken triangle by
+triangle, one multiplier per interior edge makes the normal flux
+continuous, and the flux and the scalar are eliminated element by element.
+What is left is a symmetric positive definite system H on the interior
+edges with at most 5 entries per row.  One sparse LU of H per level, in the
+mesh's nested-dissection order and without pivoting, applies S^-1 for
+shift-invert ARPACK and then gives the fluxes of the eigentriples.  Up to
+a sign and the edge length, the multipliers approximate the scalar's trace
+on the interior edges, from which Arnold and Brezzi post-process it.
 """
 
 from dataclasses import dataclass, field
@@ -47,7 +53,9 @@ class EigenPair:
     and reports the 2-norm of C u - B sigma - lambda D u instead, the scalar
     row of the saddle-point system; it differs from S u - lambda D u by
     B M^-1 (M sigma + B^T u), the image of the flux row's residual, which
-    is checked against FLUX_RTOL.
+    is checked against FLUX_RTOL.  Its `lambda_h` is the Rayleigh quotient
+    u^T (C u - B sigma) / u^T D u of the reported u and sigma, not ARPACK's
+    Ritz value.
     """
 
     lambda_h: float
@@ -174,19 +182,21 @@ def solve_gevp_iterative(sys, k: int, seed: int = 0):
     """Shift-invert ARPACK variant of solve_gevp acting on the assembled
     system without forming S or factorizing M.
 
-    Returns (values, vectors, residuals) like solve_gevp.  One sparse LU of
-    the saddle-point block K = [[M, B^T], [B, -C]] serves the whole solve.
-    K's rows and columns are taken in the nested-dissection order of
-    `sys.order`, and SuperLU keeps that column order, pivoting rows only.
-    Through that factor:
+    Returns (values, vectors, residuals) like solve_gevp.  The saddle-point
+    block K = [[M, B^T], [B, -C]] is solved through its hybridization (see
+    _hybridize): K^-1 r = Z r - W H^-1 W^T r, with H the symmetric positive
+    definite system of the interface multipliers, factorized once per level
+    by a sparse LU without pivoting in the multipliers' nested-dissection
+    order.  Through that factor:
 
     * ARPACK finds the largest eigenvalues 1/lambda of D^1/2 S^-1 D^1/2,
       applying S^-1 v as the triangle block of K^-1 [0; -v], from a start
       vector drawn from `seed`;
-    * two solves K [sigma; w] = [0; -lambda D u] for all pairs, each
-      refined once, are two inverse-iteration steps; the pairs are
-      reported as u = w / ||w||_D with sigma scaled alike, so sigma is
-      their flux;
+    * one solve K [sigma; v] = [0; -lambda D u] for all pairs, refined
+      once with K as a sparse matvec, is an inverse-iteration step; the
+      pairs are reported as u = v / ||v||_D with sigma scaled alike, so
+      sigma is their flux, and lambda as the Rayleigh quotient
+      u^T (C u - B sigma) / u^T D u;
     * the flux row ||M sigma + B^T u|| is checked against FLUX_RTOL, and
       the residual ||C u - B sigma - lambda D u|| against RESIDUAL_RTOL
       times max_j lambda_j / (u_j . u_j) (see _check_eigentriples).
@@ -198,6 +208,85 @@ def solve_gevp_iterative(sys, k: int, seed: int = 0):
     return vals, vecs, residuals
 
 
+def _hybridize(sys):
+    """Sparse (Z, W, H) such that K^-1 r = Z r - W H^-1 W^T r.
+
+    The flux space is broken triangle by triangle, and the normal flux of
+    each interior edge is made continuous by one multiplier.  With the
+    block diagonal A of the local blocks [[M_T, L_T^T], [L_T, -c_T]] (M_T
+    from m_vals, L_T from div_vals), the map Q from the unknowns of K to
+    the local slots, and the jump map G from the local slots to the
+    multipliers,
+
+        Z = Q^T A^-1 Q,   W = Q^T A^-1 G^T,   H = G A^-1 G^T.
+
+    Q puts each triangle's scalar unknown in its own slot and each edge's
+    flux in the slot of its first triangle, its owner, which also gives
+    its sigma back; G takes the owner's slot minus the neighbour's.  H
+    couples the interior edges of one triangle, so it has at most 5
+    entries per row, and it is symmetric positive definite.  Its
+    multipliers are numbered in the order `sys.order` gives their edges.
+    """
+    t, ne = sys.num_triangles, sys.num_edges
+    blocks = np.zeros((t, 4, 4))
+    blocks[:, :3, :3] = sys.m_vals
+    blocks[:, :3, 3] = blocks[:, 3, :3] = sys.div_vals
+    blocks[:, 3, 3] = -sys.C
+    try:
+        inv = np.linalg.inv(blocks)
+    except np.linalg.LinAlgError:
+        # LAPACK reports an exactly zero pivot, so the det of a singular
+        # block is exactly 0
+        bad = int(np.argmin(np.abs(np.linalg.det(blocks))))
+        raise NumericalError(
+            f"local block of triangle {bad} is singular") from None
+    inv = 0.5 * (inv + inv.transpose(0, 2, 1))
+
+    te = sys.triangle_edges.ravel()
+    owned = np.zeros(3 * t, dtype=bool)
+    owned[np.unique(te, return_index=True)[1]] = True
+    # unknown of K per local slot, -1 where the slot does not own its edge
+    unknown = np.column_stack([np.where(owned, te, -1).reshape(t, 3),
+                               ne + np.arange(t)])
+    edges = sys.order[sys.order < ne]
+    edges = edges[np.bincount(te, minlength=ne)[edges] == 2]
+    multiplier = np.full(ne, -1)
+    multiplier[edges] = np.arange(edges.size)
+    jump = np.column_stack([multiplier[te].reshape(t, 3), np.full(t, -1)])
+    sign = np.column_stack([np.where(owned, 1.0, -1.0).reshape(t, 3),
+                            np.zeros(t)])
+
+    def gather(rows, cols, vals, shape):
+        # the (T, 4, 4) entries whose slots map to a row and a column
+        r, c = np.broadcast_arrays(rows[:, :, None], cols[:, None, :])
+        keep = (r >= 0) & (c >= 0)
+        return sp.coo_matrix((vals[keep], (r[keep], c[keep])),
+                             shape=shape).tocsr()
+
+    nm = edges.size
+    signed = inv * sign[:, None, :]
+    return (gather(unknown, unknown, inv, (ne + t, ne + t)),
+            gather(unknown, jump, signed, (ne + t, nm)),
+            gather(jump, jump, sign[:, :, None] * signed, (nm, nm)))
+
+
+def _factor_multipliers(h):
+    """Sparse LU of the SPD multiplier system H in its own order, no
+    pivoting."""
+    try:
+        return spla.splu(h.tocsc(), permc_spec="NATURAL",
+                         diag_pivot_thresh=0.0,
+                         options=dict(SymmetricMode=True))
+    except RuntimeError as exc:
+        raise NumericalError(
+            f"multiplier factorization failed: {exc}") from exc
+
+
+def _k_solve(z, w, h_lu, rhs):
+    """K^-1 rhs from the hybridization (Z, W, LU of H)."""
+    return z @ rhs - w @ h_lu.solve(w.T @ rhs)
+
+
 def _iterative_eigentriples(sys, k, seed):
     """(values, vectors, fluxes, residuals) of solve_gevp_iterative."""
     t = sys.num_triangles
@@ -206,26 +295,17 @@ def _iterative_eigentriples(sys, k, seed):
             f"iterative path needs 1 <= k <= {t - 1}, got {k}")
     d = sys.D
     ne = sys.num_edges
-    # K with its unknowns in nested-dissection order; unknown i (edges,
-    # then triangles) sits at row and column at[i]
-    k_block = sp.bmat([[sys.M, sys.B.T], [sys.B, -sp.diags(sys.C)]],
-                      format="csc")[sys.order][:, sys.order]
-    at = np.empty_like(sys.order)
-    at[sys.order] = np.arange(ne + t)
-    try:
-        k_lu = spla.splu(k_block, permc_spec="NATURAL")
-    except RuntimeError as exc:
-        raise NumericalError(
-            f"saddle-point factorization failed: {exc}") from exc
-
-    edge_at, tri_at = at[:ne], at[ne:]
+    z, w, h = _hybridize(sys)
+    h_lu = _factor_multipliers(h)
     sqd = np.sqrt(d)
+    # the triangle block of K^-1: Z's is diagonal
+    z_tri, w_tri = z.diagonal()[ne:], w[ne:]
+    w_tri_t = w_tri.T.tocsr()
 
     def shift_invert(y):
         # D^1/2 S^-1 D^1/2 y; S^-1 v is the triangle block of K^-1 [0; -v]
-        rhs = np.zeros(ne + t)
-        rhs[tri_at] = -sqd * np.ravel(y)
-        return sqd * k_lu.solve(rhs)[tri_at]
+        v = sqd * np.ravel(y)
+        return sqd * (w_tri @ h_lu.solve(w_tri_t @ v) - z_tri * v)
 
     op = spla.LinearOperator((t, t), matvec=shift_invert, dtype=float)
     rng = np.random.default_rng(seed)
@@ -240,24 +320,29 @@ def _iterative_eigentriples(sys, k, seed):
     order = np.argsort(mu)[::-1]
     vals = 1.0 / mu[order]
     vecs = y[:, order] / sqd[:, None]
-    # inverse-iteration steps K [sigma; w] = [0; -lambda D u] for all
-    # pairs, whose flux block is the flux of w.  One step of iterative
-    # refinement of each solve makes the flux row hold to roundoff; what is
-    # left of it reaches S w - lambda D w amplified by M^-1.  The second
-    # step takes out what the first leaves of the error that ARPACK's
-    # unrefined solves put into its vectors: on laplace at n = 256, over
-    # eight start vectors, the largest scalar-row residual is 1.2e-14 to
-    # 3.1e-14 after one step and 1.8e-15 to 6.4e-15 after two, against a
-    # bound of 6.0e-14.
+    # one inverse-iteration step K [sigma; v] = [0; -lambda D u] for all
+    # pairs, whose flux block is the flux of v.  One step of iterative
+    # refinement, with K applied as a sparse matvec, makes the flux row
+    # hold to roundoff; what is left of it reaches S v - lambda D v
+    # amplified by M^-1.  ARPACK's eigenvalues carry the error of its
+    # unrefined solves, so lambda is then taken as the Rayleigh quotient of
+    # the refined pair.  On laplace with k = 6 over eight start vectors,
+    # the largest scalar-row residual sits 8 times below the bound at
+    # n = 128 and 1.1 times at n = 256 without it, and 36-71 and 7-24
+    # times below with it.
+    k_block = sp.bmat([[sys.M, sys.B.T], [sys.B, -sp.diags(sys.C)]],
+                      format="csr")
     rhs = np.zeros((ne + t, k))
-    for _ in range(2):
-        rhs[tri_at] = -(d[:, None] * vecs) * vals[None, :]
-        sol = k_lu.solve(rhs)
-        sol += k_lu.solve(rhs - k_block @ sol)
-        w = sol[tri_at]
-        scale = (np.sqrt(np.sum(d[:, None] * w**2, axis=0))
-                 * _column_signs(w))
-        vecs, sigmas = w / scale[None, :], sol[edge_at] / scale[None, :]
+    rhs[ne:] = -(d[:, None] * vecs) * vals[None, :]
+    sol = _k_solve(z, w, h_lu, rhs)
+    sol += _k_solve(z, w, h_lu, rhs - k_block @ sol)
+    scale = (np.sqrt(np.sum(d[:, None] * sol[ne:]**2, axis=0))
+             * _column_signs(sol[ne:]))
+    vecs, sigmas = sol[ne:] / scale[None, :], sol[:ne] / scale[None, :]
+    vals = (np.sum(vecs * (sys.C[:, None] * vecs - sys.B @ sigmas), axis=0)
+            / np.sum(d[:, None] * vecs**2, axis=0))
+    order = np.argsort(vals, kind="stable")
+    vals, vecs, sigmas = vals[order], vecs[:, order], sigmas[:, order]
     residuals = _check_eigentriples(sys, vals, vecs, sigmas)
     return vals, vecs, sigmas, residuals
 

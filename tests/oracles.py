@@ -3,14 +3,17 @@
 Most of these deliberately avoid the package's own quadrature rules and
 solver paths: element matrices come from symbolic integration, triangle
 integrals from a Duffy-transform tensor Gauss rule, eigenvalues of the
-reduced problem from the dense saddle-point pencil, and eigenpair residuals
-through a factorization of M rather than of the saddle-point block.
+reduced problem from the dense saddle-point pencil, eigenpair residuals and
+Rayleigh quotients through a factorization of M rather than of the
+saddle-point block, and solves with that block from a sparse direct solve
+of it whole, not from its hybridization.
 
 The per-element and per-point references at the end redo, one triangle,
 edge or point at a time, what the package computes on whole arrays: global
 assembly from the element routines, the dict walk that numbers mesh edges,
 the nested-dissection order of the unknowns by recursion over boxes, the
-iterative eigenvalues through a COLAMD-ordered factorization, and the
+iterative eigenvalues through a COLAMD-ordered factorization, the
+nested-dissection LU of the saddle-point block, and the
 projections and L2 errors of the superclose module.  Last come the
 report renderers that walk the convergence table once per output, each
 with its own level offsets.
@@ -156,6 +159,34 @@ def flux_row_image(sys, vecs, sigmas):
         sys.B @ m_lu.solve(sys.M @ sigmas + sys.B.T @ vecs), axis=0)
 
 
+def saddle_point_matrix(sys):
+    """K = [[M, B^T], [B, -C]] in CSC, the unknowns in K's own numbering."""
+    return sp.bmat([[sys.M, sys.B.T], [sys.B, -sp.diags(sys.C)]],
+                   format="csc")
+
+
+def saddle_point_solve(sys, rhs):
+    """K^-1 rhs by a sparse direct solve of the whole saddle-point block."""
+    return spla.spsolve(saddle_point_matrix(sys), rhs)
+
+
+def nested_dissection_k_factor(sys):
+    """The LU the iterative path made before it was hybridized: K with its
+    unknowns in the nested-dissection order `sys.order`, SuperLU keeping
+    that column order and pivoting rows with its default threshold."""
+    k = saddle_point_matrix(sys)[sys.order][:, sys.order]
+    return spla.splu(k, permc_spec="NATURAL")
+
+
+def schur_rayleigh_quotients(sys, vecs):
+    """u_j^T S u_j / u_j^T D u_j for the columns u_j of vecs, S applied as
+    B M^-1 B^T + C through a sparse LU of M alone."""
+    m_lu = spla.splu(sys.M.tocsc())
+    su = sys.B @ m_lu.solve(sys.B.T @ vecs) + sys.C[:, None] * vecs
+    return (np.sum(vecs * su, axis=0)
+            / np.sum(sys.D[:, None] * vecs**2, axis=0))
+
+
 def brute_force_edges(triangles):
     """Edge set of a triangle list by direct pair enumeration."""
     edges = set()
@@ -270,8 +301,7 @@ def colamd_eigenvalues(sys, k, seed):
     numbering untouched: ARPACK on D^1/2 S^-1 D^1/2 from the same start
     vector."""
     ne, t = sys.num_edges, sys.num_triangles
-    k_lu = spla.splu(sp.bmat(
-        [[sys.M, sys.B.T], [sys.B, -sp.diags(sys.C)]], format="csc"))
+    k_lu = spla.splu(saddle_point_matrix(sys))
     sqd = np.sqrt(sys.D)
 
     def shift_invert(y):

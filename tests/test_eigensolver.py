@@ -65,7 +65,9 @@ def test_not_spd_mass_rejected(laplace_systems):
     bad = type(sys_)(M=-sp.identity(sys_.num_edges, format="csr"),
                      B=sys_.B, C=sys_.C, D=sys_.D,
                      num_edges=sys_.num_edges,
-                     num_triangles=sys_.num_triangles, order=sys_.order)
+                     num_triangles=sys_.num_triangles, order=sys_.order,
+                     m_vals=sys_.m_vals, div_vals=sys_.div_vals,
+                     triangle_edges=sys_.triangle_edges)
     with pytest.raises(NumericalError, match="positive definite"):
         schur_complement(bad)
 

@@ -1,24 +1,90 @@
-"""The iterative path's single saddle-point factorization: its
-nested-dissection order, its eigenpairs, the checks it makes on them, and
-the chunked dense Schur complement."""
+"""The iterative path: its hybridized solve with the saddle-point block
+(one LU of the interface multiplier system per level, in the
+nested-dissection order of their edges) against a sparse direct solve, the
+loud failure on a singular element block, its eigenpairs and their
+Rayleigh-quotient eigenvalues, the checks it makes on them, and the chunked
+dense Schur complement."""
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from rt0eig import (NumericalError, UNIT_SQUARE, assemble,
-                    build_structured_mesh, get_preset, schur_complement,
-                    solve_mixed_eigenproblem)
+from rt0eig import (AssembledSystem, NumericalError, ProblemSpec, Rectangle,
+                    UNIT_SQUARE, assemble, build_structured_mesh, get_preset,
+                    schur_complement, solve_mixed_eigenproblem)
 from rt0eig.eigensolver import (RESIDUAL_RTOL, _check_eigentriples,
-                                _iterative_eigentriples)
+                                _factor_multipliers, _hybridize,
+                                _iterative_eigentriples, _k_solve)
 from oracles import (colamd_eigenvalues, flux_row_image,
-                     full_densify_schur_complement, schur_residuals)
+                     full_densify_schur_complement, saddle_point_solve,
+                     schur_rayleigh_quotients, schur_residuals)
 
 
 def _system(preset, n):
     mesh = build_structured_mesh(UNIT_SQUARE, n)
     return mesh, assemble(mesh, get_preset(preset))
+
+
+def _anisotropic_tensor(x, y):
+    a = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)) + (2, 2))
+    a[..., 0, 0] = 10.0 + x
+    a[..., 0, 1] = a[..., 1, 0] = 0.5 * y
+    a[..., 1, 1] = 0.1 + 0.05 * x
+    return a
+
+
+ANISOTROPIC = ProblemSpec(name="anisotropic",
+                          domain=Rectangle(0.0, 0.0, 2.0, 1.0),
+                          A=_anisotropic_tensor, c=lambda x, y: x * y,
+                          b=lambda x, y: 1.0 + 0.5 * np.cos(x * y))
+
+
+def _case_system(case, n):
+    if case == "anisotropic":
+        return assemble(build_structured_mesh(ANISOTROPIC.domain, n),
+                        ANISOTROPIC)
+    return _system(case, n)[1]
+
+
+@pytest.mark.parametrize("case",
+                         ["laplace", "shifted", "variable", "anisotropic"])
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_hybrid_solve_matches_sparse_direct_solve(case, n):
+    """K^-1 r = Z r - W H^-1 W^T r for right-hand sides with flux and
+    scalar parts, and H is a symmetric positive definite system with at
+    most 5 entries per row, one row per interior edge."""
+    sys_ = _case_system(case, n)
+    rhs = np.random.default_rng(n).standard_normal(
+        (sys_.num_edges + sys_.num_triangles, 3))
+    z, w, h = _hybridize(sys_)
+    got = _k_solve(z, w, _factor_multipliers(h), rhs)
+    want = saddle_point_solve(sys_, rhs)
+    assert np.all(np.linalg.norm(got - want, axis=0)
+                  <= 1e-12 * np.linalg.norm(want, axis=0))
+    assert (h != h.T).nnz == 0
+    assert np.diff(h.tocsr().indptr).max() <= 5
+    la.cholesky(h.toarray())
+    interior = np.bincount(sys_.triangle_edges.ravel()) == 2
+    assert h.shape == (interior.sum(),) * 2
+    if n == 1:
+        assert h.shape == (1, 1)
+
+
+def test_singular_element_block_names_its_triangle():
+    """A zeroed element block leaves [[0, L^T], [L, -c]], of rank 2."""
+    mesh, sys_ = _system("laplace", 4)
+    m_vals = sys_.m_vals.copy()
+    m_vals[[9, 5]] = 0.0
+    bad = AssembledSystem(M=sys_.M, B=sys_.B, C=sys_.C, D=sys_.D,
+                          num_edges=sys_.num_edges,
+                          num_triangles=sys_.num_triangles, order=sys_.order,
+                          m_vals=m_vals, div_vals=sys_.div_vals,
+                          triangle_edges=sys_.triangle_edges)
+    with pytest.raises(NumericalError,
+                       match=r"local block of triangle 5 is singular"):
+        solve_mixed_eigenproblem(mesh, bad, 2, method="iterative")
 
 
 @pytest.mark.parametrize("preset", ["laplace", "variable"])
@@ -51,8 +117,9 @@ def test_iterative_n64_passes_residual_bound():
 
 
 def test_nested_dissection_halves_the_fill_n64(monkeypatch):
-    """The factor the solver makes, in nested-dissection order, against
-    SuperLU's default COLAMD ordering of K in its own numbering."""
+    """The one factor the solver makes, that of the multiplier system in
+    nested-dissection order, against SuperLU's default COLAMD ordering of K
+    in its own numbering."""
     _, sys_ = _system("laplace", 64)
     splu, factors = spla.splu, []
 
@@ -70,13 +137,35 @@ def test_nested_dissection_halves_the_fill_n64(monkeypatch):
     assert fill < 0.7 * (colamd.L.nnz + colamd.U.nnz)
 
 
-def test_nested_dissection_n128_matches_colamd():
+@pytest.fixture(scope="module")
+def laplace128():
     _, sys_ = _system("laplace", 128)
-    vals, vecs, sigmas, residuals = _iterative_eigentriples(sys_, 4, 0)
+    return sys_, _iterative_eigentriples(sys_, 4, 0)
+
+
+def test_nested_dissection_n128_matches_colamd(laplace128):
+    sys_, (vals, vecs, sigmas, residuals) = laplace128
     assert np.array_equal(_check_eigentriples(sys_, vals, vecs, sigmas),
                           residuals)
     reference = colamd_eigenvalues(sys_, 4, 0)
     assert np.all(np.abs(vals - reference) <= 1e-12 * reference)
+
+
+def test_reported_eigenvalues_are_rayleigh_quotients_n64():
+    mesh, sys_ = _system("laplace", 64)
+    res = solve_mixed_eigenproblem(mesh, sys_, 4, method="iterative", seed=0)
+    vecs = np.column_stack([p.u for p in res.pairs])
+    want = schur_rayleigh_quotients(sys_, vecs)
+    assert np.all(np.abs(res.eigenvalues - want) <= 1e-13 * want)
+
+
+def test_residual_margin_n128(laplace128):
+    """With lambda the Rayleigh quotient of the refined pair, the largest
+    residual sits 58 times below the bound; with ARPACK's lambda, 6.8."""
+    sys_, (vals, vecs, _, residuals) = laplace128
+    bound = RESIDUAL_RTOL * max(vals[j] / (vecs[:, j] @ vecs[:, j])
+                                for j in range(len(vals)))
+    assert residuals.max() * 20 <= bound
 
 
 def test_iterative_matches_dense_n16():

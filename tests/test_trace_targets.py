@@ -10,6 +10,9 @@ from pathlib import Path
 import pytest
 
 import rt0eig
+from rt0eig import UNIT_SQUARE, assemble, build_structured_mesh, get_preset
+from rt0eig.eigensolver import _factor_multipliers, _hybridize
+from oracles import nested_dissection_k_factor
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -43,24 +46,50 @@ def test_traced_argument_positions(spans):
     assert params(cli.run_level)[:3] == ["cfg", "prob", "n"]
 
 
-def test_traced_iterative_study_factorizes_once_per_level(spans, tmp_path):
-    """The tracer wraps eigsh's positional operator and counts splu fill;
-    the iterative path factorizes only the saddle-point block."""
+LEVELS = [4, 8]
+
+
+@pytest.fixture(scope="module")
+def traced_iterative(spans, tmp_path_factory):
+    """Spans and per-layer totals of a traced laplace 4 8 iterative study."""
     cli = spans._resolve("rt0eig.cli")
     tracer = spans.Tracer("iterative")
-    cfg = cli.StudyConfig(preset="laplace", levels=[4, 8], k=3,
-                          solver="iterative", output_dir=tmp_path)
+    cfg = cli.StudyConfig(preset="laplace", levels=LEVELS, k=3,
+                          solver="iterative",
+                          output_dir=tmp_path_factory.mktemp("traced"))
     with tracer.installed(), tracer.study(0):
         cli.run_study(cfg)
-    layers = tracer.study_layers(0)
+    return tracer, tracer.study_layers(0)
+
+
+def test_traced_iterative_study_factorizes_once_per_level(traced_iterative):
+    """The tracer wraps eigsh's positional operator and counts splu fill;
+    the iterative path factorizes only the multiplier system."""
+    tracer, layers = traced_iterative
     assert layers["eigensolver.op_applies"] > 0
     assert layers["eigensolver.factor_fill"] > 0
     assert layers["eigensolver.mass_solve_rhs"] == 0
     splu_levels = [s["n"] for s in tracer.spans
                    if s["name"] == "eigensolver.spla.splu"]
-    assert sorted(splu_levels) == [4, 8]
+    assert sorted(splu_levels) == LEVELS
     names = {s["name"] for s in tracer.spans}
     assert "eigensolver.spla.eigsh" in names
     assert not names & {"eigensolver.flux_mass_solver",
                         "eigensolver.la.cho_factor",
                         "eigensolver.recover_flux"}
+
+
+def test_traced_fill_is_the_multiplier_factors(traced_iterative):
+    """The traced fill is that of the per-level LUs of H, and below that of
+    the nested-dissection LU of the whole saddle-point block."""
+    _, layers = traced_iterative
+    h_fill = k_fill = 0
+    for n in LEVELS:
+        sys_ = assemble(build_structured_mesh(UNIT_SQUARE, n),
+                        get_preset("laplace"))
+        h_lu = _factor_multipliers(_hybridize(sys_)[2])
+        k_lu = nested_dissection_k_factor(sys_)
+        h_fill += h_lu.L.nnz + h_lu.U.nnz
+        k_fill += k_lu.L.nnz + k_lu.U.nnz
+    assert layers["eigensolver.factor_fill"] == h_fill
+    assert h_fill < k_fill
