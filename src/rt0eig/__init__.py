@@ -10,13 +10,14 @@ from .assembly import (AssembledSystem, AssemblyError, assemble, dump_matrix,
 from .coefficients import (ProblemSpec, QuadratureRule, edge_rule, get_preset,
                            integrate_triangle, preset_names, triangle_rule)
 from .eigensolver import (EigenPair, EigenResult, NumericalError,
-                          recover_flux, schur_complement, solve_gevp,
-                          solve_gevp_iterative, solve_mixed_eigenproblem)
+                          flux_mass_solver, recover_flux, schur_complement,
+                          solve_gevp, solve_gevp_iterative,
+                          solve_mixed_eigenproblem)
 from .extrapolation import (ClusterRow, ConvergenceTable, LevelSequence,
                             SupercloseBlock, build_table, match_and_cluster,
                             observed_order, richardson)
 from .mesh import (Mesh, MeshError, Rectangle, UNIT_SQUARE,
-                   build_structured_mesh, dump_mesh, edge_normals, refine)
+                   build_structured_mesh, dump_mesh, edge_normals)
 from .superclose import (AnalyticEigenpair, fortin_interpolate, l2_errors,
                          laplace_eigenpair, laplace_eigenvalues, p0_project,
                          superclose_distance)
@@ -29,10 +30,10 @@ __all__ = [
     "Rectangle", "SupercloseBlock", "UNIT_SQUARE", "assemble",
     "build_structured_mesh", "build_table", "dump_matrix", "dump_mesh",
     "edge_normals", "edge_rule", "element_div", "element_flux_mass",
-    "fortin_interpolate", "get_preset",
+    "flux_mass_solver", "fortin_interpolate", "get_preset",
     "integrate_triangle", "l2_errors", "laplace_eigenpair",
     "laplace_eigenvalues", "match_and_cluster", "observed_order",
-    "p0_project", "preset_names", "recover_flux", "refine", "richardson",
+    "p0_project", "preset_names", "recover_flux", "richardson",
     "schur_complement", "solve_gevp", "solve_gevp_iterative",
     "solve_mixed_eigenproblem", "superclose_distance", "triangle_rule",
 ]

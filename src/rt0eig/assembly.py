@@ -43,7 +43,8 @@ class AssemblyError(Exception):
 
 @dataclass
 class AssembledSystem:
-    """Sparse blocks of the discrete mixed eigenvalue problem.
+    """Sparse blocks of the discrete mixed eigenvalue problem, plain data:
+    the solvers factorize what they need of it themselves.
 
     C and D hold the diagonals of the (diagonal) reaction and weight mass
     matrices as 1-D arrays of length num_triangles.  `order` is the
@@ -69,16 +70,6 @@ class AssembledSystem:
     m_vals: np.ndarray
     div_vals: np.ndarray
     triangle_edges: np.ndarray
-
-    def __post_init__(self):
-        self._m_solve = None
-
-    def solve_flux_mass(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve M x = rhs, factorizing M once and reusing the factor."""
-        if self._m_solve is None:
-            from . import eigensolver
-            self._m_solve = eigensolver.flux_mass_solver(self.M)
-        return self._m_solve(rhs)
 
 
 def _local_geometry(tri):

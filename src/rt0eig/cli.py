@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .assembly import AssemblyError, assemble, dump_matrix
 from .coefficients import get_preset, preset_names, triangle_rule
-from .eigensolver import (EigenResult, NumericalError,
+from .eigensolver import (DENSE_MAX_TRIANGLES, EigenResult, NumericalError,
                           solve_mixed_eigenproblem)
 from .extrapolation import (ConvergenceTable, SupercloseBlock, build_table,
                             match_and_cluster)
@@ -33,10 +33,6 @@ from .superclose import (l2_errors, laplace_eigenpair, laplace_eigenvalues,
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
-
-# The dense path holds the T x T Schur complement in float64: 8192
-# triangles (n = 64) take 537 MB, n = 128 would take 8.6 GB.
-DENSE_MAX_TRIANGLES = 8192
 
 CSV_COLUMNS = [
     "eigen", "level_n", "h", "lambda_h", "lambda_extrap", "err_raw",

@@ -7,8 +7,11 @@ The saddle-point system
 
 is reduced by eliminating the flux: S = B M^-1 B^T + C is symmetric positive
 definite and S u = lambda D u has exactly the finite eigenvalues of the full
-block pencil.  The dense path forms S explicitly and diagonalizes the
-similarity transform D^-1/2 S D^-1/2.  The iterative path never forms S nor
+block pencil.  The dense path, for levels of at most DENSE_MAX_TRIANGLES
+triangles, factorizes M once per level by dense Cholesky.  Through that
+factor it forms S explicitly, diagonalizes the similarity transform
+D^-1/2 S D^-1/2, and recovers the fluxes of all pairs in one solve with k
+right-hand sides.  The iterative path never forms S nor
 factorizes M or the block matrix K = [[M, B^T], [B, -C]].  It hybridizes K
 (Arnold and Brezzi, M2AN 19, 1985): the flux space is broken triangle by
 triangle, one multiplier per interior edge makes the normal flux
@@ -33,8 +36,9 @@ RESIDUAL_RTOL = 1e-10
 FLUX_RTOL = 1e-11
 SCHUR_SYM_RTOL = 1e-11
 
-# Above this edge count M is factorized sparsely instead of densely.
-DENSE_FACTOR_LIMIT = 4096
+# The dense path holds M and S as full float64 arrays: at 2048 triangles
+# (n = 32) they take 79 MB and 34 MB, and M alone would take 1.2 GB at n = 64.
+DENSE_MAX_TRIANGLES = 2048
 
 ITER_BUDGET_PER_EIGENVALUE = 500
 
@@ -80,35 +84,26 @@ class EigenResult:
 
 
 def flux_mass_solver(M: sp.csr_matrix):
-    """Factorize the SPD flux mass matrix once; return a dense solve.
+    """Factorize the SPD flux mass matrix by dense Cholesky; return its solve.
 
-    Small systems use a dense Cholesky factorization (which also certifies
-    positive definiteness); larger ones a sparse LU.
+    The factorization also certifies positive definiteness.  The solve takes
+    one right-hand side or a column block of them.
     """
-    ne = M.shape[0]
-    if ne <= DENSE_FACTOR_LIMIT:
-        try:
-            factor = la.cho_factor(M.toarray())
-        except la.LinAlgError as exc:
-            raise NumericalError(
-                f"flux mass matrix is not positive definite: {exc}") from exc
-        return lambda rhs: la.cho_solve(factor, rhs)
     try:
-        lu = spla.splu(M.tocsc())
-    except RuntimeError as exc:
+        factor = la.cho_factor(M.toarray())
+    except la.LinAlgError as exc:
         raise NumericalError(
-            f"flux mass factorization failed: {exc}") from exc
-    return lambda rhs: lu.solve(np.asarray(rhs))
+            f"flux mass matrix is not positive definite: {exc}") from exc
+    return lambda rhs: la.cho_solve(factor, rhs)
 
 
-def schur_complement(sys) -> np.ndarray:
+def schur_complement(sys, solve) -> np.ndarray:
     """Dense Schur complement S = B M^-1 B^T + C of the mixed system.
 
-    Uses one factorization of M and one triangular solve per triangle
-    column of B^T.  Raises NumericalError if M is not positive definite or
-    the result is not symmetric to within tolerance.
+    `solve` applies M^-1, as returned by flux_mass_solver; it is called once
+    per column chunk of B^T.  Raises NumericalError if the result is not
+    symmetric to within tolerance.
     """
-    solve = sys.solve_flux_mass
     bt = sys.B.T.tocsc()
     s = np.empty((sys.num_triangles, sys.num_triangles))
     # densify and solve one column chunk of B^T at a time to bound peak
@@ -351,12 +346,24 @@ def _check_eigentriples(sys, vals, vecs, sigmas):
     """Residuals of eigentriples (lambda_j, u_j, sigma_j), columns of vecs
     and sigmas; raises NumericalError naming the first pair that fails.
 
-    The flux row ||M sigma + B^T u|| must stay below FLUX_RTOL * ||B^T u||,
-    as in recover_flux.  C u - B sigma is then S u up to B M^-1 times the
-    flux row, and the residual ||C u - B sigma - lambda D u|| must stay
-    below RESIDUAL_RTOL times max_j lambda_j / (u_j . u_j), a Rayleigh
-    quotient of S and so a lower bound on its norm.
+    The flux rows must hold (see _check_flux_rows).  C u - B sigma is then
+    S u up to B M^-1 times the flux row, and the residual
+    ||C u - B sigma - lambda D u|| must stay below RESIDUAL_RTOL times
+    max_j lambda_j / (u_j . u_j), a Rayleigh quotient of S and so a lower
+    bound on its norm.
     """
+    _check_flux_rows(sys, vecs, sigmas)
+    residuals = _residuals(sys.C[:, None] * vecs - sys.B @ sigmas,
+                           sys.D[:, None] * vecs, vals)
+    s_norm = max(float(vals[j] / (vecs[:, j] @ vecs[:, j]))
+                 for j in range(len(vals)))
+    _check_residuals(residuals, s_norm)
+    return residuals
+
+
+def _check_flux_rows(sys, vecs, sigmas):
+    """Raise NumericalError naming the first pair j whose flux row
+    ||M sigma_j + B^T u_j|| exceeds FLUX_RTOL * ||B^T u_j||."""
     bt_u = sys.B.T @ vecs
     flux = np.linalg.norm(sys.M @ sigmas + bt_u, axis=0)
     rhs_norm = np.linalg.norm(bt_u, axis=0)
@@ -366,51 +373,45 @@ def _check_eigentriples(sys, vals, vecs, sigmas):
         raise NumericalError(
             f"eigenpair {j} flux residual {flux[j]:g} exceeds "
             f"{FLUX_RTOL:g} * {rhs_norm[j]:g}")
-    residuals = _residuals(sys.C[:, None] * vecs - sys.B @ sigmas,
-                           sys.D[:, None] * vecs, vals)
-    s_norm = max(float(vals[j] / (vecs[:, j] @ vecs[:, j]))
-                 for j in range(len(vals)))
-    _check_residuals(residuals, s_norm)
-    return residuals
 
 
-def recover_flux(u: np.ndarray, sys) -> np.ndarray:
-    """Back-substitute sigma = -M^-1 B^T u, reusing the mass factorization.
+def recover_flux(vecs: np.ndarray, sys, solve) -> np.ndarray:
+    """Fluxes sigma_j = -M^-1 B^T u_j of the columns u_j of vecs, in one
+    solve with all of them as right-hand sides.
 
-    The defining residual ||M sigma + B^T u|| must stay below FLUX_RTOL
-    times ||B^T u||.
+    `solve` applies M^-1, as returned by flux_mass_solver.  The flux rows
+    must hold (see _check_flux_rows).
     """
-    rhs = sys.B.T @ u
-    sigma = -sys.solve_flux_mass(rhs)
-    rhs_norm = float(np.linalg.norm(rhs))
-    if rhs_norm > 0:
-        res = float(np.linalg.norm(sys.M @ sigma + rhs))
-        if res > FLUX_RTOL * rhs_norm:
-            raise NumericalError(
-                f"flux recovery residual {res:g} exceeds "
-                f"{FLUX_RTOL:g} * {rhs_norm:g}")
-    return sigma
+    sigmas = -solve(sys.B.T @ vecs)
+    _check_flux_rows(sys, vecs, sigmas)
+    return sigmas
 
 
 def solve_mixed_eigenproblem(mesh, sys, k: int, method: str = "dense",
                              seed: int = 0) -> EigenResult:
     """Solve for the k smallest eigenpairs and recover fluxes.
 
-    `method` is "dense" (Schur complement plus a dense symmetric solver) or
-    "iterative" (shift-invert ARPACK).
+    `method` is "dense" (Schur complement plus a dense symmetric solver, for
+    at most DENSE_MAX_TRIANGLES triangles) or "iterative" (shift-invert
+    ARPACK).
     """
     if method == "dense":
-        s = schur_complement(sys)
-        vals, vecs, residuals = solve_gevp(s, sys.D, k)
-        sigmas = [recover_flux(vecs[:, j], sys) for j in range(k)]
+        if sys.num_triangles > DENSE_MAX_TRIANGLES:
+            raise NumericalError(
+                f"{sys.num_triangles} triangles are more than the "
+                f"{DENSE_MAX_TRIANGLES} the dense solver can hold; use the "
+                f"iterative method")
+        solve = flux_mass_solver(sys.M)
+        vals, vecs, residuals = solve_gevp(schur_complement(sys, solve),
+                                           sys.D, k)
+        fluxes = recover_flux(vecs, sys, solve)
     elif method == "iterative":
         vals, vecs, fluxes, residuals = _iterative_eigentriples(
             sys, k, seed)
-        sigmas = list(fluxes.T)
     else:
         raise NumericalError(f"unknown solver method {method!r}")
     pairs = [
-        EigenPair(lambda_h=float(vals[j]), u=vecs[:, j], sigma=sigmas[j],
+        EigenPair(lambda_h=float(vals[j]), u=vecs[:, j], sigma=fluxes[:, j],
                   residual=float(residuals[j]))
         for j in range(k)
     ]

@@ -104,12 +104,6 @@ class Mesh:
         """Vertex coordinates of triangle t as a (3, 2) array."""
         return self.vertices[self.triangles[t]]
 
-    def __str__(self):
-        return (
-            f"Mesh(n={self.n}, {self.num_vertices} vertices, "
-            f"{self.num_triangles} triangles, {self.num_edges} edges)"
-        )
-
 
 def _signed_areas(vertices, triangles):
     u = vertices[triangles[:, 1]] - vertices[triangles[:, 0]]
@@ -198,15 +192,6 @@ def build_structured_mesh(rect: Rectangle, n: int) -> Mesh:
         areas=areas,
         edge_lengths=edge_lengths,
     )
-
-
-def refine(mesh: Mesh) -> Mesh:
-    """Uniformly refine by doubling the subdivision count.
-
-    The result equals build_structured_mesh(mesh.rect, 2 * mesh.n); the
-    coarse vertex set is contained in the fine one (nested meshes).
-    """
-    return build_structured_mesh(mesh.rect, 2 * mesh.n)
 
 
 def _doubled_centers(ids, n):

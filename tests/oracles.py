@@ -122,41 +122,46 @@ def saddle_point_eigenvalues(sys):
     return np.sort(1.0 / finite.real)
 
 
-def full_densify_schur_complement(sys):
+def full_densify_schur_complement(sys, solve):
     """S = B M^-1 B^T + C, densifying all of B^T before the chunked solves.
 
-    The same chunks, solves and symmetrization as schur_complement, which
-    densifies one chunk of B^T at a time instead.
+    The same chunks, solves (through `solve`, which applies M^-1) and
+    symmetrization as schur_complement, which densifies one chunk of B^T at
+    a time instead.
     """
     bt = sys.B.T.toarray()
     s = np.empty((sys.num_triangles, sys.num_triangles))
     chunk = max(1, min(sys.num_triangles, (1 << 22) // max(sys.num_edges, 1)))
     for lo in range(0, sys.num_triangles, chunk):
         hi = min(lo + chunk, sys.num_triangles)
-        s[:, lo:hi] = sys.B @ sys.solve_flux_mass(bt[:, lo:hi])
+        s[:, lo:hi] = sys.B @ solve(bt[:, lo:hi])
     s[np.diag_indices_from(s)] += sys.C
     return 0.5 * (s + s.T)
+
+
+def mass_solve(sys, rhs):
+    """M^-1 rhs by a sparse LU of M alone, not through the dense Cholesky
+    factor of the dense path nor the saddle-point block of the iterative
+    one."""
+    return spla.splu(sys.M.tocsc()).solve(rhs)
 
 
 def schur_residuals(sys, vals, vecs):
     """2-norms of S u_j - lambda_j D u_j for the columns u_j of vecs.
 
-    S is applied as B M^-1 B^T + C through a sparse LU of M alone, not
-    through the saddle-point block the iterative solver factorizes.
+    S is applied as B M^-1 B^T + C through mass_solve.
     """
-    m_lu = spla.splu(sys.M.tocsc())
-    su = sys.B @ m_lu.solve(sys.B.T @ vecs) + sys.C[:, None] * vecs
+    su = sys.B @ mass_solve(sys, sys.B.T @ vecs) + sys.C[:, None] * vecs
     return np.linalg.norm(su - sys.D[:, None] * vecs * vals[None, :], axis=0)
 
 
 def flux_row_image(sys, vecs, sigmas):
-    """2-norms of B M^-1 (M sigma_j + B^T u_j), through a sparse LU of M.
+    """2-norms of B M^-1 (M sigma_j + B^T u_j), through mass_solve.
 
     C u - B sigma - lambda D u differs from S u - lambda D u by this term.
     """
-    m_lu = spla.splu(sys.M.tocsc())
     return np.linalg.norm(
-        sys.B @ m_lu.solve(sys.M @ sigmas + sys.B.T @ vecs), axis=0)
+        sys.B @ mass_solve(sys, sys.M @ sigmas + sys.B.T @ vecs), axis=0)
 
 
 def saddle_point_matrix(sys):
@@ -180,9 +185,8 @@ def nested_dissection_k_factor(sys):
 
 def schur_rayleigh_quotients(sys, vecs):
     """u_j^T S u_j / u_j^T D u_j for the columns u_j of vecs, S applied as
-    B M^-1 B^T + C through a sparse LU of M alone."""
-    m_lu = spla.splu(sys.M.tocsc())
-    su = sys.B @ m_lu.solve(sys.B.T @ vecs) + sys.C[:, None] * vecs
+    B M^-1 B^T + C through mass_solve."""
+    su = sys.B @ mass_solve(sys, sys.B.T @ vecs) + sys.C[:, None] * vecs
     return (np.sum(vecs * su, axis=0)
             / np.sum(sys.D[:, None] * vecs**2, axis=0))
 

@@ -294,18 +294,18 @@ def test_superclose_needs_analytic_preset(tmp_path, capsys):
 
 
 def test_dense_solver_rejects_levels_it_cannot_hold(tmp_path, capsys):
-    assert 2 * 64 * 64 == cli.DENSE_MAX_TRIANGLES
-    StudyConfig(preset="laplace", levels=[32, 64], k=1).validate()
+    assert 2 * 32 * 32 == cli.DENSE_MAX_TRIANGLES
+    StudyConfig(preset="laplace", levels=[16, 32], k=1).validate()
     StudyConfig(preset="laplace", levels=[64, 128], k=1,
                 solver="iterative").validate()
     with pytest.raises(ConfigError,
-                       match=r"n = 128 .*use solver = iterative"):
-        StudyConfig(preset="laplace", levels=[32, 64, 128], k=1).validate()
+                       match=r"n = 64 .*use solver = iterative"):
+        StudyConfig(preset="laplace", levels=[32, 64], k=1).validate()
     text = GOOD_CONFIG.format(out=tmp_path / "r").replace(
-        "levels = 2 4", "levels = 64 128")
+        "levels = 2 4", "levels = 32 64")
     assert main(["run", str(_write(tmp_path, text))]) == 1
-    assert "n = 128" in capsys.readouterr().err
+    assert "n = 64" in capsys.readouterr().err
     cfgfile = _write(tmp_path, GOOD_CONFIG.format(out=tmp_path / "r"), "ok.ini")
-    assert main(["run", str(cfgfile), "--levels", "128,256"]) == 1
+    assert main(["run", str(cfgfile), "--levels", "64,128"]) == 1
     assert "solver = iterative" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()

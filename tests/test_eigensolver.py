@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 
+import rt0eig.eigensolver as eigensolver
 from rt0eig import (NumericalError, assemble, build_structured_mesh,
-                    get_preset, recover_flux, schur_complement, solve_gevp,
-                    solve_gevp_iterative, solve_mixed_eigenproblem,
-                    UNIT_SQUARE)
+                    flux_mass_solver, get_preset, recover_flux,
+                    schur_complement, solve_gevp, solve_gevp_iterative,
+                    solve_mixed_eigenproblem, UNIT_SQUARE)
 from oracles import saddle_point_eigenvalues
+
+
+def _schur(sys_):
+    return schur_complement(sys_, flux_mass_solver(sys_.M))
 
 
 @pytest.fixture(scope="module")
@@ -19,7 +24,7 @@ def laplace_systems():
 
 def test_schur_positive_diagonal(laplace_systems):
     _, sys_ = laplace_systems[2]
-    s = schur_complement(sys_)
+    s = _schur(sys_)
     assert np.all(np.diag(s) > 0)
     assert np.linalg.eigvalsh(s).min() > 0  # SPD
 
@@ -27,8 +32,8 @@ def test_schur_positive_diagonal(laplace_systems):
 def test_schur_shift_identity(laplace_systems):
     mesh, sys_laplace = laplace_systems[2]
     sys_shifted = assemble(mesh, get_preset("shifted"))
-    s0 = schur_complement(sys_laplace)
-    s5 = schur_complement(sys_shifted)
+    s0 = _schur(sys_laplace)
+    s5 = _schur(sys_shifted)
     want = s0 + 5.0 * np.diag(sys_laplace.D)
     assert np.abs(s5 - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -36,7 +41,7 @@ def test_schur_shift_identity(laplace_systems):
 def test_schur_n1_against_dense_elimination(laplace_systems):
     """2x2 Schur matrix equals brute-force elimination of the 7x7 block."""
     _, sys_ = laplace_systems[1]
-    s = schur_complement(sys_)
+    s = _schur(sys_)
     m_inv = np.linalg.inv(sys_.M.toarray())
     want = sys_.B.toarray() @ m_inv @ sys_.B.toarray().T + np.diag(sys_.C)
     assert s.shape == (2, 2)
@@ -59,6 +64,26 @@ def test_gevp_rejects_nonpositive_weight():
         solve_gevp(np.eye(3), np.array([1.0, 0.0, 1.0]), 2)
 
 
+def test_gevp_rejects_perturbed_eigenvector(laplace_systems, monkeypatch):
+    """A vector of eigh's moved by 1e-9 of its norm fails the residual
+    check, 10 times over its bound, and the check names its pair."""
+    _, sys_ = laplace_systems[8]
+    s = _schur(sys_)
+    solve_gevp(s, sys_.D, 4)
+    eigh = eigensolver.la.eigh
+
+    def perturbed_eigh(*args, **kwargs):
+        vals, y = eigh(*args, **kwargs)
+        y = y.copy()
+        x = np.random.default_rng(3).standard_normal(len(y))
+        y[:, 2] += 1e-9 * x / np.linalg.norm(x)
+        return vals, y
+
+    monkeypatch.setattr(eigensolver.la, "eigh", perturbed_eigh)
+    with pytest.raises(NumericalError, match=r"eigenpair 2 residual"):
+        solve_gevp(s, sys_.D, 4)
+
+
 def test_not_spd_mass_rejected(laplace_systems):
     import scipy.sparse as sp
     _, sys_ = laplace_systems[1]
@@ -69,20 +94,20 @@ def test_not_spd_mass_rejected(laplace_systems):
                      m_vals=sys_.m_vals, div_vals=sys_.div_vals,
                      triangle_edges=sys_.triangle_edges)
     with pytest.raises(NumericalError, match="positive definite"):
-        schur_complement(bad)
+        schur_complement(bad, flux_mass_solver(bad.M))
 
 
 def test_spectral_shift_of_eigenvalues(laplace_systems):
     mesh, sys_laplace = laplace_systems[8]
     sys_shifted = assemble(mesh, get_preset("shifted"))
-    v0, _, _ = solve_gevp(schur_complement(sys_laplace), sys_laplace.D, 4)
-    v5, _, _ = solve_gevp(schur_complement(sys_shifted), sys_shifted.D, 4)
+    v0, _, _ = solve_gevp(_schur(sys_laplace), sys_laplace.D, 4)
+    v5, _, _ = solve_gevp(_schur(sys_shifted), sys_shifted.D, 4)
     assert np.abs(v5 - (v0 + 5.0)).max() <= 1e-8 * np.abs(v0 + 5.0).max()
 
 
 def test_d_orthonormality_and_positivity(laplace_systems):
     _, sys_ = laplace_systems[4]
-    vals, vecs, _ = solve_gevp(schur_complement(sys_), sys_.D, 6)
+    vals, vecs, _ = solve_gevp(_schur(sys_), sys_.D, 6)
     assert np.all(vals > 0)
     gram = vecs.T @ (sys_.D[:, None] * vecs)
     assert np.abs(gram - np.eye(6)).max() <= 1e-10
@@ -90,7 +115,7 @@ def test_d_orthonormality_and_positivity(laplace_systems):
 
 def test_sign_convention(laplace_systems):
     _, sys_ = laplace_systems[4]
-    _, vecs, _ = solve_gevp(schur_complement(sys_), sys_.D, 4)
+    _, vecs, _ = solve_gevp(_schur(sys_), sys_.D, 4)
     for j in range(4):
         assert vecs[np.argmax(np.abs(vecs[:, j])), j] > 0
 
@@ -99,7 +124,7 @@ def test_first_eigenvalue_converges_to_reference(laplace_systems):
     errs = []
     for n in (4, 8):
         mesh, sys_ = laplace_systems[n]
-        vals, _, _ = solve_gevp(schur_complement(sys_), sys_.D, 1)
+        vals, _, _ = solve_gevp(_schur(sys_), sys_.D, 1)
         errs.append(abs(vals[0] - 2.0 * np.pi**2))
     assert 3.0 < errs[0] / errs[1] < 5.0  # about 4x per refinement
 
@@ -109,26 +134,57 @@ def test_schur_matches_saddle_point_pencil(laplace_systems, n):
     """All reduced eigenvalues equal the finite pencil eigenvalues."""
     _, sys_ = laplace_systems[n]
     t = sys_.num_triangles
-    vals, _, _ = solve_gevp(schur_complement(sys_), sys_.D, t)
+    vals, _, _ = solve_gevp(_schur(sys_), sys_.D, t)
     oracle = saddle_point_eigenvalues(sys_)
     assert np.abs(vals - oracle).max() <= 1e-9 * np.abs(oracle).max()
 
 
 def test_recover_flux_zero(laplace_systems):
     _, sys_ = laplace_systems[2]
-    sigma = recover_flux(np.zeros(sys_.num_triangles), sys_)
+    sigma = recover_flux(np.zeros((sys_.num_triangles, 1)), sys_,
+                         flux_mass_solver(sys_.M))
     assert np.all(sigma == 0.0)
 
 
 def test_recover_flux_residual_bound(laplace_systems):
     _, sys_ = laplace_systems[4]
     rng = np.random.default_rng(23)
+    solve = flux_mass_solver(sys_.M)
     for _ in range(5):
         u = rng.standard_normal(sys_.num_triangles)
-        sigma = recover_flux(u, sys_)
+        sigma = recover_flux(u[:, None], sys_, solve)[:, 0]
         rhs = sys_.B.T @ u
         res = np.linalg.norm(sys_.M @ sigma + rhs)
         assert res <= 1e-11 * np.linalg.norm(rhs)
+
+
+def test_recover_flux_rejects_inexact_solve(laplace_systems):
+    """A solve off by 1e-9 relative in one column leaves that pair's flux
+    row 100 times above FLUX_RTOL, and the check names the pair."""
+    _, sys_ = laplace_systems[4]
+    _, vecs, _ = solve_gevp(_schur(sys_), sys_.D, 4)
+    solve = flux_mass_solver(sys_.M)
+    recover_flux(vecs, sys_, solve)
+
+    def inexact_solve(rhs):
+        x = solve(rhs)
+        x[:, 2] *= 1.0 + 1e-9
+        return x
+
+    with pytest.raises(NumericalError, match="eigenpair 2 flux residual"):
+        recover_flux(vecs, sys_, inexact_solve)
+
+
+def test_dense_size_guard_fires_before_factorizing(monkeypatch):
+    mesh = build_structured_mesh(UNIT_SQUARE, 64)
+    sys_ = assemble(mesh, get_preset("laplace"))
+
+    def cho_factor(*args, **kwargs):
+        raise AssertionError("the dense path factorized M")
+
+    monkeypatch.setattr(eigensolver.la, "cho_factor", cho_factor)
+    with pytest.raises(NumericalError, match=r"8192 triangles .*iterative"):
+        solve_mixed_eigenproblem(mesh, sys_, 1, method="dense")
 
 
 def test_flux_norm_approaches_gradient_norm(laplace_systems):
@@ -157,7 +213,7 @@ def test_eigen_result_metadata(laplace_systems):
 
 def test_iterative_path_matches_dense(laplace_systems):
     mesh, sys_ = laplace_systems[8]
-    dense_vals, _, _ = solve_gevp(schur_complement(sys_), sys_.D, 4)
+    dense_vals, _, _ = solve_gevp(_schur(sys_), sys_.D, 4)
     it_vals, it_vecs, _ = solve_gevp_iterative(sys_, 4, seed=0)
     assert np.abs(it_vals - dense_vals).max() <= 1e-8 * dense_vals.max()
     gram = it_vecs.T @ (sys_.D[:, None] * it_vecs)

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from rt0eig import (MeshError, Rectangle, UNIT_SQUARE, assemble,
-                    build_structured_mesh, dump_mesh, edge_normals, get_preset,
-                    refine)
+                    build_structured_mesh, dump_mesh, edge_normals, get_preset)
 from rt0eig.mesh import nested_dissection_order
 from oracles import (brute_force_edges, dict_walk_topology,
                      recursive_nested_dissection)
@@ -42,15 +41,18 @@ def test_unit_square_n4_mesh_size():
 
 def test_refine_halves_h_and_quadruples_triangles():
     m1 = build_structured_mesh(UNIT_SQUARE, 1)
-    m2 = refine(m1)
+    m2 = build_structured_mesh(m1.rect, 2 * m1.n)
     assert m2.n == 2
     assert m2.h == pytest.approx(m1.h / 2.0, abs=1e-15)
-    m4 = refine(build_structured_mesh(UNIT_SQUARE, 2))
+    m2 = build_structured_mesh(UNIT_SQUARE, 2)
+    m4 = build_structured_mesh(m2.rect, 2 * m2.n)
     assert m4.num_triangles == 32
 
 
 def test_refine_twice_edge_count_from_enumeration():
-    m = refine(refine(build_structured_mesh(UNIT_SQUARE, 2)))
+    m = build_structured_mesh(UNIT_SQUARE, 2)
+    for _ in range(2):
+        m = build_structured_mesh(m.rect, 2 * m.n)
     assert m.n == 8
     # frozen from the edge-enumeration oracle (= 3*8^2 + 2*8)
     assert m.num_edges == len(brute_force_edges(m.triangles)) == 208
@@ -97,7 +99,7 @@ def test_nested_refinement_vertices():
         rect = Rectangle(x0, y0, x0 + rng.uniform(0.5, 3), y0 + rng.uniform(0.5, 3))
         n = int(rng.integers(1, 6))
         coarse = build_structured_mesh(rect, n)
-        fine = refine(coarse)
+        fine = build_structured_mesh(coarse.rect, 2 * coarse.n)
         for v in coarse.vertices:
             dist = np.abs(fine.vertices - v).max(axis=1).min()
             assert dist <= 1e-14

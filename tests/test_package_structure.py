@@ -1,0 +1,66 @@
+"""Structure of the package itself: its modules import one another without
+a cycle, imports inside function bodies included, and the assembled system
+stays plain data through a solve."""
+
+import ast
+import dataclasses
+import graphlib
+from pathlib import Path
+
+import pytest
+
+import rt0eig
+from rt0eig import (AssembledSystem, UNIT_SQUARE, assemble,
+                    build_structured_mesh, get_preset,
+                    solve_mixed_eigenproblem)
+
+PACKAGE = Path(rt0eig.__file__).resolve().parent
+
+
+def _imported_names(node):
+    """Absolute dotted names an import statement refers to: for
+    `from X import a` both X and X.a, since a may be a submodule."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    assert node.level <= 1, "the package is flat"
+    base = node.module if node.level == 0 else ".".join(
+        filter(None, ["rt0eig", node.module]))
+    return [base] + [f"{base}.{alias.name}" for alias in node.names]
+
+
+def import_graph():
+    """Module -> the package's modules it imports anywhere in its source.
+    "__init__" stands for the package itself, which `from . import x`
+    reads x from."""
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    graph = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        deps = graph[path.stem] = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            for name in _imported_names(node):
+                parts = name.split(".")
+                if parts[0] == "rt0eig":
+                    deps.add(parts[1] if len(parts) > 1
+                             and parts[1] in modules else "__init__")
+    return graph
+
+
+def test_import_graph_has_no_cycle():
+    graph = import_graph()
+    assert graph["__init__"] >= {"assembly", "eigensolver", "mesh"}
+    assert graph["cli"] >= {"__init__", "eigensolver"}
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError as exc:
+        pytest.fail(f"import cycle {' -> '.join(exc.args[1])}")
+
+
+@pytest.mark.parametrize("method", ["dense", "iterative"])
+def test_assembled_system_holds_only_its_fields_after_a_solve(method):
+    mesh = build_structured_mesh(UNIT_SQUARE, 4)
+    sys_ = assemble(mesh, get_preset("laplace"))
+    solve_mixed_eigenproblem(mesh, sys_, 2, method=method)
+    assert set(vars(sys_)) == {
+        f.name for f in dataclasses.fields(AssembledSystem)}
