@@ -149,14 +149,17 @@ def _tensor_check(a):
     """Symmetry and positive definiteness of the 2x2 tensors a (T, Q, 2, 2),
     as a _first_violation check."""
     a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    # each check negates the valid condition, so that NaN fails it
     scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
-    asym = np.abs(a01 - a10) > 1e-10 * scale
+    asym = ~(np.abs(a01 - a10) <= 1e-10 * scale)
     det = a00 * a11 - a01 * a10
     lam_min = 0.5 * (a00 + a11 - np.sqrt(np.maximum((a00 - a11) ** 2
                                                     + 4.0 * a01 ** 2, 0.0)))
-    indefinite = (lam_min < COEFF_EPS) | (det < COEFF_EPS)
+    indefinite = ~((lam_min >= COEFF_EPS) & (det >= COEFF_EPS))
 
     def message(t, q, where):
+        if not np.isfinite(a[t, q]).all():
+            return f"A is not finite {where}"
         if asym[t, q]:
             return f"A is not symmetric {where}"
         return (f"A is not positive definite {where}: "
@@ -166,8 +169,9 @@ def _tensor_check(a):
 
 
 def _lower_bound_check(vals, name, lower):
-    return (vals < lower, lambda t, q, where: (
-        f"coefficient {name} = {vals[t, q]:g} below {lower:g} {where}"))
+    return (~(vals >= lower), lambda t, q, where: (
+        f"coefficient {name} = {vals[t, q]:g} is not at least {lower:g} "
+        f"{where}"))
 
 
 def _inverse_tensor(a):

@@ -211,21 +211,18 @@ def _superclose_block(prob, runs) -> SupercloseBlock:
     """Projection distances and plain errors for the first (simple) mode."""
     exact = laplace_eigenpair(1, 1, prob.domain)
     rule3 = triangle_rule(3)
-    dist, dist_plain, err_u, err_sigma = [], [], [], []
+    dist, err_u, err_sigma = [], [], []
     for run in runs:
         mesh, sys_ = run.mesh, run.system
         pu = p0_project(exact.u, mesh, rule3)
         u_h = run.result.pairs[0].u
         dist.append(superclose_distance(u_h, pu, sys_.D))
-        dist_plain.append(
-            superclose_distance(u_h, pu, sys_.D, weighted=False))
         eu, es = l2_errors(run.result.pairs[0], exact, mesh, rule3, A=prob.A)
         err_u.append(eu)
         err_sigma.append(es)
     return SupercloseBlock(
         mode=(1, 1),
         distance=np.array(dist),
-        distance_plain=np.array(dist_plain),
         err_u=np.array(err_u),
         err_sigma=np.array(err_sigma),
     )

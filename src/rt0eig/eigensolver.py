@@ -11,17 +11,21 @@ block pencil.  The dense path, for levels of at most DENSE_MAX_TRIANGLES
 triangles, factorizes M once per level by dense Cholesky.  Through that
 factor it forms S explicitly, diagonalizes the similarity transform
 D^-1/2 S D^-1/2, and recovers the fluxes of all pairs in one solve with k
-right-hand sides.  The iterative path never forms S nor
-factorizes M or the block matrix K = [[M, B^T], [B, -C]].  It hybridizes K
-(Arnold and Brezzi, M2AN 19, 1985): the flux space is broken triangle by
-triangle, one multiplier per interior edge makes the normal flux
-continuous, and the flux and the scalar are eliminated element by element.
-What is left is a symmetric positive definite system H on the interior
-edges with at most 5 entries per row.  One sparse LU of H per level, in the
-mesh's nested-dissection order and without pivoting, applies S^-1 for
-shift-invert ARPACK and then gives the fluxes of the eigentriples.  Up to
-a sign and the edge length, the multipliers approximate the scalar's trace
-on the interior edges, from which Arnold and Brezzi post-process it.
+right-hand sides.  The iterative path, solve_gevp_iterative, never forms
+S nor factorizes M or the block matrix K = [[M, B^T], [B, -C]].  It
+hybridizes K (Arnold and Brezzi, M2AN 19, 1985): the flux space is broken
+triangle by triangle, one multiplier per interior edge makes the normal
+flux continuous, and the flux and the scalar are eliminated element by
+element through the block diagonal inverse A^-1 of the element blocks.
+With G the jump map from the element slots to the multipliers, K^-1 =
+Z - W H^-1 W^T, where Z and W are A^-1 and A^-1 G^T restricted to K's
+unknowns and H = G A^-1 G^T is a symmetric positive definite system on the
+interior edges with at most 5 entries per row.  One sparse LU of H per
+level, in the mesh's nested-dissection order and without pivoting,
+applies S^-1 for shift-invert ARPACK and then gives the fluxes of the
+eigentriples.  Up to a sign and the edge length, the multipliers
+approximate the scalar's trace on the interior edges, from which Arnold
+and Brezzi post-process it.
 """
 
 from dataclasses import dataclass, field
@@ -49,7 +53,9 @@ class NumericalError(Exception):
 
 @dataclass
 class EigenPair:
-    """One discrete eigentriple.
+    """One discrete eigentriple, a column of what solve_gevp and
+    recover_flux return on the dense path, or solve_gevp_iterative on the
+    iterative one.
 
     `u` is normalized to u^T D u = 1 with its largest-magnitude entry
     positive; `sigma` solves M sigma = -B^T u.  `residual` is the 2-norm of
@@ -106,8 +112,9 @@ def schur_complement(sys, solve) -> np.ndarray:
     """
     bt = sys.B.T.tocsc()
     s = np.empty((sys.num_triangles, sys.num_triangles))
-    # densify and solve one column chunk of B^T at a time to bound peak
-    # memory on fine meshes
+    # densify and solve B^T in column chunks of at most 2^22 entries: at
+    # n = 32 (two chunks, 1337 + 711 columns) one chunk of all 2048 would
+    # raise the peak RSS of a dense laplace 8-32 study from 271 to 293 MB
     chunk = max(1, min(sys.num_triangles, (1 << 22) // max(sys.num_edges, 1)))
     for lo in range(0, sys.num_triangles, chunk):
         hi = min(lo + chunk, sys.num_triangles)
@@ -173,11 +180,90 @@ def _check_residuals(residuals, s_norm):
             f"eigenpair {bad} residual {worst:g} exceeds bound {bound:g}")
 
 
+def _hybridize(sys):
+    """Sparse (Z, W, H) such that K^-1 r = Z r - W H^-1 W^T r.
+
+    The flux space is broken triangle by triangle, and the normal flux of
+    each interior edge is made continuous by one multiplier.  Triangle t
+    has four local slots 4t..4t+3: the fluxes of its local edges and its
+    scalar.  A^-1 is the block diagonal inverse of the local blocks
+    [[M_T, L_T^T], [L_T, -c_T]] (M_T from m_vals, L_T from div_vals).  Each
+    unknown of K has one slot: a triangle's scalar its own, and an edge's
+    flux that of its first triangle, its owner, which also gives its sigma
+    back.  The jump map G takes the owner's slot minus the neighbour's to
+    the multipliers, numbered in the order `sys.order` gives their edges.
+    Then
+
+        Z = A^-1 restricted to the slots of K,
+        W = A^-1 G^T restricted to the slots of K,   H = G A^-1 G^T.
+
+    H couples the interior edges of one triangle, so it has at most 5
+    entries per row, and it is symmetric positive definite.
+    """
+    t, ne = sys.num_triangles, sys.num_edges
+    blocks = np.zeros((t, 4, 4))
+    blocks[:, :3, :3] = sys.m_vals
+    blocks[:, :3, 3] = blocks[:, 3, :3] = sys.div_vals
+    blocks[:, 3, 3] = -sys.C
+    try:
+        inv = np.linalg.inv(blocks)
+    except np.linalg.LinAlgError:
+        # LAPACK reports an exactly zero pivot, so the det of a singular
+        # block is exactly 0
+        bad = int(np.argmin(np.abs(np.linalg.det(blocks))))
+        raise NumericalError(
+            f"local block of triangle {bad} is singular") from None
+    inv = 0.5 * (inv + inv.transpose(0, 2, 1))
+    a_inv = sp.bsr_matrix((inv, np.arange(t), np.arange(t + 1))).tocsr()
+
+    te = sys.triangle_edges.ravel()
+    # local edge p = 3t + i has slot 4t + i; owner[e] is the first p of e
+    p = np.arange(3 * t)
+    local = 4 * (p // 3) + p % 3
+    owner = np.unique(te, return_index=True)[1]
+    slot = np.concatenate([local[owner], 4 * np.arange(t) + 3])
+    edges = sys.order[sys.order < ne]
+    edges = edges[np.bincount(te, minlength=ne)[edges] == 2]
+    multiplier = np.full(ne, -1)
+    multiplier[edges] = np.arange(edges.size)
+    interior = multiplier[te] >= 0
+    g = sp.csr_matrix(
+        (np.where(owner[te] == p, 1.0, -1.0)[interior],
+         (multiplier[te][interior], local[interior])),
+        shape=(edges.size, 4 * t))
+
+    a_inv_gt = a_inv @ g.T
+    z, w, h = a_inv[slot][:, slot], a_inv_gt[slot], g @ a_inv_gt
+    # SpMV and SuperLU sum in stored order: sorted indices fix the rounding
+    for m in (z, w, h):
+        m.sort_indices()
+    return z, w, h
+
+
+def _factor_multipliers(h):
+    """Sparse LU of the SPD multiplier system H in its own order, no
+    pivoting."""
+    try:
+        return spla.splu(h.tocsc(), permc_spec="NATURAL",
+                         diag_pivot_thresh=0.0,
+                         options=dict(SymmetricMode=True))
+    except RuntimeError as exc:
+        raise NumericalError(
+            f"multiplier factorization failed: {exc}") from exc
+
+
+def _k_solve(z, w, h_lu, rhs):
+    """K^-1 rhs from the hybridization (Z, W, LU of H)."""
+    return z @ rhs - w @ h_lu.solve(w.T @ rhs)
+
+
 def solve_gevp_iterative(sys, k: int, seed: int = 0):
     """Shift-invert ARPACK variant of solve_gevp acting on the assembled
     system without forming S or factorizing M.
 
-    Returns (values, vectors, residuals) like solve_gevp.  The saddle-point
+    Returns (values, vectors, fluxes, residuals): values and vectors like
+    solve_gevp, the flux sigma_j of each vector as the columns of fluxes,
+    and residuals of the scalar row (see EigenPair).  The saddle-point
     block K = [[M, B^T], [B, -C]] is solved through its hybridization (see
     _hybridize): K^-1 r = Z r - W H^-1 W^T r, with H the symmetric positive
     definite system of the interface multipliers, factorized once per level
@@ -199,91 +285,6 @@ def solve_gevp_iterative(sys, k: int, seed: int = 0):
     The iteration budget is 500 per requested eigenvalue; exhausting it is
     an error, never a silent partial result.
     """
-    vals, vecs, _, residuals = _iterative_eigentriples(sys, k, seed)
-    return vals, vecs, residuals
-
-
-def _hybridize(sys):
-    """Sparse (Z, W, H) such that K^-1 r = Z r - W H^-1 W^T r.
-
-    The flux space is broken triangle by triangle, and the normal flux of
-    each interior edge is made continuous by one multiplier.  With the
-    block diagonal A of the local blocks [[M_T, L_T^T], [L_T, -c_T]] (M_T
-    from m_vals, L_T from div_vals), the map Q from the unknowns of K to
-    the local slots, and the jump map G from the local slots to the
-    multipliers,
-
-        Z = Q^T A^-1 Q,   W = Q^T A^-1 G^T,   H = G A^-1 G^T.
-
-    Q puts each triangle's scalar unknown in its own slot and each edge's
-    flux in the slot of its first triangle, its owner, which also gives
-    its sigma back; G takes the owner's slot minus the neighbour's.  H
-    couples the interior edges of one triangle, so it has at most 5
-    entries per row, and it is symmetric positive definite.  Its
-    multipliers are numbered in the order `sys.order` gives their edges.
-    """
-    t, ne = sys.num_triangles, sys.num_edges
-    blocks = np.zeros((t, 4, 4))
-    blocks[:, :3, :3] = sys.m_vals
-    blocks[:, :3, 3] = blocks[:, 3, :3] = sys.div_vals
-    blocks[:, 3, 3] = -sys.C
-    try:
-        inv = np.linalg.inv(blocks)
-    except np.linalg.LinAlgError:
-        # LAPACK reports an exactly zero pivot, so the det of a singular
-        # block is exactly 0
-        bad = int(np.argmin(np.abs(np.linalg.det(blocks))))
-        raise NumericalError(
-            f"local block of triangle {bad} is singular") from None
-    inv = 0.5 * (inv + inv.transpose(0, 2, 1))
-
-    te = sys.triangle_edges.ravel()
-    owned = np.zeros(3 * t, dtype=bool)
-    owned[np.unique(te, return_index=True)[1]] = True
-    # unknown of K per local slot, -1 where the slot does not own its edge
-    unknown = np.column_stack([np.where(owned, te, -1).reshape(t, 3),
-                               ne + np.arange(t)])
-    edges = sys.order[sys.order < ne]
-    edges = edges[np.bincount(te, minlength=ne)[edges] == 2]
-    multiplier = np.full(ne, -1)
-    multiplier[edges] = np.arange(edges.size)
-    jump = np.column_stack([multiplier[te].reshape(t, 3), np.full(t, -1)])
-    sign = np.column_stack([np.where(owned, 1.0, -1.0).reshape(t, 3),
-                            np.zeros(t)])
-
-    def gather(rows, cols, vals, shape):
-        # the (T, 4, 4) entries whose slots map to a row and a column
-        r, c = np.broadcast_arrays(rows[:, :, None], cols[:, None, :])
-        keep = (r >= 0) & (c >= 0)
-        return sp.coo_matrix((vals[keep], (r[keep], c[keep])),
-                             shape=shape).tocsr()
-
-    nm = edges.size
-    signed = inv * sign[:, None, :]
-    return (gather(unknown, unknown, inv, (ne + t, ne + t)),
-            gather(unknown, jump, signed, (ne + t, nm)),
-            gather(jump, jump, sign[:, :, None] * signed, (nm, nm)))
-
-
-def _factor_multipliers(h):
-    """Sparse LU of the SPD multiplier system H in its own order, no
-    pivoting."""
-    try:
-        return spla.splu(h.tocsc(), permc_spec="NATURAL",
-                         diag_pivot_thresh=0.0,
-                         options=dict(SymmetricMode=True))
-    except RuntimeError as exc:
-        raise NumericalError(
-            f"multiplier factorization failed: {exc}") from exc
-
-
-def _k_solve(z, w, h_lu, rhs):
-    """K^-1 rhs from the hybridization (Z, W, LU of H)."""
-    return z @ rhs - w @ h_lu.solve(w.T @ rhs)
-
-
-def _iterative_eigentriples(sys, k, seed):
-    """(values, vectors, fluxes, residuals) of solve_gevp_iterative."""
     t = sys.num_triangles
     if not (1 <= k <= t - 1):
         raise NumericalError(
@@ -406,8 +407,7 @@ def solve_mixed_eigenproblem(mesh, sys, k: int, method: str = "dense",
                                            sys.D, k)
         fluxes = recover_flux(vecs, sys, solve)
     elif method == "iterative":
-        vals, vecs, fluxes, residuals = _iterative_eigentriples(
-            sys, k, seed)
+        vals, vecs, fluxes, residuals = solve_gevp_iterative(sys, k, seed)
     else:
         raise NumericalError(f"unknown solver method {method!r}")
     pairs = [

@@ -128,7 +128,6 @@ class SupercloseBlock:
 
     mode: tuple[int, int]
     distance: np.ndarray        # D-weighted projection-to-discrete distance
-    distance_plain: np.ndarray  # same difference in the Euclidean norm
     err_u: np.ndarray
     err_sigma: np.ndarray
     order_distance: np.ndarray = None

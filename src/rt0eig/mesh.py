@@ -19,7 +19,8 @@ class MeshError(Exception):
 
 @dataclass(frozen=True)
 class Rectangle:
-    """Axis-aligned rectangle [x0, x1] x [y0, y1] with positive extent."""
+    """Axis-aligned rectangle [x0, x1] x [y0, y1] with finite bounds and
+    finite positive extent."""
 
     x0: float
     y0: float
@@ -27,10 +28,12 @@ class Rectangle:
     y1: float
 
     def __post_init__(self):
-        if not (self.x1 > self.x0 and self.y1 > self.y0):
+        # NaN fails every comparison, and an extent is inf when a bound is
+        # or when finite bounds lie so far apart that it overflows
+        if not (0 < self.width < np.inf and 0 < self.height < np.inf):
             raise MeshError(
-                "rectangle must have positive extent, got "
-                f"[{self.x0}, {self.x1}] x [{self.y0}, {self.y1}]"
+                "rectangle must have finite bounds and finite positive "
+                f"extent, got [{self.x0}, {self.x1}] x [{self.y0}, {self.y1}]"
             )
 
     @property
@@ -169,7 +172,7 @@ def build_structured_mesh(rect: Rectangle, n: int) -> Mesh:
     triangle_edge_signs = np.where(a > b, 1, -1).reshape(-1, 3)
 
     areas = _signed_areas(vertices, triangles)
-    if np.any(areas <= 0):
+    if not np.all(areas > 0):
         raise MeshError("triangulation produced non-positive triangle areas")
     vec = vertices[edges[:, 1]] - vertices[edges[:, 0]]
     edge_lengths = np.hypot(vec[:, 0], vec[:, 1])

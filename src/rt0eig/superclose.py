@@ -142,15 +142,13 @@ def fortin_interpolate(
     return out
 
 
-def superclose_distance(u_h: np.ndarray, pu: np.ndarray, D: np.ndarray,
-                        weighted: bool = True) -> float:
+def superclose_distance(u_h: np.ndarray, pu: np.ndarray,
+                        D: np.ndarray) -> float:
     """D-weighted distance between the discrete eigenfunction and the
     projection of the exact one.
 
     Both vectors are normalized to unit D-norm and the sign of u_h is
-    aligned to the projection before measuring.  With `weighted` False the
-    difference of the normalized vectors is measured in the Euclidean norm
-    instead.
+    aligned to the projection before measuring.
     """
     d = np.asarray(D, dtype=float)
     pu_norm = math.sqrt(float(pu @ (d * pu)))
@@ -161,9 +159,7 @@ def superclose_distance(u_h: np.ndarray, pu: np.ndarray, D: np.ndarray,
     if float(u @ (d * pu)) < 0:
         u = -u
     diff = u - pu
-    if weighted:
-        return math.sqrt(float(diff @ (d * diff)))
-    return float(np.linalg.norm(diff))
+    return math.sqrt(float(diff @ (d * diff)))
 
 
 def l2_errors(pair, exact: AnalyticEigenpair, mesh: Mesh,

@@ -467,7 +467,6 @@ def _json_payload(table, cfg, results, failures):
         payload["superclose"] = {
             "mode": list(sc.mode),
             "distance": [_round12(v) for v in sc.distance],
-            "distance_plain": [_round12(v) for v in sc.distance_plain],
             "err_u": [_round12(v) for v in sc.err_u],
             "err_sigma": [_round12(v) for v in sc.err_sigma],
             "order_distance": [_round12(v) for v in sc.order_distance],

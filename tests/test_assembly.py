@@ -251,6 +251,27 @@ def test_assembly_error_earliest_triangle_over_all_checks(unit_mesh_n4):
         assemble(unit_mesh_n4, prob)
 
 
+@pytest.mark.parametrize("coeff, message", [
+    ("c", "coefficient c = nan is not at least 0"),
+    ("b", "coefficient b = nan is not at least 1e-12"),
+    ("A", "A is not finite"),
+], ids=["c", "b", "A"])
+def test_nan_coefficient_names_its_first_triangle(unit_mesh_n4, coeff,
+                                                  message):
+    """Each check fails on NaN, which every ordered comparison rejects."""
+    right = lambda x, y: x > 0.5
+    t = _first_triangle_with_point(unit_mesh_n4, right)
+    assert t > 0
+    if coeff == "A":
+        bad = lambda x, y: np.where(right(x, y)[..., None, None], np.nan,
+                                    np.eye(2))
+    else:
+        bad = lambda x, y: np.where(right(x, y), np.nan, 1.0)
+    with pytest.raises(AssemblyError,
+                       match=rf"{message} at \(.*\) in triangle {t}$"):
+        assemble(unit_mesh_n4, _with(**{coeff: bad}))
+
+
 def _interior_edge_midpoint(mesh, e):
     """Midpoint of edge e and the first triangle in mesh order using it."""
     mid = mesh.vertices[mesh.edges[e]].mean(axis=0)

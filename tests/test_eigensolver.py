@@ -214,7 +214,7 @@ def test_eigen_result_metadata(laplace_systems):
 def test_iterative_path_matches_dense(laplace_systems):
     mesh, sys_ = laplace_systems[8]
     dense_vals, _, _ = solve_gevp(_schur(sys_), sys_.D, 4)
-    it_vals, it_vecs, _ = solve_gevp_iterative(sys_, 4, seed=0)
+    it_vals, it_vecs, _, _ = solve_gevp_iterative(sys_, 4, seed=0)
     assert np.abs(it_vals - dense_vals).max() <= 1e-8 * dense_vals.max()
     gram = it_vecs.T @ (sys_.D[:, None] * it_vecs)
     assert np.abs(gram - np.eye(4)).max() <= 1e-8

@@ -14,10 +14,9 @@ import scipy.sparse.linalg as spla
 from rt0eig import (AssembledSystem, NumericalError, ProblemSpec, Rectangle,
                     UNIT_SQUARE, assemble, build_structured_mesh,
                     flux_mass_solver, get_preset, schur_complement,
-                    solve_mixed_eigenproblem)
+                    solve_gevp_iterative, solve_mixed_eigenproblem)
 from rt0eig.eigensolver import (RESIDUAL_RTOL, _check_eigentriples,
-                                _factor_multipliers, _hybridize,
-                                _iterative_eigentriples, _k_solve)
+                                _factor_multipliers, _hybridize, _k_solve)
 from oracles import (colamd_eigenvalues, flux_row_image,
                      full_densify_schur_complement, mass_solve,
                      saddle_point_solve, schur_rayleigh_quotients,
@@ -90,8 +89,9 @@ def test_singular_element_block_names_its_triangle():
 
 
 @pytest.mark.parametrize("preset", ["laplace", "variable"])
-@pytest.mark.parametrize("n", [4, 16])
+@pytest.mark.parametrize("n", [4, 16, 32])
 def test_schur_chunked_densify_equals_full_densify(preset, n):
+    """n = 32 takes two column chunks, the smaller levels one."""
     _, sys_ = _system(preset, n)
     solve = flux_mass_solver(sys_.M)
     assert np.array_equal(schur_complement(sys_, solve),
@@ -131,7 +131,7 @@ def test_nested_dissection_halves_the_fill_n64(monkeypatch):
         return factors[-1]
 
     monkeypatch.setattr(spla, "splu", recording_splu)
-    _iterative_eigentriples(sys_, 1, 0)
+    solve_gevp_iterative(sys_, 1, 0)
     monkeypatch.undo()
     (lu,) = factors
     colamd = splu(sp.bmat([[sys_.M, sys_.B.T], [sys_.B, -sp.diags(sys_.C)]],
@@ -143,7 +143,7 @@ def test_nested_dissection_halves_the_fill_n64(monkeypatch):
 @pytest.fixture(scope="module")
 def laplace128():
     _, sys_ = _system("laplace", 128)
-    return sys_, _iterative_eigentriples(sys_, 4, 0)
+    return sys_, solve_gevp_iterative(sys_, 4, 0)
 
 
 def test_nested_dissection_n128_matches_colamd(laplace128):
@@ -186,7 +186,7 @@ def test_iterative_matches_dense_n16():
 @pytest.fixture(scope="module")
 def triples():
     _, sys_ = _system("laplace", 16)
-    vals, vecs, sigmas, residuals = _iterative_eigentriples(sys_, 4, 0)
+    vals, vecs, sigmas, residuals = solve_gevp_iterative(sys_, 4, 0)
     return sys_, vals, vecs, sigmas, residuals
 
 

@@ -15,6 +15,16 @@ def test_rectangle_rejects_nonpositive_extent():
         Rectangle(0.0, 2.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("bounds", [
+    (0.0, 0.0, np.inf, 1.0),
+    (-1e308, 0.0, 1e308, 1.0),     # the width overflows to inf
+    (0.0, -1e308, 1.0, 1e308),     # the height overflows to inf
+])
+def test_rectangle_rejects_non_finite_bounds_and_extent(bounds):
+    with pytest.raises(MeshError, match="finite"):
+        Rectangle(*bounds)
+
+
 def test_invalid_subdivision_rejected():
     with pytest.raises(MeshError):
         build_structured_mesh(UNIT_SQUARE, 0)

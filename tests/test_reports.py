@@ -128,7 +128,6 @@ def test_superclose_on_cluster_row_matches_reference(tmp_path):
     table.superclose = SupercloseBlock(
         mode=(1, 1),
         distance=0.3 * 4.0 ** -levels,
-        distance_plain=0.6 * 4.0 ** -levels,
         err_u=0.2 * 2.0 ** -levels,
         err_sigma=0.9 * 2.0 ** -levels)
     assert table.rows[0].label == "1-2"

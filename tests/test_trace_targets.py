@@ -49,17 +49,49 @@ def test_traced_argument_positions(spans):
 LEVELS = [4, 8]
 
 
-@pytest.fixture(scope="module")
-def traced_iterative(spans, tmp_path_factory):
-    """Spans and per-layer totals of a traced laplace 4 8 iterative study."""
+def _traced_study(spans, tmp_path_factory, solver):
+    """Spans and per-layer totals of a traced laplace 4 8 study with
+    superclose."""
     cli = spans._resolve("rt0eig.cli")
-    tracer = spans.Tracer("iterative")
+    tracer = spans.Tracer(solver)
     cfg = cli.StudyConfig(preset="laplace", levels=LEVELS, k=3,
-                          solver="iterative",
+                          solver=solver, compute_superclose=True,
                           output_dir=tmp_path_factory.mktemp("traced"))
     with tracer.installed(), tracer.study(0):
         cli.run_study(cfg)
     return tracer, tracer.study_layers(0)
+
+
+@pytest.fixture(scope="module")
+def traced_iterative(spans, tmp_path_factory):
+    return _traced_study(spans, tmp_path_factory, "iterative")
+
+
+@pytest.fixture(scope="module")
+def traced_dense(spans, tmp_path_factory):
+    return _traced_study(spans, tmp_path_factory, "dense")
+
+
+def test_every_trace_target_fires(spans, traced_dense, traced_iterative):
+    """A target that a study never calls would leave its work in
+    trace.uncovered_s."""
+    fired = {s["name"] for tracer, _ in (traced_dense, traced_iterative)
+             for s in tracer.spans}
+    targets = {spans._span_name(path, attr) for path, attr, _ in spans.TARGETS}
+    assert targets - fired == set()
+
+
+def test_iterative_solver_calls_run_inside_solve_gevp_iterative(
+        traced_iterative):
+    """The hybridization, the refinement and the checks around eigsh and
+    splu are timed by the solve_gevp_iterative span."""
+    tracer, _ = traced_iterative
+    name = {s["id"]: s["name"] for s in tracer.spans}
+    inner = [s for s in tracer.spans if s["name"] in (
+        "eigensolver.spla.eigsh", "eigensolver.spla.splu")]
+    assert len(inner) == 2 * len(LEVELS)
+    for s in inner:
+        assert name[s["parent"]] == "eigensolver.solve_gevp_iterative"
 
 
 def test_traced_iterative_study_factorizes_once_per_level(traced_iterative):
