@@ -193,8 +193,9 @@ def assemble(mesh: Mesh, prob: ProblemSpec,
     integrate_triangle bit for bit.  Element geometry and the coefficient
     invariants (A SPD, c >= 0, b > 0) are checked at every quadrature
     point; a violation raises AssemblyError naming the first offending
-    triangle in mesh order and the point.  Duplicate scatter entries are
-    summed.
+    triangle in mesh order and the point.  So does an element block that is
+    not finite, as on a rectangle so large that its edge lengths overflow.
+    Duplicate scatter entries are summed.
     """
     if rule is None:
         rule = triangle_rule(2)
@@ -238,6 +239,14 @@ def assemble(mesh: Mesh, prob: ProblemSpec,
     m_vals = 0.5 * (m_vals + m_vals.transpose(0, 2, 1))
     c_diag *= area
     d_diag *= area
+    finite = (np.isfinite(div_vals).all(axis=1)
+              & np.isfinite(m_vals).all(axis=(1, 2))
+              & np.isfinite(c_diag) & np.isfinite(d_diag))
+    if not finite.all():
+        t = int(np.argmin(finite))
+        raise AssemblyError(
+            f"element blocks of triangle {t} are not finite: the geometry or "
+            f"the coefficient integrals overflow")
 
     te = mesh.triangle_edges
     M = sp.coo_matrix(

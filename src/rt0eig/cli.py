@@ -5,7 +5,7 @@ levels, extrapolates the matched eigenvalue sequences, optionally measures
 projection distances for the first mode, and writes a CSV table, a JSON
 mirror and a plain-text summary.  Reports are deterministic: identical
 configurations produce byte-identical CSV and JSON, so wall-clock timings
-go to stdout and a separate timings file.
+and peak memory go to stdout and a separate timings file.
 """
 
 import argparse
@@ -18,6 +18,11 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
+
+try:
+    import resource
+except ImportError:  # Unix only
+    resource = None
 
 from . import __version__
 from .assembly import AssemblyError, assemble, dump_matrix
@@ -240,6 +245,7 @@ def run_study(cfg: StudyConfig):
     runs: list[LevelRun] = []
     failures: list[dict] = []
     timings: list[float] = []
+    peaks: list[float | None] = []
     total_start = time.perf_counter()
     for n in cfg.levels:
         start = time.perf_counter()
@@ -249,6 +255,7 @@ def run_study(cfg: StudyConfig):
             failures.append({"n": n, "error": str(exc)})
             break
         timings.append(time.perf_counter() - start)
+        peaks.append(_peak_rss_mb())
     total = time.perf_counter() - total_start
 
     table = None
@@ -267,7 +274,7 @@ def run_study(cfg: StudyConfig):
     results = [r.result for r in runs]
     emit_reports(table, cfg, results, failures)
     _print_summary(table, cfg, results, failures, timings, total)
-    _write_timings(cfg, timings, total)
+    _write_timings(cfg, timings, peaks, total)
 
     if failures:
         f = failures[0]
@@ -395,10 +402,31 @@ def emit_reports(table, cfg: StudyConfig, results, failures=()):
     return {"csv": out / "report.csv", "json": out / "report.json"}
 
 
-def _write_timings(cfg, timings, total):
+def _peak_rss_mb():
+    """The process's peak resident set so far in MB (2^20 bytes), or None
+    where neither /proc/self/status nor the `resource` module gives it.
+
+    Linux's VmHWM comes first: its ru_maxrss keeps the high-water mark of
+    the process that launched this one across fork and exec.
+    """
+    try:
+        status = Path("/proc/self/status").read_text()
+    except OSError:
+        status = ""
+    for line in status.splitlines():
+        if line.startswith("VmHWM:"):
+            return int(line.split()[1]) / 2**10
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # kilobytes on Linux and the BSDs, bytes on macOS
+    return peak / (2**20 if sys.platform == "darwin" else 2**10)
+
+
+def _write_timings(cfg, timings, peaks, total):
     data = {
-        "levels": [{"n": n, "seconds": t}
-                   for n, t in zip(cfg.levels, timings)],
+        "levels": [{"n": n, "seconds": t, "peak_rss_mb": mb}
+                   for n, t, mb in zip(cfg.levels, timings, peaks)],
         "total_seconds": total,
     }
     try:

@@ -40,8 +40,9 @@ RESIDUAL_RTOL = 1e-10
 FLUX_RTOL = 1e-11
 SCHUR_SYM_RTOL = 1e-11
 
-# The dense path holds M and S as full float64 arrays: at 2048 triangles
-# (n = 32) they take 79 MB and 34 MB, and M alone would take 1.2 GB at n = 64.
+# The dense path holds the factor of M, S and one working copy of S as full
+# float64 arrays: at 2048 triangles (n = 32) they take 79 MB, 34 MB and
+# 34 MB, and M alone would take 1.2 GB at n = 64.
 DENSE_MAX_TRIANGLES = 2048
 
 ITER_BUDGET_PER_EIGENVALUE = 500
@@ -92,11 +93,13 @@ class EigenResult:
 def flux_mass_solver(M: sp.csr_matrix):
     """Factorize the SPD flux mass matrix by dense Cholesky; return its solve.
 
-    The factorization also certifies positive definiteness.  The solve takes
-    one right-hand side or a column block of them.
+    M is densified in Fortran order, which LAPACK factors in place, so the
+    level holds one E x E array.  The factorization also certifies positive
+    definiteness.  The solve takes one right-hand side or a column block of
+    them and leaves them unchanged.
     """
     try:
-        factor = la.cho_factor(M.toarray())
+        factor = la.cho_factor(M.toarray(order="F"), overwrite_a=True)
     except la.LinAlgError as exc:
         raise NumericalError(
             f"flux mass matrix is not positive definite: {exc}") from exc
@@ -107,26 +110,49 @@ def schur_complement(sys, solve) -> np.ndarray:
     """Dense Schur complement S = B M^-1 B^T + C of the mixed system.
 
     `solve` applies M^-1, as returned by flux_mass_solver; it is called once
-    per column chunk of B^T.  Raises NumericalError if the result is not
-    symmetric to within tolerance.
+    per column chunk of B^T.  S is checked and symmetrized in place (see
+    _symmetrize).  Raises NumericalError if it is not symmetric to within
+    tolerance.
     """
     bt = sys.B.T.tocsc()
     s = np.empty((sys.num_triangles, sys.num_triangles))
-    # densify and solve B^T in column chunks of at most 2^22 entries: at
-    # n = 32 (two chunks, 1337 + 711 columns) one chunk of all 2048 would
-    # raise the peak RSS of a dense laplace 8-32 study from 271 to 293 MB
-    chunk = max(1, min(sys.num_triangles, (1 << 22) // max(sys.num_edges, 1)))
+    # densify and solve B^T in column chunks of at most 2^20 entries (7 at
+    # n = 32): each chunk's dense block, its solve and its product with B
+    # are live at once
+    chunk = max(1, min(sys.num_triangles, (1 << 20) // max(sys.num_edges, 1)))
     for lo in range(0, sys.num_triangles, chunk):
         hi = min(lo + chunk, sys.num_triangles)
         s[:, lo:hi] = sys.B @ solve(bt[:, lo:hi].toarray())
     s[np.diag_indices_from(s)] += sys.C
-    scale = float(np.abs(s).max())
-    asym = float(np.abs(s - s.T).max())
+    scale = float(max(s.max(), -s.min()))  # max |s|, with no |s| array
+    asym = _symmetrize(s)
     if asym > SCHUR_SYM_RTOL * scale:
         raise NumericalError(
             f"Schur complement asymmetry {asym:g} exceeds "
             f"{SCHUR_SYM_RTOL:g} * {scale:g}")
-    return 0.5 * (s + s.T)
+    return s
+
+
+def _symmetrize(a: np.ndarray) -> float:
+    """Replace the square array a by 0.5 * (a + a^T) in place and return the
+    largest |a_ij - a_ji| it had.
+
+    It goes over pairs of mirrored blocks, so its temporaries are a few
+    block x block arrays; every entry is the same double as in
+    0.5 * (a + a.T).
+    """
+    n, block = a.shape[0], 256
+    asym = 0.0
+    for lo in range(0, n, block):
+        rows = slice(lo, lo + block)
+        for lo2 in range(lo, n, block):
+            cols = slice(lo2, lo2 + block)
+            upper, lower = a[rows, cols], a[cols, rows].T
+            asym = max(asym, float(np.abs(upper - lower).max()))
+            mean = 0.5 * (upper + lower)
+            a[rows, cols] = mean
+            a[cols, rows] = mean.T
+    return asym
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
@@ -149,7 +175,9 @@ def solve_gevp(S: np.ndarray, D: np.ndarray, k: int):
     Returns (values, vectors, residuals) with values ascending, vectors
     D-orthonormal columns with the sign convention applied, and residuals
     the 2-norms of S u - lambda D u.  The residual bound is checked against
-    RESIDUAL_RTOL times the Frobenius norm of S.
+    RESIDUAL_RTOL times the Frobenius norm of S.  S is left unchanged: the
+    transform D^-1/2 S D^-1/2 is one working copy, symmetrized in place and
+    handed to the eigensolver in Fortran order to be overwritten.
     """
     t = S.shape[0]
     if not (1 <= k <= t):
@@ -158,9 +186,11 @@ def solve_gevp(S: np.ndarray, D: np.ndarray, k: int):
     if np.any(d <= 0):
         raise NumericalError("weight mass diagonal must be positive")
     rsq = 1.0 / np.sqrt(d)
-    w = rsq[:, None] * S * rsq[None, :]
-    w = 0.5 * (w + w.T)
-    vals, y = la.eigh(w, subset_by_index=(0, k - 1))
+    w = rsq[:, None] * S
+    w *= rsq[None, :]
+    _symmetrize(w)
+    # w is symmetric, so w.T is w in Fortran order
+    vals, y = la.eigh(w.T, overwrite_a=True, subset_by_index=(0, k - 1))
     vecs = _fix_signs(rsq[:, None] * y)
     residuals = _residuals(S @ vecs, d[:, None] * vecs, vals)
     _check_residuals(residuals, np.linalg.norm(S))

@@ -172,8 +172,10 @@ def build_structured_mesh(rect: Rectangle, n: int) -> Mesh:
     triangle_edge_signs = np.where(a > b, 1, -1).reshape(-1, 3)
 
     areas = _signed_areas(vertices, triangles)
-    if not np.all(areas > 0):
-        raise MeshError("triangulation produced non-positive triangle areas")
+    # inf passes areas > 0: a finite rectangle can still overflow them
+    if not np.all((areas > 0) & (areas < np.inf)):
+        raise MeshError(
+            "triangulation produced non-positive or non-finite triangle areas")
     vec = vertices[edges[:, 1]] - vertices[edges[:, 0]]
     edge_lengths = np.hypot(vec[:, 0], vec[:, 1])
     h = float(edge_lengths.max())

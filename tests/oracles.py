@@ -6,7 +6,9 @@ integrals from a Duffy-transform tensor Gauss rule, eigenvalues of the
 reduced problem from the dense saddle-point pencil, eigenpair residuals and
 Rayleigh quotients through a factorization of M rather than of the
 saddle-point block, and solves with that block from a sparse direct solve
-of it whole, not from its hybridization.
+of it whole, not from its hybridization.  The dense Schur complement and
+the dense eigensolve have references that densify or copy whole arrays
+where the package works chunk by chunk or in place.
 
 The per-element and per-point references at the end redo, one triangle,
 edge or point at a time, what the package computes on whole arrays: global
@@ -25,6 +27,7 @@ import math
 import sys
 
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 import sympy
@@ -33,6 +36,8 @@ from numpy.polynomial.legendre import leggauss
 from rt0eig import (__version__, edge_normals, edge_rule, element_div,
                     element_flux_mass, integrate_triangle)
 from rt0eig.cli import CSV_COLUMNS
+from rt0eig.eigensolver import (NumericalError, _check_residuals, _fix_signs,
+                                _residuals)
 from rt0eig.extrapolation import ConvergenceTable
 
 
@@ -131,12 +136,32 @@ def full_densify_schur_complement(sys, solve):
     """
     bt = sys.B.T.toarray()
     s = np.empty((sys.num_triangles, sys.num_triangles))
-    chunk = max(1, min(sys.num_triangles, (1 << 22) // max(sys.num_edges, 1)))
+    chunk = max(1, min(sys.num_triangles, (1 << 20) // max(sys.num_edges, 1)))
     for lo in range(0, sys.num_triangles, chunk):
         hi = min(lo + chunk, sys.num_triangles)
         s[:, lo:hi] = sys.B @ solve(bt[:, lo:hi])
     s[np.diag_indices_from(s)] += sys.C
     return 0.5 * (s + s.T)
+
+
+def copying_solve_gevp(S, D, k):
+    """solve_gevp with a fresh array for each step of the transform
+    D^-1/2 S D^-1/2, its symmetrization and eigh's own copy of it, where
+    solve_gevp works in one array in place."""
+    t = S.shape[0]
+    if not (1 <= k <= t):
+        raise NumericalError(f"requested {k} eigenvalues from a {t}-dim space")
+    d = np.asarray(D, dtype=float)
+    if np.any(d <= 0):
+        raise NumericalError("weight mass diagonal must be positive")
+    rsq = 1.0 / np.sqrt(d)
+    w = rsq[:, None] * S * rsq[None, :]
+    w = 0.5 * (w + w.T)
+    vals, y = la.eigh(w, subset_by_index=(0, k - 1))
+    vecs = _fix_signs(rsq[:, None] * y)
+    residuals = _residuals(S @ vecs, d[:, None] * vecs, vals)
+    _check_residuals(residuals, np.linalg.norm(S))
+    return vals, vecs, residuals
 
 
 def mass_solve(sys, rhs):

@@ -317,3 +317,14 @@ def test_assemble_rejects_degenerate_triangle():
     prob = ProblemSpec(name="tiny", domain=tiny, A=base.A, c=base.c, b=base.b)
     with pytest.raises(AssemblyError, match="degenerate triangle 0"):
         assemble(build_structured_mesh(tiny, 1), prob)
+
+
+def test_assemble_rejects_overflowing_element_blocks():
+    """The areas are finite, but the squared edge lengths overflow, so B
+    and M would not be finite."""
+    huge = Rectangle(0.0, 0.0, 1e154, 1e154)
+    base = get_preset("laplace")
+    prob = ProblemSpec(name="huge", domain=huge, A=base.A, c=base.c, b=base.b)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            AssemblyError, match="element blocks of triangle 0 are not finite"):
+        assemble(build_structured_mesh(huge, 1), prob)

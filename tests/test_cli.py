@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -132,6 +135,32 @@ def test_run_study_writes_reports(tmp_path, capsys):
     assert [lv["n"] for lv in payload["levels"]] == [2, 4]
     assert (out / "timings.json").exists()
     assert "total time" in capsys.readouterr().out
+
+
+def test_timings_record_peak_rss_per_level(tmp_path):
+    cfg = StudyConfig(preset="laplace", levels=[2, 4, 8], k=2,
+                      output_dir=tmp_path)
+    run_study(cfg)
+    levels = json.loads((tmp_path / "timings.json").read_text())["levels"]
+    assert [lv["n"] for lv in levels] == [2, 4, 8]
+    peaks = [lv["peak_rss_mb"] for lv in levels]
+    assert peaks[0] > 0
+    assert peaks == sorted(peaks)
+
+
+def test_timings_peak_rss_is_not_the_launchers(tmp_path):
+    """A small study launched from a process 256 MB larger reports its own
+    peak; Linux's ru_maxrss would report the launcher's."""
+    cfgfile = _write(tmp_path, GOOD_CONFIG.format(out=tmp_path / "res"))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    ballast = np.ones(2**25)  # 256 MB, resident while the study runs
+    subprocess.run([sys.executable, "-m", "rt0eig.cli", "run", str(cfgfile)],
+                   check=True, capture_output=True, env=env, timeout=120)
+    del ballast
+    timings = json.loads((tmp_path / "res" / "timings.json").read_text())
+    assert 0 < max(lv["peak_rss_mb"] for lv in timings["levels"]) < 256
 
 
 def test_cli_overrides(tmp_path):

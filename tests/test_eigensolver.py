@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from rt0eig import (NumericalError, assemble, build_structured_mesh,
                     flux_mass_solver, get_preset, recover_flux,
                     schur_complement, solve_gevp, solve_gevp_iterative,
                     solve_mixed_eigenproblem, UNIT_SQUARE)
-from oracles import saddle_point_eigenvalues
+from oracles import copying_solve_gevp, saddle_point_eigenvalues
 
 
 def _schur(sys_):
@@ -46,6 +48,62 @@ def test_schur_n1_against_dense_elimination(laplace_systems):
     want = sys_.B.toarray() @ m_inv @ sys_.B.toarray().T + np.diag(sys_.C)
     assert s.shape == (2, 2)
     assert np.abs(s - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_schur_rejects_asymmetric_solve(laplace_systems):
+    """A solve that scales one column of its result by 1 + 1e-9 makes S
+    asymmetric far beyond SCHUR_SYM_RTOL."""
+    _, sys_ = laplace_systems[8]
+    solve = flux_mass_solver(sys_.M)
+
+    def skewed(rhs):
+        x = solve(rhs)
+        x[:, 0] *= 1.0 + 1e-9
+        return x
+
+    with pytest.raises(NumericalError, match="Schur complement asymmetry"):
+        schur_complement(sys_, skewed)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_flux_mass_solve_leaves_rhs_unchanged(laplace_systems, order):
+    _, sys_ = laplace_systems[4]
+    rhs = np.asarray(sys_.B.T[:, :5].toarray(), order=order)
+    before = rhs.copy()
+    x = flux_mass_solver(sys_.M)(rhs)
+    assert np.array_equal(rhs, before)
+    assert np.abs(sys_.M @ x - rhs).max() <= 1e-12 * np.abs(rhs).max()
+
+
+@pytest.mark.parametrize("preset", ["laplace", "variable"])
+@pytest.mark.parametrize("n", [4, 16, 32])
+def test_gevp_in_place_equals_copying_oracle(preset, n):
+    """The in-place transform gives solve_gevp's results bit for bit and
+    leaves S as it was."""
+    prob = get_preset(preset)
+    sys_ = assemble(build_structured_mesh(prob.domain, n), prob)
+    s = _schur(sys_)
+    before = s.copy()
+    got = solve_gevp(s, sys_.D, 6)
+    assert np.array_equal(s, before)
+    for a, b in zip(got, copying_solve_gevp(s, sys_.D, 6)):
+        assert np.array_equal(a, b)
+
+
+def test_dense_level_peak_memory():
+    """A dense n = 32 level holds the Cholesky factor of M (E x E), S and
+    one working copy of it (T x T each); the traced peak may exceed that by
+    a tenth."""
+    mesh = build_structured_mesh(UNIT_SQUARE, 32)
+    sys_ = assemble(mesh, get_preset("laplace"))
+    e, t = sys_.num_edges, sys_.num_triangles
+    tracemalloc.start()
+    try:
+        solve_mixed_eigenproblem(mesh, sys_, 6, method="dense")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 8 * (e * e + 2 * t * t)
 
 
 def test_gevp_identity_operator():

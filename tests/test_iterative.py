@@ -91,7 +91,7 @@ def test_singular_element_block_names_its_triangle():
 @pytest.mark.parametrize("preset", ["laplace", "variable"])
 @pytest.mark.parametrize("n", [4, 16, 32])
 def test_schur_chunked_densify_equals_full_densify(preset, n):
-    """n = 32 takes two column chunks, the smaller levels one."""
+    """n = 32 takes seven column chunks, the smaller levels one."""
     _, sys_ = _system(preset, n)
     solve = flux_mass_solver(sys_.M)
     assert np.array_equal(schur_complement(sys_, solve),

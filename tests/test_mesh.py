@@ -25,6 +25,13 @@ def test_rectangle_rejects_non_finite_bounds_and_extent(bounds):
         Rectangle(*bounds)
 
 
+def test_overflowing_triangle_areas_rejected():
+    """The rectangle is finite, but its n = 2 triangle areas are inf."""
+    with np.errstate(over="ignore"), pytest.raises(MeshError,
+                                                   match="non-finite"):
+        build_structured_mesh(Rectangle(0.0, 0.0, 1e200, 1e200), 2)
+
+
 def test_invalid_subdivision_rejected():
     with pytest.raises(MeshError):
         build_structured_mesh(UNIT_SQUARE, 0)
