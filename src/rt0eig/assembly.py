@@ -222,23 +222,27 @@ def assemble(mesh: Mesh, prob: ProblemSpec,
         _lower_bound_check(b_vals, "b", COEFF_EPS),
     ])
 
-    # edge opposite vertex i connects the other two vertices
-    opposite = tri[:, [2, 0, 1]] - tri[:, [1, 2, 0]]
-    div_vals = mesh.triangle_edge_signs * np.sqrt(rowdot(opposite, opposite))
-    coeff = div_vals / (2.0 * area[:, None])
-    ainv = _inverse_tensor(a)
-    m_vals = np.zeros((nt, 3, 3))
-    c_diag = np.zeros(nt)
-    d_diag = np.zeros(nt)
-    for q, w in enumerate(rule.weights):
-        phi = coeff[:, :, None] * (pts[:, q, None, :] - tri)  # (T, 3, 2)
-        m_vals += w * (phi @ ainv[:, q] @ phi.transpose(0, 2, 1))
-        c_diag += w * c_vals[:, q]
-        d_diag += w * b_vals[:, q]
-    m_vals *= area[:, None, None]
-    m_vals = 0.5 * (m_vals + m_vals.transpose(0, 2, 1))
-    c_diag *= area
-    d_diag *= area
+    # the finiteness check below names an overflow of the element blocks, so
+    # numpy need not warn first
+    with np.errstate(over="ignore", invalid="ignore"):
+        # edge opposite vertex i connects the other two vertices
+        opposite = tri[:, [2, 0, 1]] - tri[:, [1, 2, 0]]
+        div_vals = mesh.triangle_edge_signs * np.sqrt(
+            rowdot(opposite, opposite))
+        coeff = div_vals / (2.0 * area[:, None])
+        ainv = _inverse_tensor(a)
+        m_vals = np.zeros((nt, 3, 3))
+        c_diag = np.zeros(nt)
+        d_diag = np.zeros(nt)
+        for q, w in enumerate(rule.weights):
+            phi = coeff[:, :, None] * (pts[:, q, None, :] - tri)  # (T, 3, 2)
+            m_vals += w * (phi @ ainv[:, q] @ phi.transpose(0, 2, 1))
+            c_diag += w * c_vals[:, q]
+            d_diag += w * b_vals[:, q]
+        m_vals *= area[:, None, None]
+        m_vals = 0.5 * (m_vals + m_vals.transpose(0, 2, 1))
+        c_diag *= area
+        d_diag *= area
     finite = (np.isfinite(div_vals).all(axis=1)
               & np.isfinite(m_vals).all(axis=(1, 2))
               & np.isfinite(c_diag) & np.isfinite(d_diag))

@@ -10,13 +10,14 @@ definite and S u = lambda D u has exactly the finite eigenvalues of the full
 block pencil.  The dense path, for levels of at most DENSE_MAX_TRIANGLES
 triangles, factorizes M once per level by dense Cholesky.  Through that
 factor it forms S explicitly, diagonalizes the similarity transform
-D^-1/2 S D^-1/2, and recovers the fluxes of all pairs in one solve with k
-right-hand sides.  The iterative path, solve_gevp_iterative, never forms
-S nor factorizes M or the block matrix K = [[M, B^T], [B, -C]].  It
-hybridizes K (Arnold and Brezzi, M2AN 19, 1985): the flux space is broken
-triangle by triangle, one multiplier per interior edge makes the normal
-flux continuous, and the flux and the scalar are eliminated element by
-element through the block diagonal inverse A^-1 of the element blocks.
+D^-1/2 S D^-1/2 in S's own storage, and recovers the fluxes of all pairs
+in one solve with k right-hand sides.  The iterative path,
+solve_gevp_iterative, never forms S nor factorizes M or the block matrix
+K = [[M, B^T], [B, -C]].  It hybridizes K (Arnold and Brezzi, M2AN 19,
+1985): the flux space is broken triangle by triangle, one multiplier per
+interior edge makes the normal flux continuous, and the flux and the
+scalar are eliminated element by element through the block diagonal
+inverse A^-1 of the element blocks.
 With G the jump map from the element slots to the multipliers, K^-1 =
 Z - W H^-1 W^T, where Z and W are A^-1 and A^-1 G^T restricted to K's
 unknowns and H = G A^-1 G^T is a symmetric positive definite system on the
@@ -40,9 +41,10 @@ RESIDUAL_RTOL = 1e-10
 FLUX_RTOL = 1e-11
 SCHUR_SYM_RTOL = 1e-11
 
-# The dense path holds the factor of M, S and one working copy of S as full
-# float64 arrays: at 2048 triangles (n = 32) they take 79 MB, 34 MB and
-# 34 MB, and M alone would take 1.2 GB at n = 64.
+# The dense path holds the factor of M and S as full float64 arrays, and
+# diagonalizes S in its own storage (see solve_gevp): at 2048 triangles
+# (n = 32) they take 79 MB and 34 MB, and M alone would take 1.2 GB at
+# n = 64.
 DENSE_MAX_TRIANGLES = 2048
 
 ITER_BUDGET_PER_EIGENVALUE = 500
@@ -60,7 +62,9 @@ class EigenPair:
 
     `u` is normalized to u^T D u = 1 with its largest-magnitude entry
     positive; `sigma` solves M sigma = -B^T u.  `residual` is the 2-norm of
-    S u - lambda D u on the dense path.  The iterative path does not apply S
+    S u - lambda D u on the dense path, formed from the triangle of
+    W = D^-1/2 S D^-1/2 that is left in S's storage after the eigensolver
+    overwrote it (see solve_gevp).  The iterative path does not apply S
     and reports the 2-norm of C u - B sigma - lambda D u instead, the scalar
     row of the saddle-point system; it differs from S u - lambda D u by
     B M^-1 (M sigma + B^T u), the image of the flux row's residual, which
@@ -96,14 +100,17 @@ def flux_mass_solver(M: sp.csr_matrix):
     M is densified in Fortran order, which LAPACK factors in place, so the
     level holds one E x E array.  The factorization also certifies positive
     definiteness.  The solve takes one right-hand side or a column block of
-    them and leaves them unchanged.
+    them and leaves them unchanged.  It checks only the right-hand side for
+    infs and NaNs, raising ValueError: cho_factor checked M, and the factor
+    it returned is finite.
     """
     try:
         factor = la.cho_factor(M.toarray(order="F"), overwrite_a=True)
     except la.LinAlgError as exc:
         raise NumericalError(
             f"flux mass matrix is not positive definite: {exc}") from exc
-    return lambda rhs: la.cho_solve(factor, rhs)
+    return lambda rhs: la.cho_solve(factor, np.asarray_chkfinite(rhs),
+                                    check_finite=False)
 
 
 def schur_complement(sys, solve) -> np.ndarray:
@@ -111,8 +118,8 @@ def schur_complement(sys, solve) -> np.ndarray:
 
     `solve` applies M^-1, as returned by flux_mass_solver; it is called once
     per column chunk of B^T.  S is checked and symmetrized in place (see
-    _symmetrize).  Raises NumericalError if it is not symmetric to within
-    tolerance.
+    _symmetrize).  Raises NumericalError, naming the first column, if an
+    entry is not finite, and if S is not symmetric to within tolerance.
     """
     bt = sys.B.T.tocsc()
     s = np.empty((sys.num_triangles, sys.num_triangles))
@@ -125,6 +132,11 @@ def schur_complement(sys, solve) -> np.ndarray:
         s[:, lo:hi] = sys.B @ solve(bt[:, lo:hi].toarray())
     s[np.diag_indices_from(s)] += sys.C
     scale = float(max(s.max(), -s.min()))  # max |s|, with no |s| array
+    # max |s| is NaN or inf exactly when an entry is, which the symmetry
+    # check below would let through
+    if not np.isfinite(scale):
+        j = int(np.argmin(np.isfinite(s).all(axis=0)))
+        raise NumericalError(f"Schur complement column {j} is not finite")
     asym = _symmetrize(s)
     if asym > SCHUR_SYM_RTOL * scale:
         raise NumericalError(
@@ -175,26 +187,37 @@ def solve_gevp(S: np.ndarray, D: np.ndarray, k: int):
     Returns (values, vectors, residuals) with values ascending, vectors
     D-orthonormal columns with the sign convention applied, and residuals
     the 2-norms of S u - lambda D u.  The residual bound is checked against
-    RESIDUAL_RTOL times the Frobenius norm of S.  S is left unchanged: the
-    transform D^-1/2 S D^-1/2 is one working copy, symmetrized in place and
-    handed to the eigensolver in Fortran order to be overwritten.
+    RESIDUAL_RTOL times the Frobenius norm of S.
+
+    S is overwritten: it is scaled in place to W = D^-1/2 S D^-1/2,
+    symmetrized, and handed to the eigensolver in Fortran order, which
+    destroys one triangle of it and the diagonal.  The diagonal is saved
+    and written back, so the other triangle still holds W, and the
+    residuals are formed from it as ||D^1/2 (W y - lambda y)|| for the
+    eigenvectors y of W; that is S u - lambda D u up to rounding.
     """
     t = S.shape[0]
     if not (1 <= k <= t):
         raise NumericalError(f"requested {k} eigenvalues from a {t}-dim space")
     d = np.asarray(D, dtype=float)
-    if np.any(d <= 0):
+    if not np.all(d > 0):
         raise NumericalError("weight mass diagonal must be positive")
-    rsq = 1.0 / np.sqrt(d)
-    w = rsq[:, None] * S
-    w *= rsq[None, :]
-    _symmetrize(w)
-    # w is symmetric, so w.T is w in Fortran order
-    vals, y = la.eigh(w.T, overwrite_a=True, subset_by_index=(0, k - 1))
-    vecs = _fix_signs(rsq[:, None] * y)
-    residuals = _residuals(S @ vecs, d[:, None] * vecs, vals)
-    _check_residuals(residuals, np.linalg.norm(S))
-    return vals, vecs, residuals
+    s_norm = np.linalg.norm(S)
+    sqd = np.sqrt(d)
+    rsq = 1.0 / sqd
+    S *= rsq[:, None]
+    S *= rsq[None, :]
+    _symmetrize(S)
+    # S is symmetric, so S.T is W in Fortran order.  eigh overwrites its
+    # lower triangle and diagonal; with the diagonal written back, dsymm
+    # reads W from the diagonal and the upper triangle
+    w, diag = S.T, S.diagonal().copy()
+    vals, y = la.eigh(w, overwrite_a=True, subset_by_index=(0, k - 1))
+    np.fill_diagonal(w, diag)
+    wy = la.blas.dsymm(1.0, w, y, lower=0)
+    residuals = _residuals(sqd[:, None] * wy, sqd[:, None] * y, vals)
+    _check_residuals(residuals, s_norm)
+    return vals, _fix_signs(rsq[:, None] * y), residuals
 
 
 def _residuals(sv, dv, vals):
@@ -204,7 +227,8 @@ def _residuals(sv, dv, vals):
 def _check_residuals(residuals, s_norm):
     bound = RESIDUAL_RTOL * s_norm
     worst = float(residuals.max())
-    if worst > bound:
+    # negated, so that NaN fails it; argmax names the first NaN
+    if not worst <= bound:
         bad = int(np.argmax(residuals))
         raise NumericalError(
             f"eigenpair {bad} residual {worst:g} exceeds bound {bound:g}")
@@ -398,7 +422,7 @@ def _check_flux_rows(sys, vecs, sigmas):
     bt_u = sys.B.T @ vecs
     flux = np.linalg.norm(sys.M @ sigmas + bt_u, axis=0)
     rhs_norm = np.linalg.norm(bt_u, axis=0)
-    bad = np.flatnonzero(flux > FLUX_RTOL * rhs_norm)
+    bad = np.flatnonzero(~(flux <= FLUX_RTOL * rhs_norm))
     if bad.size:
         j = int(bad[0])
         raise NumericalError(

@@ -171,8 +171,11 @@ def build_structured_mesh(rect: Rectangle, n: int) -> Mesh:
     # indices.
     triangle_edge_signs = np.where(a > b, 1, -1).reshape(-1, 3)
 
-    areas = _signed_areas(vertices, triangles)
-    # inf passes areas > 0: a finite rectangle can still overflow them
+    # a finite rectangle can still overflow the areas; the check below names
+    # that, so numpy need not warn first
+    with np.errstate(over="ignore", invalid="ignore"):
+        areas = _signed_areas(vertices, triangles)
+    # inf passes areas > 0
     if not np.all((areas > 0) & (areas < np.inf)):
         raise MeshError(
             "triangulation produced non-positive or non-finite triangle areas")
