@@ -14,7 +14,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +29,8 @@ from .assembly import AssemblyError, assemble, dump_matrix
 from .coefficients import get_preset, preset_names, triangle_rule
 from .eigensolver import (DENSE_MAX_TRIANGLES, EigenResult, NumericalError,
                           solve_mixed_eigenproblem)
-from .extrapolation import (ConvergenceTable, SupercloseBlock, build_table,
-                            match_and_cluster)
+from .extrapolation import (EXPANSION_ORDER, ConvergenceTable,
+                            SupercloseBlock, build_table, match_and_cluster)
 from .mesh import MeshError, build_structured_mesh
 from .superclose import (l2_errors, laplace_eigenpair, laplace_eigenvalues,
                          p0_project, superclose_distance)
@@ -61,7 +61,6 @@ class StudyConfig:
     preset: str
     levels: list[int]
     k: int
-    expansion_order: float = 2.0
     compute_superclose: bool = False
     dump_matrices: bool = False
     solver: str = "dense"
@@ -93,9 +92,6 @@ class StudyConfig:
                 f"k = {self.k} exceeds {max_k - 1}: the iterative solver "
                 f"needs k below the {max_k} unknowns of level "
                 f"n = {self.levels[0]}")
-        if self.expansion_order <= 0:
-            raise ConfigError(
-                f"expansion order must be positive, got {self.expansion_order}")
         if self.solver not in ("dense", "iterative"):
             raise ConfigError(
                 f"solver must be 'dense' or 'iterative', got {self.solver!r}")
@@ -115,13 +111,6 @@ class StudyConfig:
         return self
 
 
-_STUDY_KEYS = {
-    "preset", "levels", "k", "expansion_order", "seed",
-    "compute_superclose", "dump_matrices", "solver",
-}
-_OUTPUT_KEYS = {"directory"}
-
-
 def _parse_levels(text: str) -> list[int]:
     parts = text.replace(",", " ").split()
     try:
@@ -130,12 +119,20 @@ def _parse_levels(text: str) -> list[int]:
         raise ConfigError(f"levels must be integers, got {text!r}") from None
 
 
-def _parse_bool(text: str, key: str) -> bool:
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    raise ConfigError(f"{key} must be 'true' or 'false', got {text!r}")
+def _parse_bool(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"expected 'true' or 'false', got {text!r}")
+    return text == "true"
+
+
+# [study] key -> parser of its text, one key per StudyConfig field but
+# output_dir, which [output] directory sets
+_STUDY_PARSERS = {
+    "preset": str, "levels": _parse_levels, "k": int, "seed": int,
+    "compute_superclose": _parse_bool, "dump_matrices": _parse_bool,
+    "solver": str,
+}
+_OUTPUT_KEYS = {"directory"}
 
 
 def parse_config(path) -> StudyConfig:
@@ -157,48 +154,49 @@ def parse_config(path) -> StudyConfig:
     if "study" not in sections:
         raise ConfigError("missing [study] section")
     study = dict(parser["study"])
-    bad = set(study) - _STUDY_KEYS
+    bad = set(study) - _STUDY_PARSERS.keys()
     if bad:
         raise ConfigError(f"unknown [study] keys: {sorted(bad)}")
     out = dict(parser["output"]) if "output" in sections else {}
     bad = set(out) - _OUTPUT_KEYS
     if bad:
         raise ConfigError(f"unknown [output] keys: {sorted(bad)}")
-    for key in ("preset", "levels", "k"):
-        if key not in study:
-            raise ConfigError(f"missing required [study] key: {key}")
+    for f in fields(StudyConfig):
+        if f.default is MISSING and f.name not in study:
+            raise ConfigError(f"missing required [study] key: {f.name}")
 
-    try:
-        cfg = StudyConfig(
-            preset=study["preset"],
-            levels=_parse_levels(study["levels"]),
-            k=int(study["k"]),
-            expansion_order=float(study.get("expansion_order", 2.0)),
-            seed=int(study.get("seed", 0)),
-            compute_superclose=_parse_bool(
-                study.get("compute_superclose", "false"),
-                "compute_superclose"),
-            dump_matrices=_parse_bool(
-                study.get("dump_matrices", "false"), "dump_matrices"),
-            solver=study.get("solver", "dense"),
-            output_dir=Path(out.get("directory", "out")),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid value in {path}: {exc}") from exc
-    return cfg.validate()
+    values = {}
+    for key, text in study.items():
+        try:
+            values[key] = _STUDY_PARSERS[key](text)
+        except ValueError as exc:
+            raise ConfigError(f"invalid {key} in {path}: {exc}") from exc
+    if "directory" in out:
+        values["output_dir"] = Path(out["directory"])
+    return StudyConfig(**values).validate()
 
 
 @dataclass
-class LevelRun:
-    """Mesh, assembled system and eigenpairs of one study level."""
+class Level:
+    """What a study keeps of one level: its eigenpairs, the first mode's
+    superclose distance and errors (with compute_superclose), its wall time
+    and peak RSS.  A failed level holds only n and error."""
 
-    mesh: object
-    system: object
-    result: EigenResult
+    n: int
+    result: EigenResult | None = None
+    distance: float | None = None
+    err_u: float | None = None
+    err_sigma: float | None = None
+    error: str | None = None
+    seconds: float | None = None
+    peak_rss_mb: float | None = None
 
 
-def run_level(cfg: StudyConfig, prob, n: int) -> LevelRun:
-    """Build, assemble and solve one mesh level."""
+def run_level(cfg: StudyConfig, prob, n: int) -> Level:
+    """Build, assemble and solve one mesh level, and with
+    compute_superclose measure its first mode while the mesh and system
+    are alive; neither outlives the call."""
+    start = time.perf_counter()
     mesh = build_structured_mesh(prob.domain, n)
     sys_ = assemble(mesh, prob)
     if cfg.dump_matrices:
@@ -209,77 +207,65 @@ def run_level(cfg: StudyConfig, prob, n: int) -> LevelRun:
             (mdir / f"matrix_n{n}_{name}.txt").write_text(dump_matrix(block))
     result = solve_mixed_eigenproblem(
         mesh, sys_, cfg.k, method=cfg.solver, seed=cfg.seed)
-    return LevelRun(mesh=mesh, system=sys_, result=result)
-
-
-def _superclose_block(prob, runs) -> SupercloseBlock:
-    """Projection distances and plain errors for the first (simple) mode."""
-    exact = laplace_eigenpair(1, 1, prob.domain)
-    rule3 = triangle_rule(3)
-    dist, err_u, err_sigma = [], [], []
-    for run in runs:
-        mesh, sys_ = run.mesh, run.system
+    distance = err_u = err_sigma = None
+    if cfg.compute_superclose:
+        exact = laplace_eigenpair(1, 1, prob.domain)
+        rule3 = triangle_rule(3)
         pu = p0_project(exact.u, mesh, rule3)
-        u_h = run.result.pairs[0].u
-        dist.append(superclose_distance(u_h, pu, sys_.D))
-        eu, es = l2_errors(run.result.pairs[0], exact, mesh, rule3, A=prob.A)
-        err_u.append(eu)
-        err_sigma.append(es)
-    return SupercloseBlock(
-        mode=(1, 1),
-        distance=np.array(dist),
-        err_u=np.array(err_u),
-        err_sigma=np.array(err_sigma),
-    )
+        distance = superclose_distance(result.pairs[0].u, pu, sys_.D)
+        err_u, err_sigma = l2_errors(
+            result.pairs[0], exact, mesh, rule3, A=prob.A)
+    return Level(n=n, result=result, distance=distance, err_u=err_u,
+                 err_sigma=err_sigma, seconds=time.perf_counter() - start,
+                 peak_rss_mb=_peak_rss_mb())
 
 
 def run_study(cfg: StudyConfig):
     """Run every level of a study and write reports.
 
-    Returns (table, results).  A level failure still writes reports for the
-    levels that completed, marked failed, and then re-raises with the level
-    attached.
+    Returns (table, levels), one Level per level run.  A level failure ends
+    the study with that level as the last, failed record; the reports are
+    still written, and the failure is re-raised with the level attached.
     """
     cfg.validate()
     prob = get_preset(cfg.preset)
-    runs: list[LevelRun] = []
-    failures: list[dict] = []
-    timings: list[float] = []
-    peaks: list[float | None] = []
+    levels: list[Level] = []
     total_start = time.perf_counter()
     for n in cfg.levels:
-        start = time.perf_counter()
         try:
-            runs.append(run_level(cfg, prob, n))
+            levels.append(run_level(cfg, prob, n))
         except (MeshError, AssemblyError, NumericalError) as exc:
-            failures.append({"n": n, "error": str(exc)})
+            levels.append(Level(n=n, error=str(exc)))
             break
-        timings.append(time.perf_counter() - start)
-        peaks.append(_peak_rss_mb())
     total = time.perf_counter() - total_start
 
     table = None
-    if len(runs) >= 2:
+    done = [lv for lv in levels if lv.error is None]
+    if len(done) >= 2:
         seq = match_and_cluster(
-            [(r.result.n, r.result.h, r.result.eigenvalues) for r in runs],
-            p=cfg.expansion_order)
+            [(lv.result.n, lv.result.h, lv.result.eigenvalues)
+             for lv in done])
         reference = None
         if prob.has_analytic_spectrum:
             reference = laplace_eigenvalues(
                 cfg.k, prob.domain, shift=prob.analytic_shift)
-        table = build_table(seq, p=cfg.expansion_order, reference=reference)
+        table = build_table(seq, reference=reference)
         if cfg.compute_superclose:
-            table.superclose = _superclose_block(prob, runs)
+            table.superclose = SupercloseBlock(
+                mode=(1, 1),
+                distance=np.array([lv.distance for lv in done]),
+                err_u=np.array([lv.err_u for lv in done]),
+                err_sigma=np.array([lv.err_sigma for lv in done]),
+            )
 
-    results = [r.result for r in runs]
-    emit_reports(table, cfg, results, failures)
-    _print_summary(table, cfg, results, failures, timings, total)
-    _write_timings(cfg, timings, peaks, total)
+    emit_reports(table, cfg, levels)
+    _print_summary(table, cfg, levels, total)
+    _write_timings(cfg, levels, total)
 
-    if failures:
-        f = failures[0]
-        raise NumericalError(f"level n={f['n']} failed: {f['error']}")
-    return table, runs
+    last = levels[-1]
+    if last.error is not None:
+        raise NumericalError(f"level n={last.n} failed: {last.error}")
+    return table, levels
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +318,14 @@ def _level_records(table: ConvergenceTable):
     return records
 
 
-def _json_payload(table, cfg, results, failures):
-    levels = []
-    for res in results:
-        levels.append({
+def _json_payload(table, cfg, levels):
+    records = []
+    for lv in levels:
+        if lv.error is not None:
+            records.append({"n": lv.n, "status": "failed", "error": lv.error})
+            continue
+        res = lv.result
+        records.append({
             "n": res.n,
             "h": _round12(res.h),
             "edges": res.num_edges,
@@ -344,8 +334,6 @@ def _json_payload(table, cfg, results, failures):
             "eigenvalues": [_round12(p.lambda_h) for p in res.pairs],
             "residuals": [_round12(p.residual) for p in res.pairs],
         })
-    for f in failures:
-        levels.append({"n": f["n"], "status": "failed", "error": f["error"]})
 
     payload = {
         "tool": {"name": "rt0eig", "version": __version__},
@@ -353,13 +341,14 @@ def _json_payload(table, cfg, results, failures):
             "preset": cfg.preset,
             "levels": list(cfg.levels),
             "k": cfg.k,
-            "expansion_order": cfg.expansion_order,
+            "expansion_order": EXPANSION_ORDER,
             "solver": cfg.solver,
             "seed": cfg.seed,
             "compute_superclose": cfg.compute_superclose,
         },
-        "status": "failed" if failures else "ok",
-        "levels": levels,
+        "status": ("ok" if all(lv.error is None for lv in levels)
+                   else "failed"),
+        "levels": records,
         "eigen": [],
         "superclose": None,
     }
@@ -383,7 +372,7 @@ def _json_payload(table, cfg, results, failures):
     return payload
 
 
-def emit_reports(table, cfg: StudyConfig, results, failures=()):
+def emit_reports(table, cfg: StudyConfig, levels):
     """Write report.csv and report.json under the configured directory."""
     out = cfg.output_dir
     try:
@@ -394,7 +383,7 @@ def emit_reports(table, cfg: StudyConfig, results, failures=()):
                 csv_lines.append(",".join(
                     [rec["eigen"]] + [_f12(rec[c]) for c in CSV_COLUMNS[1:]]))
         (out / "report.csv").write_text("\n".join(csv_lines) + "\n")
-        payload = _json_payload(table, cfg, results, list(failures))
+        payload = _json_payload(table, cfg, levels)
         (out / "report.json").write_text(
             json.dumps(payload, indent=2) + "\n")
     except OSError as exc:
@@ -423,10 +412,11 @@ def _peak_rss_mb():
     return peak / (2**20 if sys.platform == "darwin" else 2**10)
 
 
-def _write_timings(cfg, timings, peaks, total):
+def _write_timings(cfg, levels, total):
     data = {
-        "levels": [{"n": n, "seconds": t, "peak_rss_mb": mb}
-                   for n, t, mb in zip(cfg.levels, timings, peaks)],
+        "levels": [{"n": lv.n, "seconds": lv.seconds,
+                    "peak_rss_mb": lv.peak_rss_mb}
+                   for lv in levels if lv.error is None],
         "total_seconds": total,
     }
     try:
@@ -436,15 +426,17 @@ def _write_timings(cfg, timings, peaks, total):
         pass  # timings are advisory
 
 
-def _print_summary(table, cfg, results, failures, timings, total):
+def _print_summary(table, cfg, levels, total):
     w = sys.stdout.write
     w(f"study: preset={cfg.preset} levels={cfg.levels} k={cfg.k} "
       f"solver={cfg.solver}\n")
-    for res, secs in zip(results, timings):
+    for lv in levels:
+        if lv.error is not None:
+            w(f"  level n={lv.n:<4d} FAILED: {lv.error}\n")
+            continue
+        res = lv.result
         w(f"  level n={res.n:<4d} h={res.h:.6g}  edges={res.num_edges} "
-          f"triangles={res.num_triangles}  [{secs:.2f}s]\n")
-    for f in failures:
-        w(f"  level n={f['n']:<4d} FAILED: {f['error']}\n")
+          f"triangles={res.num_triangles}  [{lv.seconds:.2f}s]\n")
     if table is not None:
         w(f"reference: {table.reference_kind}\n")
         header = (f"{'eigen':>6} {'n':>5} {'lambda_h':>16} "

@@ -21,6 +21,10 @@ CLUSTER_RTOL = 1e-6
 # Errors at or below this magnitude are saturated: no order is reported.
 SATURATION = 1e-13
 
+# The RT0 eigenvalue error expands in even powers of h, led by h^2: the
+# power one Richardson step cancels.
+EXPANSION_ORDER = 2.0
+
 
 def richardson(coarse: float, fine: float, p: float = 2.0) -> float:
     """Cancel the leading h^p error term from values at h and h/2.
@@ -68,7 +72,7 @@ class LevelSequence:
         return np.vstack([self.matched[c].mean(axis=0) for c in self.clusters])
 
 
-def match_and_cluster(levels, p: float = 2.0) -> LevelSequence:
+def match_and_cluster(levels, p: float = EXPANSION_ORDER) -> LevelSequence:
     """Match eigenvalues across levels by ascending index and cluster them.
 
     `levels` is a sequence of (n, h, eigenvalues) with n strictly doubling
@@ -130,9 +134,9 @@ class SupercloseBlock:
     distance: np.ndarray        # D-weighted projection-to-discrete distance
     err_u: np.ndarray
     err_sigma: np.ndarray
-    order_distance: np.ndarray = None
-    order_err_u: np.ndarray = None
-    order_err_sigma: np.ndarray = None
+    order_distance: np.ndarray = field(init=False)
+    order_err_u: np.ndarray = field(init=False)
+    order_err_sigma: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.order_distance = observed_order(self.distance)
@@ -156,7 +160,7 @@ def _cluster_label(indices) -> str:
     return str(lo) if lo == hi else f"{lo}-{hi}"
 
 
-def build_table(seq: LevelSequence, p: float = 2.0,
+def build_table(seq: LevelSequence, p: float = EXPANSION_ORDER,
                 reference: np.ndarray | None = None) -> ConvergenceTable:
     """Extrapolate each cluster and attach errors and observed orders.
 

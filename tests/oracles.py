@@ -16,9 +16,11 @@ assembly from the element routines, the dict walk that numbers mesh edges,
 the nested-dissection order of the unknowns by recursion over boxes, the
 iterative eigenvalues through a COLAMD-ordered factorization, the
 nested-dissection LU of the saddle-point block, and the
-projections and L2 errors of the superclose module.  Last come the
-report renderers that walk the convergence table once per output, each
-with its own level offsets.
+projections and L2 errors of the superclose module.  The study's
+superclose block has a post-hoc reference that measures every level after
+the last one is solved, where the package measures each level while it is
+alive.  Last come the report renderers that walk the convergence table
+once per output, each with its own level offsets.
 """
 
 import io
@@ -34,11 +36,14 @@ import sympy
 from numpy.polynomial.legendre import leggauss
 
 from rt0eig import (__version__, edge_normals, edge_rule, element_div,
-                    element_flux_mass, integrate_triangle)
+                    element_flux_mass, integrate_triangle, l2_errors,
+                    laplace_eigenpair, p0_project, superclose_distance,
+                    triangle_rule)
 from rt0eig.cli import CSV_COLUMNS
 from rt0eig.eigensolver import (NumericalError, _check_residuals, _fix_signs,
                                 _residuals)
-from rt0eig.extrapolation import ConvergenceTable
+from rt0eig.extrapolation import (EXPANSION_ORDER, ConvergenceTable,
+                                  SupercloseBlock)
 
 
 def symbolic_flux_mass(tri, signs):
@@ -387,6 +392,27 @@ def pointwise_l2_errors(pair, exact, mesh, rule, A=None):
     return math.sqrt(err_u), math.sqrt(err_sigma)
 
 
+def posthoc_superclose_block(prob, solved):
+    """Projection distances and plain errors for the first (simple) mode,
+    measured after the fact from every level's (mesh, system, result)."""
+    exact = laplace_eigenpair(1, 1, prob.domain)
+    rule3 = triangle_rule(3)
+    dist, err_u, err_sigma = [], [], []
+    for mesh, sys_, result in solved:
+        pu = p0_project(exact.u, mesh, rule3)
+        u_h = result.pairs[0].u
+        dist.append(superclose_distance(u_h, pu, sys_.D))
+        eu, es = l2_errors(result.pairs[0], exact, mesh, rule3, A=prob.A)
+        err_u.append(eu)
+        err_sigma.append(es)
+    return SupercloseBlock(
+        mode=(1, 1),
+        distance=np.array(dist),
+        err_u=np.array(err_u),
+        err_sigma=np.array(err_sigma),
+    )
+
+
 # ---------------------------------------------------------------------------
 # report renderers, one walk of ConvergenceTable per output
 
@@ -462,7 +488,7 @@ def _json_payload(table, cfg, results, failures):
             "preset": cfg.preset,
             "levels": list(cfg.levels),
             "k": cfg.k,
-            "expansion_order": cfg.expansion_order,
+            "expansion_order": EXPANSION_ORDER,
             "solver": cfg.solver,
             "seed": cfg.seed,
             "compute_superclose": cfg.compute_superclose,

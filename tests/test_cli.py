@@ -1,17 +1,23 @@
+import gc
 import json
 import os
 import re
 import subprocess
 import sys
+import weakref
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rt0eig.cli as cli
+from rt0eig import (assemble, build_structured_mesh, get_preset,
+                    solve_mixed_eigenproblem)
 from rt0eig.cli import (ConfigError, StudyConfig, emit_reports, main,
                         parse_config, run_study)
 from rt0eig.eigensolver import NumericalError
+import oracles
 
 GOOD_CONFIG = """\
 [study]
@@ -35,7 +41,6 @@ def test_parse_good_config(tmp_path):
     assert cfg.preset == "laplace"
     assert cfg.levels == [2, 4]
     assert cfg.k == 2
-    assert cfg.expansion_order == 2.0
     assert cfg.solver == "dense"
     assert not cfg.compute_superclose
 
@@ -48,7 +53,6 @@ def test_parse_readme_example(tmp_path):
     assert cfg.preset == "laplace"
     assert cfg.levels == [8, 16, 32]
     assert cfg.k == 4
-    assert cfg.expansion_order == 2.0
     assert cfg.seed == 0
     assert cfg.compute_superclose
     assert not cfg.dump_matrices
@@ -59,6 +63,11 @@ def test_parse_readme_example(tmp_path):
 def test_parse_rejects_unknown_key(tmp_path):
     bad = GOOD_CONFIG.format(out=tmp_path) + "typo_key = 1\n"
     with pytest.raises(ConfigError, match="unknown \\[output\\] keys"):
+        parse_config(_write(tmp_path, bad))
+    # the expansion order is a constant of the method, not a setting
+    bad = GOOD_CONFIG.format(out=tmp_path).replace(
+        "[output]", "expansion_order = 2\n[output]")
+    with pytest.raises(ConfigError, match="unknown \\[study\\] keys"):
         parse_config(_write(tmp_path, bad))
 
 
@@ -78,6 +87,24 @@ def test_parse_rejects_bad_boolean(tmp_path):
         "[output]", "compute_superclose = yes\n[output]")
     with pytest.raises(ConfigError, match="compute_superclose"):
         parse_config(_write(tmp_path, bad))
+
+
+@pytest.mark.parametrize("key, text", [
+    ("k", "two"), ("seed", "1.5"), ("dump_matrices", "1"),
+    ("levels", "2 four")])
+def test_parse_malformed_value_names_its_key(tmp_path, key, text):
+    good = GOOD_CONFIG.format(out=tmp_path)
+    bad = re.sub(rf"^{key} = .*$", f"{key} = {text}", good, flags=re.M)
+    if bad == good:
+        bad = good.replace("[output]", f"{key} = {text}\n[output]")
+    with pytest.raises(ConfigError, match=rf"\b{key}\b"):
+        parse_config(_write(tmp_path, bad))
+
+
+def test_every_config_field_has_a_key():
+    """Each StudyConfig field is settable from a config file."""
+    assert set(cli._STUDY_PARSERS) | {"output_dir"} == {
+        f.name for f in fields(StudyConfig)}
 
 
 def test_parse_missing_file(tmp_path):
@@ -104,9 +131,6 @@ def test_validate_bounds():
     with pytest.raises(ConfigError, match="solver"):
         StudyConfig(preset="laplace", levels=[2, 4], k=1,
                     solver="quantum").validate()
-    with pytest.raises(ConfigError, match="expansion order"):
-        StudyConfig(preset="laplace", levels=[2, 4], k=1,
-                    expansion_order=-1).validate()
 
 
 def test_presets_command(capsys):
@@ -217,7 +241,7 @@ def test_emit_reports_without_table(tmp_path):
     """No convergence rows: header-only CSV, valid JSON with empty array."""
     cfg = StudyConfig(preset="laplace", levels=[2, 4], k=2,
                       output_dir=tmp_path / "empty")
-    paths = emit_reports(None, cfg, [], [])
+    paths = emit_reports(None, cfg, [])
     lines = paths["csv"].read_text().splitlines()
     assert lines == [",".join(cli.CSV_COLUMNS)]
     payload = json.loads(paths["json"].read_text())
@@ -231,7 +255,7 @@ def test_emit_reports_unwritable_path_named(tmp_path):
     cfg = StudyConfig(preset="laplace", levels=[2, 4], k=2,
                       output_dir=blocker / "sub")
     with pytest.raises(ConfigError, match="file"):
-        emit_reports(None, cfg, [], [])
+        emit_reports(None, cfg, [])
 
 
 def test_numerical_failure_marks_level_and_exit_code(tmp_path, monkeypatch, capsys):
@@ -338,3 +362,47 @@ def test_dense_solver_rejects_levels_it_cannot_hold(tmp_path, capsys):
     assert main(["run", str(cfgfile), "--levels", "64,128"]) == 1
     assert "solver = iterative" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("solver", ["dense", "iterative"])
+def test_no_level_outlives_its_level(tmp_path, monkeypatch, solver):
+    """A study keeps no level's mesh or assembled system: by the time the
+    next level assembles, the previous one's are gone."""
+    refs, alive = [], []
+    real = cli.assemble
+
+    def spy(mesh, prob):
+        gc.collect()
+        alive.extend((m() is not None, s() is not None) for m, s in refs)
+        refs.clear()
+        sys_ = real(mesh, prob)
+        refs.append((weakref.ref(mesh), weakref.ref(sys_)))
+        return sys_
+
+    monkeypatch.setattr(cli, "assemble", spy)
+    cfg = StudyConfig(preset="laplace", levels=[4, 8, 16], k=3,
+                      solver=solver, compute_superclose=True,
+                      output_dir=tmp_path)
+    run_study(cfg)
+    assert alive == [(False, False)] * 2
+
+
+@pytest.mark.parametrize("solver", ["dense", "iterative"])
+def test_streamed_superclose_equals_posthoc_reference(tmp_path, solver):
+    """Each level measured while it is alive gives exactly the block that
+    measuring every level after the study would."""
+    cfg = StudyConfig(preset="laplace", levels=[4, 8, 16], k=4,
+                      solver=solver, seed=3, compute_superclose=True,
+                      output_dir=tmp_path)
+    table, _ = run_study(cfg)
+    prob = get_preset(cfg.preset)
+    solved = []
+    for n in cfg.levels:
+        mesh = build_structured_mesh(prob.domain, n)
+        sys_ = assemble(mesh, prob)
+        solved.append((mesh, sys_, solve_mixed_eigenproblem(
+            mesh, sys_, cfg.k, method=solver, seed=cfg.seed)))
+    want = oracles.posthoc_superclose_block(prob, solved)
+    for f in fields(want):
+        assert np.array_equal(getattr(table.superclose, f.name),
+                              getattr(want, f.name)), f.name

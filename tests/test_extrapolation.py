@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from rt0eig import (build_table, match_and_cluster, observed_order,
-                    richardson)
+from rt0eig import (SupercloseBlock, build_table, match_and_cluster,
+                    observed_order, richardson)
 
 
 def test_richardson_cancels_quadratic_term():
@@ -139,3 +139,13 @@ def test_build_table_self_reference():
     assert row.err_extrap[-1] <= 1e-15
     # raw errors against that reference still show the h^2 decay
     assert row.order_raw == pytest.approx([2.0, 2.0], abs=1e-9)
+
+
+def test_superclose_orders_are_derived_not_passed():
+    errors = np.array([0.4, 0.1, 0.025])
+    block = SupercloseBlock(mode=(1, 1), distance=errors, err_u=errors,
+                            err_sigma=errors)
+    assert np.array_equal(block.order_distance, [2.0, 2.0])
+    with pytest.raises(TypeError, match="order_distance"):
+        SupercloseBlock(mode=(1, 1), distance=errors, err_u=errors,
+                        err_sigma=errors, order_distance=np.zeros(2))

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import rt0eig.cli as cli
-from rt0eig.cli import StudyConfig, emit_reports, run_study
+from rt0eig.cli import Level, StudyConfig, emit_reports, run_study
 from rt0eig.extrapolation import (LevelSequence, SupercloseBlock,
                                   build_table)
 import oracles
@@ -24,13 +24,12 @@ import oracles
 TIMING = 0.125  # fixed seconds per level, so the summary is deterministic
 
 
-def _render_new(table, cfg, results, failures, out):
+def _render_new(table, cfg, levels, out):
     cfg = replace(cfg, output_dir=out)
-    paths = emit_reports(table, cfg, results, failures)
+    paths = emit_reports(table, cfg, levels)
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        cli._print_summary(table, cfg, results, failures,
-                           [TIMING] * len(results), TIMING * len(results))
+        cli._print_summary(table, cfg, levels, TIMING * len(levels))
     return (paths["csv"].read_text(), paths["json"].read_text(),
             buf.getvalue())
 
@@ -40,11 +39,16 @@ def _render_old(table, cfg, results, failures):
             oracles.json_text(table, cfg, results, failures),
             oracles.summary_text(table, cfg, results, failures,
                                  [TIMING] * len(results),
-                                 TIMING * len(results)))
+                                 TIMING * (len(results) + len(failures))))
 
 
 def _assert_same(table, cfg, results, failures, out):
-    new = _render_new(table, cfg, results, list(failures), out)
+    """The package's renderers on Level records, each completed level
+    TIMING seconds long, against the reference renderers on the results
+    and failure dicts they stand for."""
+    levels = ([Level(n=res.n, result=res, seconds=TIMING) for res in results]
+              + [Level(n=f["n"], error=f["error"]) for f in failures])
+    new = _render_new(table, cfg, levels, out)
     old = _render_old(table, cfg, results, list(failures))
     for name, got, want in zip(("csv", "json", "summary"), new, old):
         assert got == want, f"{name} differs from the reference renderer"
@@ -64,8 +68,8 @@ STUDIES = {
 @pytest.mark.parametrize("name", sorted(STUDIES))
 def test_study_reports_match_reference(name, tmp_path):
     cfg = StudyConfig(output_dir=tmp_path / "run", **STUDIES[name])
-    table, runs = run_study(cfg)
-    _assert_same(table, cfg, [r.result for r in runs], [],
+    table, levels = run_study(cfg)
+    _assert_same(table, cfg, [lv.result for lv in levels], [],
                  tmp_path / "render")
 
 
@@ -138,6 +142,7 @@ def test_superclose_on_cluster_row_matches_reference(tmp_path):
 def test_failed_level_without_table_matches_reference(tmp_path):
     cfg = StudyConfig(preset="laplace", levels=[2, 4], k=2,
                       output_dir=tmp_path / "run")
-    _, runs = run_study(replace(cfg, levels=[1, 2]))
+    _, levels = run_study(replace(cfg, levels=[1, 2]))
     failures = [{"n": 4, "error": "synthetic breakdown"}]
-    _assert_same(None, cfg, [runs[-1].result], failures, tmp_path / "render")
+    _assert_same(None, cfg, [levels[-1].result], failures,
+                 tmp_path / "render")
