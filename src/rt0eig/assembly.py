@@ -47,10 +47,10 @@ class AssembledSystem:
     the solvers factorize what they need of it themselves.
 
     C and D hold the diagonals of the (diagonal) reaction and weight mass
-    matrices as 1-D arrays of length num_triangles.  `order` is the
-    nested-dissection permutation of the mesh's unknowns, edges first and
-    then triangles; the iterative solver numbers its interface multipliers,
-    one per interior edge, in the order it gives their edges.
+    matrices as 1-D arrays of length num_triangles.  `order` lists the
+    interior edges in the mesh's nested-dissection order (see
+    nested_dissection_order); they carry the interface multipliers of the
+    iterative solver, which numbers them in that order.
 
     The element blocks that M and B are summed from stay alongside them
     for the iterative solver, which hybridizes the mixed system triangle by

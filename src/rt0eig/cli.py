@@ -212,9 +212,10 @@ def run_level(cfg: StudyConfig, prob, n: int) -> Level:
         exact = laplace_eigenpair(1, 1, prob.domain)
         rule3 = triangle_rule(3)
         pu = p0_project(exact.u, mesh, rule3)
-        distance = superclose_distance(result.pairs[0].u, pu, sys_.D)
+        u_h = result.vectors[:, 0]
+        distance = superclose_distance(u_h, pu, sys_.D)
         err_u, err_sigma = l2_errors(
-            result.pairs[0], exact, mesh, rule3, A=prob.A)
+            u_h, result.fluxes[:, 0], mesh, exact, rule3, A=prob.A)
     return Level(n=n, result=result, distance=distance, err_u=err_u,
                  err_sigma=err_sigma, seconds=time.perf_counter() - start,
                  peak_rss_mb=_peak_rss_mb())
@@ -331,8 +332,8 @@ def _json_payload(table, cfg, levels):
             "edges": res.num_edges,
             "triangles": res.num_triangles,
             "status": "ok",
-            "eigenvalues": [_round12(p.lambda_h) for p in res.pairs],
-            "residuals": [_round12(p.residual) for p in res.pairs],
+            "eigenvalues": [_round12(v) for v in res.eigenvalues],
+            "residuals": [_round12(v) for v in res.residuals],
         })
 
     payload = {

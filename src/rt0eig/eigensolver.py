@@ -29,7 +29,7 @@ approximate the scalar's trace on the interior edges, from which Arnold
 and Brezzi post-process it.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
@@ -55,43 +55,33 @@ class NumericalError(Exception):
 
 
 @dataclass
-class EigenPair:
-    """One discrete eigentriple, a column of what solve_gevp and
-    recover_flux return on the dense path, or solve_gevp_iterative on the
-    iterative one.
-
-    `u` is normalized to u^T D u = 1 with its largest-magnitude entry
-    positive; `sigma` solves M sigma = -B^T u.  `residual` is the 2-norm of
-    S u - lambda D u on the dense path, formed from the triangle of
-    W = D^-1/2 S D^-1/2 that is left in S's storage after the eigensolver
-    overwrote it (see solve_gevp).  The iterative path does not apply S
-    and reports the 2-norm of C u - B sigma - lambda D u instead, the scalar
-    row of the saddle-point system; it differs from S u - lambda D u by
-    B M^-1 (M sigma + B^T u), the image of the flux row's residual, which
-    is checked against FLUX_RTOL.  Its `lambda_h` is the Rayleigh quotient
-    u^T (C u - B sigma) / u^T D u of the reported u and sigma, not ARPACK's
-    Ritz value.
-    """
-
-    lambda_h: float
-    u: np.ndarray
-    sigma: np.ndarray
-    residual: float
-
-
-@dataclass
 class EigenResult:
-    """Eigenpairs of one mesh level, ascending by eigenvalue."""
+    """The k smallest eigentriples of one mesh level, ascending by
+    eigenvalue, as the arrays solve_gevp and recover_flux return on the
+    dense path, or solve_gevp_iterative on the iterative one.
+
+    Column j of `vectors` (T, k) is u_j, normalized to u^T D u = 1 with its
+    largest-magnitude entry positive; column j of `fluxes` (E, k) is
+    sigma_j, which solves M sigma = -B^T u.  `residuals` (k,) holds the
+    2-norms of S u - lambda D u on the dense path, formed from the triangle
+    of W = D^-1/2 S D^-1/2 that is left in S's storage after the
+    eigensolver overwrote it (see solve_gevp).  The iterative path does not
+    apply S and reports the 2-norms of C u - B sigma - lambda D u instead,
+    the scalar row of the saddle-point system; they differ from
+    S u - lambda D u by B M^-1 (M sigma + B^T u), the image of the flux
+    row's residual, which is checked against FLUX_RTOL.  Its `eigenvalues`
+    are the Rayleigh quotients u^T (C u - B sigma) / u^T D u of the
+    reported u and sigma, not ARPACK's Ritz values.
+    """
 
     n: int
     h: float
     num_edges: int
     num_triangles: int
-    pairs: list[EigenPair] = field(default_factory=list)
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return np.array([p.lambda_h for p in self.pairs])
+    eigenvalues: np.ndarray
+    vectors: np.ndarray
+    fluxes: np.ndarray
+    residuals: np.ndarray
 
 
 def flux_mass_solver(M: sp.csr_matrix):
@@ -245,7 +235,7 @@ def _hybridize(sys):
     unknown of K has one slot: a triangle's scalar its own, and an edge's
     flux that of its first triangle, its owner, which also gives its sigma
     back.  The jump map G takes the owner's slot minus the neighbour's to
-    the multipliers, numbered in the order `sys.order` gives their edges.
+    the multipliers, numbered as `sys.order` lists the interior edges.
     Then
 
         Z = A^-1 restricted to the slots of K,
@@ -276,15 +266,13 @@ def _hybridize(sys):
     local = 4 * (p // 3) + p % 3
     owner = np.unique(te, return_index=True)[1]
     slot = np.concatenate([local[owner], 4 * np.arange(t) + 3])
-    edges = sys.order[sys.order < ne]
-    edges = edges[np.bincount(te, minlength=ne)[edges] == 2]
     multiplier = np.full(ne, -1)
-    multiplier[edges] = np.arange(edges.size)
+    multiplier[sys.order] = np.arange(sys.order.size)
     interior = multiplier[te] >= 0
     g = sp.csr_matrix(
         (np.where(owner[te] == p, 1.0, -1.0)[interior],
          (multiplier[te][interior], local[interior])),
-        shape=(edges.size, 4 * t))
+        shape=(sys.order.size, 4 * t))
 
     a_inv_gt = a_inv @ g.T
     z, w, h = a_inv[slot][:, slot], a_inv_gt[slot], g @ a_inv_gt
@@ -317,7 +305,7 @@ def solve_gevp_iterative(sys, k: int, seed: int = 0):
 
     Returns (values, vectors, fluxes, residuals): values and vectors like
     solve_gevp, the flux sigma_j of each vector as the columns of fluxes,
-    and residuals of the scalar row (see EigenPair).  The saddle-point
+    and residuals of the scalar row (see EigenResult).  The saddle-point
     block K = [[M, B^T], [B, -C]] is solved through its hybridization (see
     _hybridize): K^-1 r = Z r - W H^-1 W^T r, with H the symmetric positive
     definite system of the interface multipliers, factorized once per level
@@ -464,10 +452,6 @@ def solve_mixed_eigenproblem(mesh, sys, k: int, method: str = "dense",
         vals, vecs, fluxes, residuals = solve_gevp_iterative(sys, k, seed)
     else:
         raise NumericalError(f"unknown solver method {method!r}")
-    pairs = [
-        EigenPair(lambda_h=float(vals[j]), u=vecs[:, j], sigma=fluxes[:, j],
-                  residual=float(residuals[j]))
-        for j in range(k)
-    ]
     return EigenResult(n=mesh.n, h=mesh.h, num_edges=sys.num_edges,
-                       num_triangles=sys.num_triangles, pairs=pairs)
+                       num_triangles=sys.num_triangles, eigenvalues=vals,
+                       vectors=vecs, fluxes=fluxes, residuals=residuals)

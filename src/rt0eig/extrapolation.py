@@ -26,7 +26,8 @@ SATURATION = 1e-13
 EXPANSION_ORDER = 2.0
 
 
-def richardson(coarse: float, fine: float, p: float = 2.0) -> float:
+def richardson(coarse: float, fine: float,
+               p: float = EXPANSION_ORDER) -> float:
     """Cancel the leading h^p error term from values at h and h/2.
 
     Returns (2^p * fine - coarse) / (2^p - 1); exact whenever the inputs

@@ -88,8 +88,8 @@ class Mesh:
     triangle_edge_signs: np.ndarray
     boundary_edge_flags: np.ndarray
     h: float
-    areas: np.ndarray = field(repr=False, default=None)
-    edge_lengths: np.ndarray = field(repr=False, default=None)
+    areas: np.ndarray = field(repr=False)
+    edge_lengths: np.ndarray = field(repr=False)
 
     @property
     def num_vertices(self) -> int:
@@ -202,36 +202,27 @@ def build_structured_mesh(rect: Rectangle, n: int) -> Mesh:
     )
 
 
-def _doubled_centers(ids, n):
-    """Grid coordinates, doubled, of the bounding-box centers of the vertex
-    index rows `ids` of an n-by-n grid."""
-    iy, ix = np.divmod(np.ascontiguousarray(ids.T), n + 1)
-    return ix.min(axis=0) + ix.max(axis=0), iy.min(axis=0) + iy.max(axis=0)
-
-
 def nested_dissection_order(mesh: Mesh) -> np.ndarray:
-    """Nested-dissection permutation of the mixed unknowns.
+    """Nested-dissection order of the interior edges, the unknowns of the
+    hybridized system's interface multipliers.
 
-    The unknowns are numbered edges first (0 .. E-1), then triangles
-    (E .. E+T-1).  The cell grid is bisected along the middle grid line of
-    its longer side (counted in cells, the x-side on a tie), and the
-    grid-line edges on that line are the separator: the flux mass matrix
-    couples only the edges of one triangle and the divergence only a
-    triangle with its edges, so removing them disconnects the two halves.
-    Each half is ordered before its separator, recursively down to single
-    cells.  A cell's unknowns are its diagonal edge, its two triangles and
-    its domain-boundary edges; unknowns of one cell or one separator keep
-    their mesh order.
+    The cell grid is bisected along the middle grid line of its longer
+    side (counted in cells, the x-side on a tie), and the grid-line edges
+    on that line are the separator: the multiplier system couples only the
+    interior edges of one triangle, so removing them disconnects the two
+    halves.  Each half is ordered before its separator, recursively down
+    to single cells, whose one interior edge is their diagonal; edges of
+    one separator keep their mesh order.
 
     The tree is walked one level at a time, all boxes of a level at once.
     Every node gets a base-3 sort key whose digits spell its path (0 lower
     half, 1 upper half, 2 separator, then zeros), so the keys compare as
     the post-order of the tree.  The keys live in a table over doubled
-    grid coordinates, from which every unknown reads its own.
+    grid coordinates, from which every edge reads its own at its midpoint.
 
     Returns
     -------
-    (E + T,) int array `p` such that K[p][:, p] is the reordered matrix.
+    (num_interior_edges,) int array of edge indices, in that order.
     """
     n = mesh.n
     # key[Y, X] at doubled grid coordinates: even on a grid line, odd
@@ -268,13 +259,11 @@ def nested_dissection_order(mesh: Mesh) -> np.ndarray:
                   np.concatenate([np.where(vertical, y1, cut), y1]))
         box_key = np.concatenate([box_key, box_key + place])
 
-    # edge midpoints and cell centers; a domain-boundary edge moves inside
-    # the one cell it bounds
-    ex, ey = _doubled_centers(mesh.edges, n)
-    tx, ty = _doubled_centers(mesh.triangles, n)
-    x = np.clip(np.concatenate([ex, tx]), 1, 2 * n - 1)
-    y = np.clip(np.concatenate([ey, ty]), 1, 2 * n - 1)
-    return np.argsort(key[y, x], kind="stable")
+    interior = np.flatnonzero(~mesh.boundary_edge_flags)
+    # doubled grid coordinates of the midpoints: the sums of the vertices'
+    iy, ix = np.divmod(mesh.edges[interior], n + 1)
+    x, y = ix.sum(axis=1), iy.sum(axis=1)
+    return interior[np.argsort(key[y, x], kind="stable")]
 
 
 def edge_normals(mesh: Mesh) -> np.ndarray:

@@ -162,11 +162,12 @@ def superclose_distance(u_h: np.ndarray, pu: np.ndarray,
     return math.sqrt(float(diff @ (d * diff)))
 
 
-def l2_errors(pair, exact: AnalyticEigenpair, mesh: Mesh,
-              rule: QuadratureRule | None = None,
+def l2_errors(u_h: np.ndarray, sigma_h: np.ndarray, mesh: Mesh,
+              exact: AnalyticEigenpair, rule: QuadratureRule | None = None,
               A: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
               ) -> tuple[float, float]:
-    """L2 errors of the discrete eigenfunction and its flux.
+    """L2 errors of the discrete eigenfunction u_h (one value per triangle)
+    and its flux sigma_h (one coefficient per edge).
 
     err_u integrates (u_exact - u_h)^2 over each triangle with u_h constant
     there; err_sigma does the same against the exact flux A grad(u_exact)
@@ -180,8 +181,7 @@ def l2_errors(pair, exact: AnalyticEigenpair, mesh: Mesh,
     x, y = pts[..., 0], pts[..., 1]
     u = field_values(exact.u, x, y)
     # sign alignment: compare elementwise means against the exact function
-    overlap = _sequential_sum(
-        mesh.areas * pair.u * _element_means(u, rule))
+    overlap = _sequential_sum(mesh.areas * u_h * _element_means(u, rule))
     sign = 1.0 if overlap >= 0 else -1.0
 
     flux = field_values(exact.grad_u, x, y, (2,))
@@ -190,13 +190,13 @@ def l2_errors(pair, exact: AnalyticEigenpair, mesh: Mesh,
     # discrete flux at each point: sum over the local basis phi_i, with
     # coefficient sigma_e * s_i * |e_i| / (2 |T|), of (point - vertex i)
     te = mesh.triangle_edges
-    coeff = (pair.sigma[te] * mesh.triangle_edge_signs
+    coeff = (sigma_h[te] * mesh.triangle_edge_signs
              * mesh.edge_lengths[te] / (2.0 * mesh.areas[:, None]))
-    sigma_h = np.zeros(pts.shape)
+    flux_h = np.zeros(pts.shape)
     for i in range(3):
-        sigma_h += coeff[:, i, None, None] * (pts - tri[:, None, i])
-    dsig = flux - sign * sigma_h
-    err_u = _element_means((u - sign * pair.u[:, None]) ** 2, rule)
+        flux_h += coeff[:, i, None, None] * (pts - tri[:, None, i])
+    dsig = flux - sign * flux_h
+    err_u = _element_means((u - sign * u_h[:, None]) ** 2, rule)
     err_sigma = _element_means(rowdot(dsig, dsig), rule)
     return (math.sqrt(_sequential_sum(mesh.areas * err_u)),
             math.sqrt(_sequential_sum(mesh.areas * err_sigma)))

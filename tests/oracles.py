@@ -35,11 +35,12 @@ import scipy.sparse.linalg as spla
 import sympy
 from numpy.polynomial.legendre import leggauss
 
-from rt0eig import (__version__, edge_normals, edge_rule, element_div,
-                    element_flux_mass, integrate_triangle, l2_errors,
-                    laplace_eigenpair, p0_project, superclose_distance,
-                    triangle_rule)
+from rt0eig import (__version__, edge_normals, element_flux_mass,
+                    integrate_triangle, l2_errors, laplace_eigenpair,
+                    p0_project, superclose_distance, triangle_rule)
+from rt0eig.assembly import element_div
 from rt0eig.cli import CSV_COLUMNS
+from rt0eig.coefficients import edge_rule
 from rt0eig.eigensolver import (NumericalError, _check_residuals, _fix_signs,
                                 _residuals)
 from rt0eig.extrapolation import (EXPANSION_ORDER, ConvergenceTable,
@@ -205,11 +206,13 @@ def saddle_point_solve(sys, rhs):
     return spla.spsolve(saddle_point_matrix(sys), rhs)
 
 
-def nested_dissection_k_factor(sys):
+def nested_dissection_k_factor(mesh, sys):
     """The LU the iterative path made before it was hybridized: K with its
-    unknowns in the nested-dissection order `sys.order`, SuperLU keeping
-    that column order and pivoting rows with its default threshold."""
-    k = saddle_point_matrix(sys)[sys.order][:, sys.order]
+    unknowns in the nested-dissection order of recursive_nested_dissection,
+    SuperLU keeping that column order and pivoting rows with its default
+    threshold."""
+    order = recursive_nested_dissection(mesh)
+    k = saddle_point_matrix(sys)[order][:, order]
     return spla.splu(k, permc_spec="NATURAL")
 
 
@@ -369,11 +372,11 @@ def pointwise_fortin(sigma, mesh, npts):
     return out
 
 
-def pointwise_l2_errors(pair, exact, mesh, rule, A=None):
+def pointwise_l2_errors(u_h, sigma_h, mesh, exact, rule, A=None):
     """(err_u, err_sigma) with the discrete flux expanded in the element
     basis at each quadrature point."""
     means = pointwise_p0_project(exact.u, mesh, rule)
-    sign = 1.0 if np.sum(mesh.areas * pair.u * means) >= 0 else -1.0
+    sign = 1.0 if np.sum(mesh.areas * u_h * means) >= 0 else -1.0
     err_u = err_sigma = 0.0
     for t in range(mesh.num_triangles):
         tri, area = mesh.triangle_coords(t), mesh.areas[t]
@@ -384,10 +387,10 @@ def pointwise_l2_errors(pair, exact, mesh, rule, A=None):
             for i in range(3):
                 e = mesh.triangle_edges[t, i]
                 flux = flux - sign * (
-                    pair.sigma[e] * mesh.triangle_edge_signs[t, i]
+                    sigma_h[e] * mesh.triangle_edge_signs[t, i]
                     * mesh.edge_lengths[e] / (2.0 * area)
                     * (np.array([x, y]) - tri[i]))
-            err_u += area * w * (float(exact.u(x, y)) - sign * pair.u[t]) ** 2
+            err_u += area * w * (float(exact.u(x, y)) - sign * u_h[t]) ** 2
             err_sigma += area * w * float(flux @ flux)
     return math.sqrt(err_u), math.sqrt(err_sigma)
 
@@ -400,9 +403,10 @@ def posthoc_superclose_block(prob, solved):
     dist, err_u, err_sigma = [], [], []
     for mesh, sys_, result in solved:
         pu = p0_project(exact.u, mesh, rule3)
-        u_h = result.pairs[0].u
+        u_h = result.vectors[:, 0]
         dist.append(superclose_distance(u_h, pu, sys_.D))
-        eu, es = l2_errors(result.pairs[0], exact, mesh, rule3, A=prob.A)
+        eu, es = l2_errors(u_h, result.fluxes[:, 0], mesh, exact, rule3,
+                           A=prob.A)
         err_u.append(eu)
         err_sigma.append(es)
     return SupercloseBlock(
@@ -476,8 +480,8 @@ def _json_payload(table, cfg, results, failures):
             "edges": res.num_edges,
             "triangles": res.num_triangles,
             "status": "ok",
-            "eigenvalues": [_round12(p.lambda_h) for p in res.pairs],
-            "residuals": [_round12(p.residual) for p in res.pairs],
+            "eigenvalues": [_round12(v) for v in res.eigenvalues],
+            "residuals": [_round12(v) for v in res.residuals],
         })
     for f in failures:
         levels.append({"n": f["n"], "status": "failed", "error": f["error"]})

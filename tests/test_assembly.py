@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from rt0eig import (AssemblyError, Rectangle, assemble,
-                    build_structured_mesh, dump_matrix, element_div,
-                    element_flux_mass, get_preset, triangle_rule,
-                    UNIT_SQUARE)
+                    build_structured_mesh, dump_matrix, element_flux_mass,
+                    get_preset, triangle_rule, UNIT_SQUARE)
+from rt0eig.assembly import element_div
 from rt0eig.coefficients import ProblemSpec
 from oracles import element_assembly, symbolic_flux_mass
 

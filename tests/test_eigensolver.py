@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -302,7 +303,7 @@ def test_flux_norm_approaches_gradient_norm(laplace_systems):
     for n in (4, 8):
         mesh, sys_ = laplace_systems[n]
         res = solve_mixed_eigenproblem(mesh, sys_, 1)
-        sigma = res.pairs[0].sigma
+        sigma = res.fluxes[:, 0]
         diffs.append(abs(np.sqrt(sigma @ (sys_.M @ sigma)) - target))
     assert diffs[1] < diffs[0]
     assert diffs[1] < 0.05
@@ -313,10 +314,41 @@ def test_eigen_result_metadata(laplace_systems):
     res = solve_mixed_eigenproblem(mesh, sys_, 3)
     assert (res.n, res.num_edges, res.num_triangles) == (2, 16, 8)
     assert res.h == mesh.h
-    assert len(res.pairs) == 3
+    assert res.eigenvalues.shape == (3,)
     assert np.all(np.diff(res.eigenvalues) >= 0)
-    for p in res.pairs:
-        assert abs(p.u @ (sys_.D * p.u) - 1.0) <= 1e-12
+    for u in res.vectors.T:
+        assert abs(u @ (sys_.D * u) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("method", ["dense", "iterative"])
+def test_eigen_result_holds_the_solver_arrays(laplace_systems, method):
+    """EigenResult's arrays are those the solver path returns, column j of
+    each the j-th eigentriple: D-normalized, sign convention applied."""
+    mesh, sys_ = laplace_systems[8]
+    k, seed = 4, 3
+    res = solve_mixed_eigenproblem(mesh, sys_, k, method=method, seed=seed)
+    assert [f.name for f in dataclasses.fields(res)] == [
+        "n", "h", "num_edges", "num_triangles", "eigenvalues", "vectors",
+        "fluxes", "residuals"]
+    t, e = sys_.num_triangles, sys_.num_edges
+    assert res.eigenvalues.shape == res.residuals.shape == (k,)
+    assert res.vectors.shape == (t, k)
+    assert res.fluxes.shape == (e, k)
+    if method == "dense":
+        solve = flux_mass_solver(sys_.M)
+        vals, vecs, residuals = solve_gevp(schur_complement(sys_, solve),
+                                           sys_.D, k)
+        fluxes = recover_flux(vecs, sys_, solve)
+    else:
+        vals, vecs, fluxes, residuals = solve_gevp_iterative(sys_, k, seed)
+    assert np.array_equal(res.eigenvalues, vals)
+    assert np.array_equal(res.vectors, vecs)
+    assert np.array_equal(res.fluxes, fluxes)
+    assert np.array_equal(res.residuals, residuals)
+    norms = np.sum(sys_.D[:, None] * res.vectors**2, axis=0)
+    assert np.all(np.abs(norms - 1.0) <= 1e-12)
+    largest = np.argmax(np.abs(res.vectors), axis=0)
+    assert np.all(res.vectors[largest, np.arange(k)] > 0)
 
 
 def test_iterative_path_matches_dense(laplace_systems):
@@ -333,8 +365,7 @@ def test_iterative_path_deterministic(laplace_systems):
     a = solve_mixed_eigenproblem(mesh, sys_, 3, method="iterative", seed=42)
     b = solve_mixed_eigenproblem(mesh, sys_, 3, method="iterative", seed=42)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
-    for pa, pb in zip(a.pairs, b.pairs):
-        assert np.array_equal(pa.u, pb.u)
+    assert np.array_equal(a.vectors, b.vectors)
 
 
 def test_unknown_method_rejected(laplace_systems):

@@ -105,18 +105,16 @@ def test_iterative_n64_passes_residual_bound():
     differs from that S-residual only by the flux row's image."""
     mesh, sys_ = _system("laplace", 64)
     res = solve_mixed_eigenproblem(mesh, sys_, 4, method="iterative", seed=0)
-    vals = res.eigenvalues
-    vecs = np.column_stack([p.u for p in res.pairs])
-    sigmas = np.column_stack([p.sigma for p in res.pairs])
-    reported = np.array([p.residual for p in res.pairs])
-    bound = RESIDUAL_RTOL * max(p.lambda_h / (p.u @ p.u) for p in res.pairs)
+    vals, vecs, sigmas = res.eigenvalues, res.vectors, res.fluxes
+    bound = RESIDUAL_RTOL * max(vals[j] / (vecs[:, j] @ vecs[:, j])
+                                for j in range(len(vals)))
     s_res = schur_residuals(sys_, vals, vecs)
     assert np.all(s_res <= bound)
-    assert np.all(np.abs(s_res - reported)
+    assert np.all(np.abs(s_res - res.residuals)
                   <= flux_row_image(sys_, vecs, sigmas) + 1e-3 * bound)
-    for p in res.pairs:
-        assert abs(p.u @ (sys_.D * p.u) - 1.0) <= 1e-12
-        assert p.u[np.argmax(np.abs(p.u))] > 0
+    for u in vecs.T:
+        assert abs(u @ (sys_.D * u) - 1.0) <= 1e-12
+        assert u[np.argmax(np.abs(u))] > 0
 
 
 def test_nested_dissection_halves_the_fill_n64(monkeypatch):
@@ -157,8 +155,7 @@ def test_nested_dissection_n128_matches_colamd(laplace128):
 def test_reported_eigenvalues_are_rayleigh_quotients_n64():
     mesh, sys_ = _system("laplace", 64)
     res = solve_mixed_eigenproblem(mesh, sys_, 4, method="iterative", seed=0)
-    vecs = np.column_stack([p.u for p in res.pairs])
-    want = schur_rayleigh_quotients(sys_, vecs)
+    want = schur_rayleigh_quotients(sys_, res.vectors)
     assert np.all(np.abs(res.eigenvalues - want) <= 1e-13 * want)
 
 
@@ -177,10 +174,11 @@ def test_iterative_matches_dense_n16():
     it = solve_mixed_eigenproblem(mesh, sys_, 4, method="iterative", seed=0)
     rel = np.abs(it.eigenvalues - dense.eigenvalues) / dense.eigenvalues
     assert rel.max() <= 1e-12
-    for pd, pi in zip(dense.pairs[:1], it.pairs[:1]):  # simple eigenvalue
-        assert np.abs(pi.u - pd.u).max() <= 1e-10 * np.abs(pd.u).max()
-        assert (np.abs(pi.sigma - pd.sigma).max()
-                <= 1e-10 * np.abs(pd.sigma).max())
+    # the first eigenvalue is simple
+    for dense_col, it_col in ((dense.vectors[:, 0], it.vectors[:, 0]),
+                              (dense.fluxes[:, 0], it.fluxes[:, 0])):
+        assert (np.abs(it_col - dense_col).max()
+                <= 1e-10 * np.abs(dense_col).max())
 
 
 @pytest.fixture(scope="module")

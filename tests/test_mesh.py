@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from rt0eig import (MeshError, Rectangle, UNIT_SQUARE, assemble,
-                    build_structured_mesh, dump_mesh, edge_normals, get_preset)
-from rt0eig.mesh import nested_dissection_order
+                    build_structured_mesh, edge_normals, get_preset)
+from rt0eig.eigensolver import _hybridize
+from rt0eig.mesh import dump_mesh, nested_dissection_order
 from oracles import (brute_force_edges, dict_walk_topology,
                      recursive_nested_dissection)
 
@@ -199,36 +200,42 @@ NESTED_DISSECTION_MESHES = [(UNIT_SQUARE, n) for n in range(1, 10)] + [
 
 @pytest.mark.parametrize("rect,n", NESTED_DISSECTION_MESHES)
 def test_nested_dissection_order_is_a_permutation(rect, n):
+    """The order lists each interior edge once, and no other unknown."""
     m = build_structured_mesh(rect, n)
     order = nested_dissection_order(m)
     assert np.array_equal(np.sort(order),
-                          np.arange(m.num_edges + m.num_triangles))
+                          np.flatnonzero(~m.boundary_edge_flags))
 
 
 @pytest.mark.parametrize("rect,n", NESTED_DISSECTION_MESHES)
 def test_nested_dissection_order_matches_recursion(rect, n):
+    """The recursion orders all mixed unknowns; its interior edges come in
+    the same order."""
     m = build_structured_mesh(rect, n)
+    full = recursive_nested_dissection(m)
+    interior = np.flatnonzero(~m.boundary_edge_flags)
     assert np.array_equal(nested_dissection_order(m),
-                          recursive_nested_dissection(m))
+                          full[np.isin(full, interior)])
 
 
 def test_nested_dissection_separator_splits_the_coupling():
-    """Cutting the n=4 grid at x = 2 leaves no entry of M or B between an
-    unknown of the left half and one of the right half."""
+    """Cutting the n=4 grid at x = 2 leaves no entry of the multiplier
+    system H between a multiplier of the left half and one of the right
+    half."""
     m = build_structured_mesh(UNIT_SQUARE, 4)
     sys_ = assemble(m, get_preset("laplace"))
     order = nested_dissection_order(m)
-    # each 2x4 half: 3 unknowns in each of its 8 cells, 10 interior
-    # grid-line edges and 8 domain-boundary edges; then the 4 cut edges
-    half = 3 * 8 + 10 + 8
+    assert np.array_equal(sys_.order, order)
+    # each 2x4 half: the diagonals of its 8 cells and its 10 interior
+    # grid-line edges; then the 4 cut edges
+    half = 8 + 10
     assert len(order) == 2 * half + 4
-    left, right = order[:half], order[half:2 * half]
-    edge_side = np.zeros(m.num_edges, dtype=int)
-    tri_side = np.zeros(m.num_triangles, dtype=int)
-    for side, ids in ((1, left), (2, right)):
-        edge_side[ids[ids < m.num_edges]] = side
-        tri_side[ids[ids >= m.num_edges] - m.num_edges] = side
-    for mat, rows, cols in ((sys_.M, edge_side, edge_side),
-                            (sys_.B, tri_side, edge_side)):
-        coo = mat.tocoo()
-        assert not np.any(rows[coo.row] * cols[coo.col] == 2)
+    mid_x = m.vertices[m.edges[order]][:, :, 0].mean(axis=1)
+    assert np.all(mid_x[:half] < 0.5)
+    assert np.all(mid_x[half:2 * half] > 0.5)
+    assert np.all(mid_x[2 * half:] == 0.5)
+    # H's rows and columns are the multipliers in `order`
+    side = np.repeat([1, 2, 0], [half, half, 4])
+    coo = _hybridize(sys_)[2].tocoo()
+    assert coo.shape == (len(order),) * 2
+    assert not np.any(side[coo.row] * side[coo.col] == 2)

@@ -86,9 +86,8 @@ def _synthetic(values, clusters, reference=None):
     results = [
         SimpleNamespace(
             n=n, h=1.0 / n, num_edges=3 * n * n + 2 * n,
-            num_triangles=2 * n * n,
-            pairs=[SimpleNamespace(lambda_h=v, residual=1e-15 * (j + 1))
-                   for j, v in enumerate(values[:, i])])
+            num_triangles=2 * n * n, eigenvalues=values[:, i],
+            residuals=1e-15 * np.arange(1, len(values) + 1))
         for i, n in enumerate(ns)]
     return table, results
 

@@ -5,7 +5,6 @@ from rt0eig import (assemble, build_structured_mesh, fortin_interpolate,
                     get_preset, l2_errors, laplace_eigenpair,
                     laplace_eigenvalues, p0_project, solve_mixed_eigenproblem,
                     superclose_distance, triangle_rule, UNIT_SQUARE)
-from rt0eig.eigensolver import EigenPair
 from rt0eig.mesh import Rectangle, edge_normals
 from oracles import (duffy_triangle_integral, gauss_edge_integral,
                      pointwise_fortin, pointwise_l2_errors,
@@ -155,9 +154,7 @@ def test_l2_error_of_projection_equals_p0_error():
     for n in (4, 8):
         mesh, sys_, _ = _solved_level(n)
         pu = p0_project(pair.u, mesh, triangle_rule(3))
-        synthetic = EigenPair(lambda_h=pair.lam, u=pu,
-                              sigma=np.zeros(mesh.num_edges), residual=0.0)
-        err_u, _ = l2_errors(synthetic, pair, mesh)
+        err_u, _ = l2_errors(pu, np.zeros(mesh.num_edges), mesh, pair)
         oracle = np.sqrt(sum(
             duffy_triangle_integral(
                 lambda x, y, t=t: (pair.u(x, y) - pu[t]) ** 2,
@@ -171,9 +168,8 @@ def test_l2_error_of_projection_equals_p0_error():
 def test_l2_error_of_zero_function_is_one():
     mesh, sys_, _ = _solved_level(8)
     pair = laplace_eigenpair(1, 1, UNIT_SQUARE)
-    zero = EigenPair(lambda_h=0.0, u=np.zeros(mesh.num_triangles),
-                     sigma=np.zeros(mesh.num_edges), residual=0.0)
-    err_u, err_sigma = l2_errors(zero, pair, mesh)
+    err_u, err_sigma = l2_errors(np.zeros(mesh.num_triangles),
+                                 np.zeros(mesh.num_edges), mesh, pair)
     assert err_u == pytest.approx(1.0, abs=1e-4)
     assert err_sigma == pytest.approx(np.sqrt(pair.lam), rel=1e-3)
 
@@ -183,7 +179,8 @@ def test_flux_error_first_order():
     errs = []
     for n in (4, 8):
         mesh, sys_, res = _solved_level(n)
-        _, err_sigma = l2_errors(res.pairs[0], pair, mesh)
+        _, err_sigma = l2_errors(res.vectors[:, 0], res.fluxes[:, 0], mesh,
+                                 pair)
         errs.append(err_sigma)
     order = np.log2(errs[0] / errs[1])
     assert 0.8 <= order <= 1.2
@@ -195,8 +192,9 @@ def test_superclose_beats_plain_error():
     for n in (4, 8):
         mesh, sys_, res = _solved_level(n)
         pu = p0_project(pair.u, mesh, triangle_rule(3))
-        dist.append(superclose_distance(res.pairs[0].u, pu, sys_.D))
-        err.append(l2_errors(res.pairs[0], pair, mesh)[0])
+        dist.append(superclose_distance(res.vectors[:, 0], pu, sys_.D))
+        err.append(l2_errors(res.vectors[:, 0], res.fluxes[:, 0], mesh,
+                             pair)[0])
         assert dist[-1] < err[-1]
     assert np.log2(dist[0] / dist[1]) > np.log2(err[0] / err[1])
 
@@ -248,15 +246,12 @@ def test_projections_and_errors_match_pointwise_oracles(rect, n, mode):
         got = fortin_interpolate(pair.grad_u, mesh, npts)
         want = pointwise_fortin(pair.grad_u, mesh, npts)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-    discrete = EigenPair(
-        lambda_h=pair.lam,
-        u=-p0_project(pair.u, mesh) + 0.05 * rng.standard_normal(
-            mesh.num_triangles),
-        sigma=-fortin_interpolate(pair.grad_u, mesh) + 0.05
-        * rng.standard_normal(mesh.num_edges),
-        residual=0.0)
+    u_h = -p0_project(pair.u, mesh) + 0.05 * rng.standard_normal(
+        mesh.num_triangles)
+    sigma_h = -fortin_interpolate(pair.grad_u, mesh) + 0.05 * (
+        rng.standard_normal(mesh.num_edges))
     rule3 = triangle_rule(3)
     for A in (None, _tensor):
-        got = l2_errors(discrete, pair, mesh, rule3, A=A)
-        want = pointwise_l2_errors(discrete, pair, mesh, rule3, A=A)
+        got = l2_errors(u_h, sigma_h, mesh, pair, rule3, A=A)
+        want = pointwise_l2_errors(u_h, sigma_h, mesh, pair, rule3, A=A)
         assert got == pytest.approx(want, rel=1e-13)

@@ -120,7 +120,8 @@ def test_traced_fill_is_the_multiplier_factors(traced_iterative):
         sys_ = assemble(build_structured_mesh(UNIT_SQUARE, n),
                         get_preset("laplace"))
         h_lu = _factor_multipliers(_hybridize(sys_)[2])
-        k_lu = nested_dissection_k_factor(sys_)
+        k_lu = nested_dissection_k_factor(
+            build_structured_mesh(UNIT_SQUARE, n), sys_)
         h_fill += h_lu.L.nnz + h_lu.U.nnz
         k_fill += k_lu.L.nnz + k_lu.U.nnz
     assert layers["eigensolver.factor_fill"] == h_fill
