@@ -20,9 +20,9 @@ Global blocks:
 The homogeneous Dirichlet condition on u is natural in this mixed form, so
 no edge degrees of freedom are eliminated.
 
-`assemble` forms the blocks of all triangles at once.  `element_flux_mass`
-and `element_div` compute M and B of one triangle, `integrate_triangle` its
-entries of C and D; they are the reference it is tested against.
+`assemble` forms the blocks of all triangles at once, with the quadrature
+rule coefficients.ASSEMBLY_RULE.  The tests compare it bit for bit with a
+loop over per-triangle reference routines.
 """
 
 from dataclasses import dataclass
@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .coefficients import (COEFF_EPS, ProblemSpec, QuadratureRule,
-                           field_values, quad_points, rowdot, triangle_rule)
+from .coefficients import (ASSEMBLY_RULE, COEFF_EPS, ProblemSpec,
+                           field_values, quad_points, rowdot, weighted_sum)
 from .mesh import Mesh, nested_dissection_order
 
 DEGENERATE_AREA = 1e-14
@@ -70,54 +70,6 @@ class AssembledSystem:
     m_vals: np.ndarray
     div_vals: np.ndarray
     triangle_edges: np.ndarray
-
-
-def _local_geometry(tri):
-    tri = np.asarray(tri, dtype=float)
-    if tri.shape != (3, 2):
-        raise AssemblyError(f"triangle must be a 3x2 array, got {tri.shape}")
-    u, v = tri[1] - tri[0], tri[2] - tri[0]
-    area = 0.5 * abs(float(u[0] * v[1] - u[1] * v[0]))
-    if area < DEGENERATE_AREA:
-        raise AssemblyError(f"degenerate triangle with area {area:g}")
-    # edge opposite vertex i connects the other two vertices
-    lengths = np.array([
-        np.linalg.norm(tri[2] - tri[1]),
-        np.linalg.norm(tri[0] - tri[2]),
-        np.linalg.norm(tri[1] - tri[0]),
-    ])
-    return tri, area, lengths
-
-
-def element_flux_mass(tri, signs, Ainv, rule: QuadratureRule) -> np.ndarray:
-    """3x3 flux mass block: entries integral of (A^-1 phi_j) . phi_i.
-
-    Parameters
-    ----------
-    tri : (3, 2) array
-        Triangle vertices.
-    signs : length-3 sequence of +-1
-        Global orientation signs of the edges opposite each vertex.
-    Ainv : callable (x, y) -> (2, 2) array
-        Pointwise inverse of the diffusion tensor.
-    rule : QuadratureRule
-    """
-    tri, area, lengths = _local_geometry(tri)
-    signs = np.asarray(signs, dtype=float)
-    coeff = signs * lengths / (2.0 * area)
-    pts = quad_points(tri, rule)
-    m = np.zeros((3, 3))
-    for (x, y), w in zip(pts, rule.weights):
-        phi = coeff[:, None] * (np.array([x, y])[None, :] - tri)  # (3, 2)
-        m += w * (phi @ np.asarray(Ainv(x, y), dtype=float) @ phi.T)
-    m *= area
-    return 0.5 * (m + m.T)
-
-
-def element_div(tri, signs) -> np.ndarray:
-    """Row of B for one triangle: entry i is signs[i] * |e_i|."""
-    _, _, lengths = _local_geometry(tri)
-    return np.asarray(signs, dtype=float) * lengths
 
 
 def _coefficient(f, name, x, y, tail=()):
@@ -183,22 +135,18 @@ def _inverse_tensor(a):
     return inv / det[..., None, None]
 
 
-def assemble(mesh: Mesh, prob: ProblemSpec,
-             rule: QuadratureRule | None = None) -> AssembledSystem:
+def assemble(mesh: Mesh, prob: ProblemSpec) -> AssembledSystem:
     """Assemble the global mixed system by element scatter-add.
 
-    The coefficients are evaluated once on the quadrature points of all
-    triangles and the element blocks of all triangles are formed together;
-    they equal those of element_flux_mass, element_div and
-    integrate_triangle bit for bit.  Element geometry and the coefficient
-    invariants (A SPD, c >= 0, b > 0) are checked at every quadrature
-    point; a violation raises AssemblyError naming the first offending
-    triangle in mesh order and the point.  So does an element block that is
-    not finite, as on a rectangle so large that its edge lengths overflow.
-    Duplicate scatter entries are summed.
+    The coefficients are evaluated once on the ASSEMBLY_RULE points of all
+    triangles and the element blocks of all triangles are formed together.
+    Element geometry and the coefficient invariants (A SPD, c >= 0, b > 0)
+    are checked at every quadrature point; a violation raises AssemblyError
+    naming the first offending triangle in mesh order and the point.  So
+    does an element block that is not finite, as on a rectangle so large
+    that its edge lengths overflow.  Duplicate scatter entries are summed.
     """
-    if rule is None:
-        rule = triangle_rule(2)
+    rule = ASSEMBLY_RULE
     if (mesh.rect.x0, mesh.rect.y0, mesh.rect.x1, mesh.rect.y1) != (
             prob.domain.x0, prob.domain.y0, prob.domain.x1, prob.domain.y1):
         raise AssemblyError(
@@ -232,17 +180,13 @@ def assemble(mesh: Mesh, prob: ProblemSpec,
         coeff = div_vals / (2.0 * area[:, None])
         ainv = _inverse_tensor(a)
         m_vals = np.zeros((nt, 3, 3))
-        c_diag = np.zeros(nt)
-        d_diag = np.zeros(nt)
         for q, w in enumerate(rule.weights):
             phi = coeff[:, :, None] * (pts[:, q, None, :] - tri)  # (T, 3, 2)
             m_vals += w * (phi @ ainv[:, q] @ phi.transpose(0, 2, 1))
-            c_diag += w * c_vals[:, q]
-            d_diag += w * b_vals[:, q]
         m_vals *= area[:, None, None]
         m_vals = 0.5 * (m_vals + m_vals.transpose(0, 2, 1))
-        c_diag *= area
-        d_diag *= area
+        c_diag = weighted_sum(c_vals, rule.weights) * area
+        d_diag = weighted_sum(b_vals, rule.weights) * area
     finite = (np.isfinite(div_vals).all(axis=1)
               & np.isfinite(m_vals).all(axis=(1, 2))
               & np.isfinite(c_diag) & np.isfinite(d_diag))

@@ -12,6 +12,7 @@ import argparse
 import configparser
 import json
 import math
+import operator
 import sys
 import time
 from dataclasses import MISSING, dataclass, fields, replace
@@ -26,7 +27,7 @@ except ImportError:  # Unix only
 
 from . import __version__
 from .assembly import AssemblyError, assemble, dump_matrix
-from .coefficients import get_preset, preset_names, triangle_rule
+from .coefficients import get_preset, preset_names
 from .eigensolver import (DENSE_MAX_TRIANGLES, EigenResult, NumericalError,
                           solve_mixed_eigenproblem)
 from .extrapolation import (EXPANSION_ORDER, ConvergenceTable,
@@ -68,6 +69,14 @@ class StudyConfig:
     seed: int = 0
 
     def validate(self):
+        for key, values in (("levels", self.levels), ("k", [self.k]),
+                            ("seed", [self.seed])):
+            for v in values:
+                try:
+                    operator.index(v)
+                except TypeError:
+                    raise ConfigError(
+                        f"{key}: {v!r} is not an integer") from None
         if self.preset not in preset_names():
             raise ConfigError(
                 f"unknown preset {self.preset!r}, "
@@ -201,21 +210,25 @@ def run_level(cfg: StudyConfig, prob, n: int) -> Level:
     sys_ = assemble(mesh, prob)
     if cfg.dump_matrices:
         mdir = cfg.output_dir
-        mdir.mkdir(parents=True, exist_ok=True)
-        for name, block in (("M", sys_.M), ("B", sys_.B),
-                            ("C", sys_.C), ("D", sys_.D)):
-            (mdir / f"matrix_n{n}_{name}.txt").write_text(dump_matrix(block))
+        try:
+            mdir.mkdir(parents=True, exist_ok=True)
+            for name, block in (("M", sys_.M), ("B", sys_.B),
+                                ("C", sys_.C), ("D", sys_.D)):
+                (mdir / f"matrix_n{n}_{name}.txt").write_text(
+                    dump_matrix(block))
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot write matrix dumps under {mdir}: {exc}") from exc
     result = solve_mixed_eigenproblem(
         mesh, sys_, cfg.k, method=cfg.solver, seed=cfg.seed)
     distance = err_u = err_sigma = None
     if cfg.compute_superclose:
         exact = laplace_eigenpair(1, 1, prob.domain)
-        rule3 = triangle_rule(3)
-        pu = p0_project(exact.u, mesh, rule3)
+        pu = p0_project(exact.u, mesh)
         u_h = result.vectors[:, 0]
         distance = superclose_distance(u_h, pu, sys_.D)
         err_u, err_sigma = l2_errors(
-            u_h, result.fluxes[:, 0], mesh, exact, rule3, A=prob.A)
+            u_h, result.fluxes[:, 0], mesh, exact, A=prob.A)
     return Level(n=n, result=result, distance=distance, err_u=err_u,
                  err_sigma=err_sigma, seconds=time.perf_counter() - start,
                  peak_rss_mb=_peak_rss_mb())

@@ -20,7 +20,12 @@ non-constant A fills the trailing 2x2 axes, for example
         a[..., 1, 1] = 1.0 + y
         return a
 
-Evaluation must be reentrant.  Quadrature rules are immutable value objects.
+Evaluation must be reentrant.
+
+Quadrature rules are immutable value objects, and the study uses two of
+them: ASSEMBLY_RULE (degree 2) for the element blocks and PROJECTION_RULE
+(degree 3) for the projections and L2 errors of the superclose module.
+`weighted_sum` adds up point values with a rule's weights for both.
 """
 
 from dataclasses import dataclass
@@ -44,7 +49,6 @@ class QuadratureRule:
 
     points: np.ndarray   # (Q, 3) barycentric coordinates
     weights: np.ndarray  # (Q,)
-    degree: int
 
     def __post_init__(self):
         self.points.setflags(write=False)
@@ -79,7 +83,13 @@ def triangle_rule(degree: int) -> QuadratureRule:
     else:
         raise ValueError(f"unsupported triangle quadrature degree {degree}, "
                          "supported degrees are 1, 2, 3")
-    return QuadratureRule(points=pts, weights=wts, degree=degree)
+    return QuadratureRule(points=pts, weights=wts)
+
+
+# Degree 2 is exact for the quadratic flux mass integrand of a constant A;
+# degree 3 measures the smooth exact eigenfunctions in the L2 errors.
+ASSEMBLY_RULE = triangle_rule(2)
+PROJECTION_RULE = triangle_rule(3)
 
 
 def edge_rule(npts: int) -> tuple[np.ndarray, np.ndarray]:
@@ -134,23 +144,14 @@ def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def triangle_area(tri: np.ndarray) -> float:
-    tri = np.asarray(tri, dtype=float)
-    u, v = tri[1] - tri[0], tri[2] - tri[0]
-    return 0.5 * abs(float(u[0] * v[1] - u[1] * v[0]))
-
-
-def integrate_triangle(f: Callable[[float, float], float],
-                       tri: np.ndarray,
-                       rule: QuadratureRule) -> float:
-    """Area-weighted quadrature of f over the triangle with vertices `tri`,
-    evaluating f one point at a time."""
-    area = triangle_area(tri)
-    pts = quad_points(tri, rule)
-    acc = 0.0
-    for (x, y), w in zip(pts, rule.weights):
-        acc += w * f(x, y)
-    return area * acc
+def weighted_sum(vals: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Sum over axis 1 of point values (N, Q, ...) with weights (Q,),
+    accumulated point by point in weight order: the quadrature means of a
+    rule over triangles, or of an edge rule over edges."""
+    out = np.zeros(vals.shape[:1] + vals.shape[2:])
+    for q, w in enumerate(weights):
+        out += w * vals[:, q]
+    return out
 
 
 # f(x, y) on coordinate arrays of one shape S; results broadcast to S

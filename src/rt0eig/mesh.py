@@ -6,6 +6,8 @@ degrees of freedom (one per edge) and triangle degrees of freedom (one per
 triangle) are the carriers of the lowest-order mixed discretization, so the
 mesh records, for every triangle, which global edge each local edge maps to
 and whether the triangle's outward normal agrees with the global edge normal.
+The study reads these arrays whole; per-triangle accessors and the text
+dump of a mesh are test references in tests/oracles.py.
 """
 
 from dataclasses import dataclass, field
@@ -58,7 +60,7 @@ class Mesh:
         The meshed domain.
     n : int
         Subdivision count per axis.
-    vertices : (num_vertices, 2) float array
+    vertices : ((n + 1)^2, 2) float array
         Vertex coordinates, row-major over the grid.
     triangles : (num_triangles, 3) int array
         Vertex indices per triangle, counterclockwise.
@@ -92,20 +94,12 @@ class Mesh:
     edge_lengths: np.ndarray = field(repr=False)
 
     @property
-    def num_vertices(self) -> int:
-        return self.vertices.shape[0]
-
-    @property
     def num_triangles(self) -> int:
         return self.triangles.shape[0]
 
     @property
     def num_edges(self) -> int:
         return self.edges.shape[0]
-
-    def triangle_coords(self, t: int) -> np.ndarray:
-        """Vertex coordinates of triangle t as a (3, 2) array."""
-        return self.vertices[self.triangles[t]]
 
 
 def _signed_areas(vertices, triangles):
@@ -272,23 +266,3 @@ def edge_normals(mesh: Mesh) -> np.ndarray:
     vec = mesh.vertices[mesh.edges[:, 1]] - mesh.vertices[mesh.edges[:, 0]]
     tangent = vec / mesh.edge_lengths[:, None]
     return np.column_stack([-tangent[:, 1], tangent[:, 0]])
-
-
-def dump_mesh(mesh: Mesh) -> str:
-    """Plain-text mesh dump with VERTICES, TRIANGLES and EDGES sections.
-
-    One record per line: vertex index with coordinates, triangle index with
-    its three vertices, edge index with its two vertices and a 0/1 boundary
-    flag.  Coordinates use 17 significant digits.
-    """
-    lines = ["VERTICES"]
-    for i, (x, y) in enumerate(mesh.vertices):
-        lines.append(f"{i} {x:.17g} {y:.17g}")
-    lines.append("TRIANGLES")
-    for t, (a, b, c) in enumerate(mesh.triangles):
-        lines.append(f"{t} {a} {b} {c}")
-    lines.append("EDGES")
-    for e, (a, b) in enumerate(mesh.edges):
-        flag = 1 if mesh.boundary_edge_flags[e] else 0
-        lines.append(f"{e} {a} {b} {flag}")
-    return "\n".join(lines) + "\n"

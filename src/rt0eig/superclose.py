@@ -8,7 +8,14 @@ the assembly module (whose basis function on edge e has unit constant
 normal flux across e), the interpolant's coefficient on an edge is the MEAN
 normal flux of the field across that edge; this is exactly the scaling
 under which the discrete divergence of the interpolant reproduces the
-elementwise mean of the continuous divergence.
+elementwise mean of the continuous divergence.  The pair is Brezzi and
+Fortin's (Mixed and Hybrid Finite Element Methods, 1991): `p0_project` is
+P_h and `fortin_interpolate` the flux interpolant Pi_h, with
+div Pi_h sigma = P_h div sigma.
+
+Triangle integrals use coefficients.PROJECTION_RULE (degree 3), edge
+integrals a Gauss rule; both add up their points with
+coefficients.weighted_sum.
 """
 
 import math
@@ -17,8 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from .coefficients import (QuadratureRule, edge_rule, field_values,
-                           quad_points, rowdot, triangle_rule)
+from .coefficients import (PROJECTION_RULE, edge_rule, field_values,
+                           quad_points, rowdot, weighted_sum)
 from .mesh import Mesh, Rectangle, edge_normals
 
 
@@ -86,19 +93,11 @@ def laplace_eigenvalues(count: int, rect: Rectangle,
     return np.array(vals[:count])
 
 
-def _element_points(mesh: Mesh, rule: QuadratureRule):
-    """Vertices (T, 3, 2) and quadrature points (T, Q, 2) of all triangles."""
+def _element_points(mesh: Mesh):
+    """Vertices (T, 3, 2) and PROJECTION_RULE points (T, Q, 2) of all
+    triangles."""
     tri = mesh.vertices[mesh.triangles]
-    return tri, quad_points(tri, rule)
-
-
-def _element_means(vals: np.ndarray, rule: QuadratureRule) -> np.ndarray:
-    """Quadrature means over each triangle of point values (T, Q, ...),
-    accumulated point by point in rule order."""
-    out = np.zeros(vals.shape[:1] + vals.shape[2:])
-    for q, w in enumerate(rule.weights):
-        out += w * vals[:, q]
-    return out
+    return tri, quad_points(tri, PROJECTION_RULE)
 
 
 def _sequential_sum(vals: np.ndarray) -> float:
@@ -108,19 +107,18 @@ def _sequential_sum(vals: np.ndarray) -> float:
 
 
 def p0_project(u_exact: Callable[[np.ndarray, np.ndarray], np.ndarray],
-               mesh: Mesh, rule: QuadratureRule | None = None) -> np.ndarray:
+               mesh: Mesh) -> np.ndarray:
     """Elementwise mean of u_exact: entry t is the average over triangle t."""
-    if rule is None:
-        rule = triangle_rule(2)
-    _, pts = _element_points(mesh, rule)
-    return _element_means(
-        field_values(u_exact, pts[..., 0], pts[..., 1]), rule)
+    _, pts = _element_points(mesh)
+    return weighted_sum(field_values(u_exact, pts[..., 0], pts[..., 1]),
+                        PROJECTION_RULE.weights)
 
 
 def fortin_interpolate(
         sigma_exact: Callable[[np.ndarray, np.ndarray], np.ndarray],
         mesh: Mesh, npts: int = 3) -> np.ndarray:
-    """Edge-flux interpolant coefficients of a smooth vector field.
+    """Edge-flux interpolant Pi_h of a smooth vector field, the flux half
+    of the mixed projection pair.
 
     Entry e is the mean normal flux (1/|e|) * integral over e of
     sigma_exact . n_e, with n_e the global unit edge normal, evaluated with
@@ -135,11 +133,7 @@ def fortin_interpolate(
     vec = mesh.vertices[mesh.edges[:, 1]] - p0
     pts = p0[:, None, :] + nodes[None, :, None] * vec[:, None, :]  # (E, S, 2)
     sigma = field_values(sigma_exact, pts[..., 0], pts[..., 1], (2,))
-    flux = rowdot(sigma, normals[:, None, :])
-    out = np.zeros(mesh.num_edges)
-    for s, w in enumerate(weights):
-        out += w * flux[:, s]
-    return out
+    return weighted_sum(rowdot(sigma, normals[:, None, :]), weights)
 
 
 def superclose_distance(u_h: np.ndarray, pu: np.ndarray,
@@ -163,7 +157,7 @@ def superclose_distance(u_h: np.ndarray, pu: np.ndarray,
 
 
 def l2_errors(u_h: np.ndarray, sigma_h: np.ndarray, mesh: Mesh,
-              exact: AnalyticEigenpair, rule: QuadratureRule | None = None,
+              exact: AnalyticEigenpair,
               A: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
               ) -> tuple[float, float]:
     """L2 errors of the discrete eigenfunction u_h (one value per triangle)
@@ -173,15 +167,14 @@ def l2_errors(u_h: np.ndarray, sigma_h: np.ndarray, mesh: Mesh,
     there; err_sigma does the same against the exact flux A grad(u_exact)
     with the discrete flux evaluated pointwise from its basis expansion.
     The sign of the discrete pair is aligned to the exact eigenfunction
-    first.  Defaults: degree-3 quadrature, A = identity.
+    first.  A defaults to the identity.
     """
-    if rule is None:
-        rule = triangle_rule(3)
-    tri, pts = _element_points(mesh, rule)
+    tri, pts = _element_points(mesh)
     x, y = pts[..., 0], pts[..., 1]
     u = field_values(exact.u, x, y)
     # sign alignment: compare elementwise means against the exact function
-    overlap = _sequential_sum(mesh.areas * u_h * _element_means(u, rule))
+    means = weighted_sum(u, PROJECTION_RULE.weights)
+    overlap = _sequential_sum(mesh.areas * u_h * means)
     sign = 1.0 if overlap >= 0 else -1.0
 
     flux = field_values(exact.grad_u, x, y, (2,))
@@ -196,7 +189,8 @@ def l2_errors(u_h: np.ndarray, sigma_h: np.ndarray, mesh: Mesh,
     for i in range(3):
         flux_h += coeff[:, i, None, None] * (pts - tri[:, None, i])
     dsig = flux - sign * flux_h
-    err_u = _element_means((u - sign * u_h[:, None]) ** 2, rule)
-    err_sigma = _element_means(rowdot(dsig, dsig), rule)
+    err_u = weighted_sum((u - sign * u_h[:, None]) ** 2,
+                         PROJECTION_RULE.weights)
+    err_sigma = weighted_sum(rowdot(dsig, dsig), PROJECTION_RULE.weights)
     return (math.sqrt(_sequential_sum(mesh.areas * err_u)),
             math.sqrt(_sequential_sum(mesh.areas * err_sigma)))

@@ -1,22 +1,30 @@
 """Independent reference computations for the test suite.
 
-Most of these deliberately avoid the package's own quadrature rules and
-solver paths: element matrices come from symbolic integration, triangle
-integrals from a Duffy-transform tensor Gauss rule, eigenvalues of the
-reduced problem from the dense saddle-point pencil, eigenpair residuals and
-Rayleigh quotients through a factorization of M rather than of the
-saddle-point block, and solves with that block from a sparse direct solve
-of it whole, not from its hybridization.  The dense Schur complement and
-the dense eigensolve have references that densify or copy whole arrays
-where the package works chunk by chunk or in place.
+The package ships the study pipeline only; code that only tests call lives
+here.  First come the per-triangle routines that `assemble` is compared
+with bit for bit: the flux mass block and the row of B of one triangle
+(element_flux_mass, element_div), one triangle's quadrature integral
+(integrate_triangle), the vertex coordinates of one triangle and the
+vertex count of a mesh, and a plain-text dump of a mesh.  They use the
+package's quadrature rules, as assembly does.
+
+The references after them deliberately avoid the package's own
+quadrature rules and solver paths: element matrices come from symbolic
+integration, triangle integrals from a Duffy-transform tensor Gauss rule,
+eigenvalues of the reduced problem from the dense saddle-point pencil,
+eigenpair residuals and Rayleigh quotients through a factorization of M
+rather than of the saddle-point block, and solves with that block from a
+sparse direct solve of it whole, not from its hybridization.  The dense
+Schur complement and the dense eigensolve have references that densify or
+copy whole arrays where the package works chunk by chunk or in place.
 
 The per-element and per-point references at the end redo, one triangle,
 edge or point at a time, what the package computes on whole arrays: global
 assembly from the element routines, the dict walk that numbers mesh edges,
 the nested-dissection order of the unknowns by recursion over boxes, the
 iterative eigenvalues through a COLAMD-ordered factorization, the
-nested-dissection LU of the saddle-point block, and the
-projections and L2 errors of the superclose module.  The study's
+nested-dissection LU of the saddle-point block, and the projections and L2
+errors of the superclose module, at the points of a given rule.  The study's
 superclose block has a post-hoc reference that measures every level after
 the last one is solved, where the package measures each level while it is
 alive.  Last come the report renderers that walk the convergence table
@@ -35,16 +43,109 @@ import scipy.sparse.linalg as spla
 import sympy
 from numpy.polynomial.legendre import leggauss
 
-from rt0eig import (__version__, edge_normals, element_flux_mass,
-                    integrate_triangle, l2_errors, laplace_eigenpair,
-                    p0_project, superclose_distance, triangle_rule)
-from rt0eig.assembly import element_div
+from rt0eig import (__version__, edge_normals, l2_errors, laplace_eigenpair,
+                    p0_project, superclose_distance)
+from rt0eig.assembly import DEGENERATE_AREA, AssemblyError
 from rt0eig.cli import CSV_COLUMNS
-from rt0eig.coefficients import edge_rule
+from rt0eig.coefficients import QuadratureRule, edge_rule, quad_points
 from rt0eig.eigensolver import (NumericalError, _check_residuals, _fix_signs,
                                 _residuals)
 from rt0eig.extrapolation import (EXPANSION_ORDER, ConvergenceTable,
                                   SupercloseBlock)
+
+
+def _local_geometry(tri):
+    tri = np.asarray(tri, dtype=float)
+    if tri.shape != (3, 2):
+        raise AssemblyError(f"triangle must be a 3x2 array, got {tri.shape}")
+    u, v = tri[1] - tri[0], tri[2] - tri[0]
+    area = 0.5 * abs(float(u[0] * v[1] - u[1] * v[0]))
+    if area < DEGENERATE_AREA:
+        raise AssemblyError(f"degenerate triangle with area {area:g}")
+    # edge opposite vertex i connects the other two vertices
+    lengths = np.array([
+        np.linalg.norm(tri[2] - tri[1]),
+        np.linalg.norm(tri[0] - tri[2]),
+        np.linalg.norm(tri[1] - tri[0]),
+    ])
+    return tri, area, lengths
+
+
+def element_flux_mass(tri, signs, Ainv, rule: QuadratureRule) -> np.ndarray:
+    """3x3 flux mass block: entries integral of (A^-1 phi_j) . phi_i.
+
+    Parameters
+    ----------
+    tri : (3, 2) array
+        Triangle vertices.
+    signs : length-3 sequence of +-1
+        Global orientation signs of the edges opposite each vertex.
+    Ainv : callable (x, y) -> (2, 2) array
+        Pointwise inverse of the diffusion tensor.
+    rule : QuadratureRule
+    """
+    tri, area, lengths = _local_geometry(tri)
+    signs = np.asarray(signs, dtype=float)
+    coeff = signs * lengths / (2.0 * area)
+    pts = quad_points(tri, rule)
+    m = np.zeros((3, 3))
+    for (x, y), w in zip(pts, rule.weights):
+        phi = coeff[:, None] * (np.array([x, y])[None, :] - tri)  # (3, 2)
+        m += w * (phi @ np.asarray(Ainv(x, y), dtype=float) @ phi.T)
+    m *= area
+    return 0.5 * (m + m.T)
+
+
+def element_div(tri, signs) -> np.ndarray:
+    """Row of B for one triangle: entry i is signs[i] * |e_i|."""
+    _, _, lengths = _local_geometry(tri)
+    return np.asarray(signs, dtype=float) * lengths
+
+
+def triangle_area(tri: np.ndarray) -> float:
+    tri = np.asarray(tri, dtype=float)
+    u, v = tri[1] - tri[0], tri[2] - tri[0]
+    return 0.5 * abs(float(u[0] * v[1] - u[1] * v[0]))
+
+
+def integrate_triangle(f, tri: np.ndarray, rule: QuadratureRule) -> float:
+    """Area-weighted quadrature of f over the triangle with vertices `tri`,
+    evaluating f one point at a time."""
+    area = triangle_area(tri)
+    pts = quad_points(tri, rule)
+    acc = 0.0
+    for (x, y), w in zip(pts, rule.weights):
+        acc += w * f(x, y)
+    return area * acc
+
+
+def triangle_coords(mesh, t: int) -> np.ndarray:
+    """Vertex coordinates of triangle t of the mesh as a (3, 2) array."""
+    return mesh.vertices[mesh.triangles[t]]
+
+
+def num_vertices(mesh) -> int:
+    return mesh.vertices.shape[0]
+
+
+def dump_mesh(mesh) -> str:
+    """Plain-text mesh dump with VERTICES, TRIANGLES and EDGES sections.
+
+    One record per line: vertex index with coordinates, triangle index with
+    its three vertices, edge index with its two vertices and a 0/1 boundary
+    flag.  Coordinates use 17 significant digits.
+    """
+    lines = ["VERTICES"]
+    for i, (x, y) in enumerate(mesh.vertices):
+        lines.append(f"{i} {x:.17g} {y:.17g}")
+    lines.append("TRIANGLES")
+    for t, (a, b, c) in enumerate(mesh.triangles):
+        lines.append(f"{t} {a} {b} {c}")
+    lines.append("EDGES")
+    for e, (a, b) in enumerate(mesh.edges):
+        flag = 1 if mesh.boundary_edge_flags[e] else 0
+        lines.append(f"{e} {a} {b} {flag}")
+    return "\n".join(lines) + "\n"
 
 
 def symbolic_flux_mass(tri, signs):
@@ -248,7 +349,7 @@ def element_assembly(mesh, prob, rule):
     rows, cols, vals, b_vals = [], [], [], []
     c_diag, d_diag = np.empty(nt), np.empty(nt)
     for t in range(nt):
-        tri, e = mesh.triangle_coords(t), mesh.triangle_edges[t]
+        tri, e = triangle_coords(mesh, t), mesh.triangle_edges[t]
         signs = mesh.triangle_edge_signs[t]
         vals.append(element_flux_mass(tri, signs, ainv, rule).ravel())
         rows.append(np.repeat(e, 3))
@@ -355,7 +456,7 @@ def pointwise_p0_project(u, mesh, rule):
     """Quadrature mean of u over each triangle, one point at a time."""
     return np.array([
         sum(w * float(u(x, y))
-            for (x, y), w in zip(rule.points @ mesh.triangle_coords(t),
+            for (x, y), w in zip(rule.points @ triangle_coords(mesh, t),
                                  rule.weights))
         for t in range(mesh.num_triangles)])
 
@@ -379,7 +480,7 @@ def pointwise_l2_errors(u_h, sigma_h, mesh, exact, rule, A=None):
     sign = 1.0 if np.sum(mesh.areas * u_h * means) >= 0 else -1.0
     err_u = err_sigma = 0.0
     for t in range(mesh.num_triangles):
-        tri, area = mesh.triangle_coords(t), mesh.areas[t]
+        tri, area = triangle_coords(mesh, t), mesh.areas[t]
         for (x, y), w in zip(rule.points @ tri, rule.weights):
             flux = np.asarray(exact.grad_u(x, y))
             if A is not None:
@@ -399,14 +500,12 @@ def posthoc_superclose_block(prob, solved):
     """Projection distances and plain errors for the first (simple) mode,
     measured after the fact from every level's (mesh, system, result)."""
     exact = laplace_eigenpair(1, 1, prob.domain)
-    rule3 = triangle_rule(3)
     dist, err_u, err_sigma = [], [], []
     for mesh, sys_, result in solved:
-        pu = p0_project(exact.u, mesh, rule3)
+        pu = p0_project(exact.u, mesh)
         u_h = result.vectors[:, 0]
         dist.append(superclose_distance(u_h, pu, sys_.D))
-        eu, es = l2_errors(u_h, result.fluxes[:, 0], mesh, exact, rule3,
-                           A=prob.A)
+        eu, es = l2_errors(u_h, result.fluxes[:, 0], mesh, exact, A=prob.A)
         err_u.append(eu)
         err_sigma.append(es)
     return SupercloseBlock(

@@ -7,13 +7,13 @@ import time
 import numpy as np
 import pytest
 
-from rt0eig import (assemble, build_structured_mesh, element_flux_mass,
-                    flux_mass_solver, fortin_interpolate, get_preset,
-                    laplace_eigenpair, schur_complement, solve_gevp,
-                    triangle_rule, UNIT_SQUARE)
+from rt0eig import (assemble, build_structured_mesh, flux_mass_solver,
+                    fortin_interpolate, get_preset, laplace_eigenpair,
+                    schur_complement, solve_gevp, triangle_rule, UNIT_SQUARE)
 from rt0eig.cli import StudyConfig, run_study
-from oracles import (duffy_triangle_integral, saddle_point_eigenvalues,
-                     symbolic_flux_mass)
+from oracles import (duffy_triangle_integral, element_flux_mass,
+                     saddle_point_eigenvalues, symbolic_flux_mass,
+                     triangle_coords)
 
 PI2 = np.pi**2
 
@@ -151,7 +151,7 @@ def test_criterion_7_commuting_diagram():
     lhs = sys_.B @ coeffs
     rhs = np.array([
         duffy_triangle_integral(
-            lambda x, y: -pair.lam * pair.u(x, y), mesh.triangle_coords(t))
+            lambda x, y: -pair.lam * pair.u(x, y), triangle_coords(mesh, t))
         for t in range(mesh.num_triangles)
     ])
     gap = float(np.abs(lhs - rhs).max())

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from rt0eig import (AssemblyError, Rectangle, assemble,
-                    build_structured_mesh, dump_matrix, element_flux_mass,
-                    get_preset, triangle_rule, UNIT_SQUARE)
-from rt0eig.assembly import element_div
-from rt0eig.coefficients import ProblemSpec
-from oracles import element_assembly, symbolic_flux_mass
+                    build_structured_mesh, dump_matrix, get_preset,
+                    triangle_rule, UNIT_SQUARE)
+from rt0eig.coefficients import ASSEMBLY_RULE, ProblemSpec
+from oracles import (element_assembly, element_div, element_flux_mass,
+                     symbolic_flux_mass, triangle_coords)
 
 REF_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 IDENTITY = lambda x, y: np.eye(2)
@@ -89,7 +89,8 @@ def test_assemble_global_flux_mass_matches_element_oracle(unit_mesh_n2):
     sys_ = assemble(m, get_preset("laplace"))
     want = np.zeros((m.num_edges, m.num_edges))
     for t in range(m.num_triangles):
-        local = symbolic_flux_mass(m.triangle_coords(t), m.triangle_edge_signs[t])
+        local = symbolic_flux_mass(triangle_coords(m, t),
+                                   m.triangle_edge_signs[t])
         e = m.triangle_edges[t]
         want[np.ix_(e, e)] += local
     assert np.abs(sys_.M.toarray() - want).max() <= 1e-12
@@ -195,7 +196,7 @@ CUSTOM = ProblemSpec(name="custom", domain=Rectangle(0.0, 0.0, 2.0, 1.0),
 
 def _assert_dumps_identical(mesh, prob):
     sys_ = assemble(mesh, prob)
-    want = element_assembly(mesh, prob, triangle_rule(2))
+    want = element_assembly(mesh, prob, ASSEMBLY_RULE)
     for name, block in zip("MBCD", want):
         assert dump_matrix(getattr(sys_, name)) == dump_matrix(block), name
 
@@ -221,9 +222,9 @@ def _with(**coeffs):
 
 def _first_triangle_with_point(mesh, inside):
     """Scan triangles in mesh order for a quadrature point where `inside`."""
-    rule = triangle_rule(2)
     for t in range(mesh.num_triangles):
-        if any(inside(x, y) for x, y in rule.points @ mesh.triangle_coords(t)):
+        if any(inside(x, y)
+               for x, y in ASSEMBLY_RULE.points @ triangle_coords(mesh, t)):
             return t
     raise AssertionError("no quadrature point inside the region")
 

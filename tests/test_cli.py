@@ -258,6 +258,30 @@ def test_emit_reports_unwritable_path_named(tmp_path):
         emit_reports(None, cfg, [])
 
 
+def test_unwritable_matrix_dump_is_config_error(tmp_path, capsys):
+    """A dump directory under a regular file fails like the reports do."""
+    blocker = tmp_path / "afile"
+    blocker.write_text("x")
+    text = GOOD_CONFIG.format(out=blocker / "sub").replace(
+        "k = 2", "k = 2\ndump_matrices = true")
+    assert main(["run", str(_write(tmp_path, text))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write matrix dumps under")
+    assert str(blocker / "sub") in err
+
+
+@pytest.mark.parametrize("key,value,numpy_value", [
+    ("levels", [2.0, 4.0], list(np.array([2, 4]))),
+    ("k", 2.0, np.int64(2)),
+    ("seed", 1.0, np.int64(1)),
+], ids=["levels", "k", "seed"])
+def test_non_integer_sizes_are_config_errors(key, value, numpy_value):
+    base = dict(preset="laplace", levels=[2, 4], k=2, seed=0)
+    with pytest.raises(ConfigError, match=rf"^{key}: .* is not an integer"):
+        StudyConfig(**(base | {key: value})).validate()
+    StudyConfig(**(base | {key: numpy_value})).validate()
+
+
 def test_numerical_failure_marks_level_and_exit_code(tmp_path, monkeypatch, capsys):
     calls = {"count": 0}
 

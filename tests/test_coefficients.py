@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from rt0eig import (get_preset, integrate_triangle, preset_names,
-                    triangle_rule)
+from rt0eig import get_preset, preset_names, triangle_rule
 from rt0eig.coefficients import COEFF_EPS, edge_rule
-from oracles import duffy_triangle_integral
+from oracles import duffy_triangle_integral, integrate_triangle
 
 REF_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 

@@ -6,9 +6,10 @@ import pytest
 from rt0eig import (MeshError, Rectangle, UNIT_SQUARE, assemble,
                     build_structured_mesh, edge_normals, get_preset)
 from rt0eig.eigensolver import _hybridize
-from rt0eig.mesh import dump_mesh, nested_dissection_order
-from oracles import (brute_force_edges, dict_walk_topology,
-                     recursive_nested_dissection)
+from rt0eig.mesh import nested_dissection_order
+from oracles import (brute_force_edges, dict_walk_topology, dump_mesh,
+                     num_vertices, recursive_nested_dissection,
+                     triangle_coords)
 
 
 def test_rectangle_rejects_nonpositive_extent():
@@ -44,14 +45,14 @@ def test_invalid_subdivision_rejected():
 
 def test_unit_square_n1_counts():
     m = build_structured_mesh(UNIT_SQUARE, 1)
-    assert m.num_vertices == 4
+    assert num_vertices(m) == 4
     assert m.num_triangles == 2
     assert m.num_edges == 5
 
 
 def test_unit_square_n2_counts_against_enumeration():
     m = build_structured_mesh(UNIT_SQUARE, 2)
-    assert (m.num_vertices, m.num_triangles) == (9, 8)
+    assert (num_vertices(m), m.num_triangles) == (9, 8)
     # cross-check the 3n^2 + 2n count by brute-force enumeration
     assert m.num_edges == len(brute_force_edges(m.triangles)) == 16
 
@@ -132,7 +133,7 @@ def test_mesh_invariant_counts_random():
     for _ in range(5):
         n = int(rng.integers(1, 9))
         m = build_structured_mesh(UNIT_SQUARE, n)
-        assert m.num_vertices == (n + 1) ** 2
+        assert num_vertices(m) == (n + 1) ** 2
         assert m.num_triangles == 2 * n * n
         assert m.num_edges == 3 * n * n + 2 * n
         assert m.h == pytest.approx(np.sqrt(2.0) / n, rel=1e-14)
@@ -147,7 +148,7 @@ def test_global_normals_match_orientation(unit_mesh_n2):
     assert np.abs(np.hypot(normals[:, 0], normals[:, 1]) - 1).max() < 1e-14
     # sign definition: outward normal of triangle on edge = sign * global
     for t in range(m.num_triangles):
-        tri = m.triangle_coords(t)
+        tri = triangle_coords(m, t)
         centroid = tri.mean(axis=0)
         for i in range(3):
             e = m.triangle_edges[t, i]

@@ -1,10 +1,12 @@
 """Structure of the package itself: its modules import one another without
-a cycle, imports inside function bodies included, and the assembled system
-stays plain data through a solve."""
+a cycle, imports inside function bodies included, the assembled system
+stays plain data through a solve, and it ships no definition that only the
+tests use."""
 
 import ast
 import dataclasses
 import graphlib
+import re
 from pathlib import Path
 
 import pytest
@@ -64,3 +66,48 @@ def test_assembled_system_holds_only_its_fields_after_a_solve(method):
     solve_mixed_eigenproblem(mesh, sys_, 2, method=method)
     assert set(vars(sys_)) == {
         f.name for f in dataclasses.fields(AssembledSystem)}
+
+
+README = PACKAGE.parent.parent / "README.md"
+
+
+def _public_definitions():
+    """(qualified name, name) of every public function, class and method
+    defined at the top level of the package's modules."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_"):
+                yield f"{path.stem}.{node.name}", node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_")):
+                        yield f"{path.stem}.{node.name}.{item.name}", item.name
+
+
+def _names_referenced_by_the_package():
+    """Every name and attribute the package's modules read, bar the
+    namespace module __init__, which only re-exports."""
+    names = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_no_public_definition_serves_only_the_tests():
+    """Code that only the tests call belongs in tests/oracles.py: every
+    public definition is used by the package or documented in README.md."""
+    used = _names_referenced_by_the_package()
+    readme = README.read_text()
+    unused = [qual for qual, name in _public_definitions()
+              if name not in used
+              and not re.search(rf"\b{re.escape(name)}\b", readme)]
+    assert unused == []

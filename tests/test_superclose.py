@@ -4,11 +4,12 @@ import pytest
 from rt0eig import (assemble, build_structured_mesh, fortin_interpolate,
                     get_preset, l2_errors, laplace_eigenpair,
                     laplace_eigenvalues, p0_project, solve_mixed_eigenproblem,
-                    superclose_distance, triangle_rule, UNIT_SQUARE)
+                    superclose_distance, UNIT_SQUARE)
+from rt0eig.coefficients import PROJECTION_RULE
 from rt0eig.mesh import Rectangle, edge_normals
 from oracles import (duffy_triangle_integral, gauss_edge_integral,
                      pointwise_fortin, pointwise_l2_errors,
-                     pointwise_p0_project)
+                     pointwise_p0_project, triangle_coords)
 
 
 def test_analytic_eigenpair_unit_square():
@@ -21,7 +22,7 @@ def test_analytic_eigenpair_unit_square():
 def test_analytic_eigenpair_is_l2_normalized(unit_mesh_n4):
     pair = laplace_eigenpair(1, 2, UNIT_SQUARE)
     total = sum(duffy_triangle_integral(lambda x, y: pair.u(x, y) ** 2,
-                                        unit_mesh_n4.triangle_coords(t))
+                                        triangle_coords(unit_mesh_n4, t))
                 for t in range(unit_mesh_n4.num_triangles))
     assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -48,12 +49,12 @@ def test_laplace_eigenvalues_sorted_with_multiplicity():
 
 
 def test_p0_project_constant(unit_mesh_n4):
-    out = p0_project(lambda x, y: 3.25, unit_mesh_n4, triangle_rule(2))
+    out = p0_project(lambda x, y: 3.25, unit_mesh_n4)
     assert out == pytest.approx(np.full(unit_mesh_n4.num_triangles, 3.25), rel=1e-15)
 
 
 def test_p0_project_linear_hits_centroid(unit_mesh_n2):
-    out = p0_project(lambda x, y: x, unit_mesh_n2, triangle_rule(2))
+    out = p0_project(lambda x, y: x, unit_mesh_n2)
     centroids = unit_mesh_n2.vertices[unit_mesh_n2.triangles].mean(axis=1)
     assert out == pytest.approx(centroids[:, 0], rel=1e-14)
 
@@ -103,7 +104,7 @@ def test_commuting_diagram(unit_mesh_n8):
     lhs = sys_.B @ coeffs
     rhs = np.array([
         duffy_triangle_integral(
-            lambda x, y: -pair.lam * pair.u(x, y), mesh.triangle_coords(t))
+            lambda x, y: -pair.lam * pair.u(x, y), triangle_coords(mesh, t))
         for t in range(mesh.num_triangles)
     ])
     assert np.abs(lhs - rhs).max() <= 1e-8
@@ -153,12 +154,12 @@ def test_l2_error_of_projection_equals_p0_error():
     errs = []
     for n in (4, 8):
         mesh, sys_, _ = _solved_level(n)
-        pu = p0_project(pair.u, mesh, triangle_rule(3))
+        pu = p0_project(pair.u, mesh)
         err_u, _ = l2_errors(pu, np.zeros(mesh.num_edges), mesh, pair)
         oracle = np.sqrt(sum(
             duffy_triangle_integral(
                 lambda x, y, t=t: (pair.u(x, y) - pu[t]) ** 2,
-                mesh.triangle_coords(t))
+                triangle_coords(mesh, t))
             for t in range(mesh.num_triangles)))
         assert err_u == pytest.approx(oracle, rel=8e-3)
         errs.append(oracle)
@@ -191,7 +192,7 @@ def test_superclose_beats_plain_error():
     dist, err = [], []
     for n in (4, 8):
         mesh, sys_, res = _solved_level(n)
-        pu = p0_project(pair.u, mesh, triangle_rule(3))
+        pu = p0_project(pair.u, mesh)
         dist.append(superclose_distance(res.vectors[:, 0], pu, sys_.D))
         err.append(l2_errors(res.vectors[:, 0], res.fluxes[:, 0], mesh,
                              pair)[0])
@@ -238,10 +239,9 @@ def test_projections_and_errors_match_pointwise_oracles(rect, n, mode):
     mesh = build_structured_mesh(rect, n)
     pair = laplace_eigenpair(*mode, rect)
     rng = np.random.default_rng(n)
-    for rule in (triangle_rule(2), triangle_rule(3)):
-        got = p0_project(pair.u, mesh, rule)
-        want = pointwise_p0_project(pair.u, mesh, rule)
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    got = p0_project(pair.u, mesh)
+    want = pointwise_p0_project(pair.u, mesh, PROJECTION_RULE)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
     for npts in (2, 3):
         got = fortin_interpolate(pair.grad_u, mesh, npts)
         want = pointwise_fortin(pair.grad_u, mesh, npts)
@@ -250,8 +250,8 @@ def test_projections_and_errors_match_pointwise_oracles(rect, n, mode):
         mesh.num_triangles)
     sigma_h = -fortin_interpolate(pair.grad_u, mesh) + 0.05 * (
         rng.standard_normal(mesh.num_edges))
-    rule3 = triangle_rule(3)
     for A in (None, _tensor):
-        got = l2_errors(u_h, sigma_h, mesh, pair, rule3, A=A)
-        want = pointwise_l2_errors(u_h, sigma_h, mesh, pair, rule3, A=A)
+        got = l2_errors(u_h, sigma_h, mesh, pair, A=A)
+        want = pointwise_l2_errors(u_h, sigma_h, mesh, pair, PROJECTION_RULE,
+                                   A=A)
         assert got == pytest.approx(want, rel=1e-13)
