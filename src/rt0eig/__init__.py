@@ -8,9 +8,10 @@ __version__ = "0.1.0"
 from .assembly import AssembledSystem, AssemblyError, assemble, dump_matrix
 from .coefficients import (ProblemSpec, QuadratureRule, get_preset,
                            preset_names, triangle_rule)
-from .eigensolver import (EigenResult, NumericalError, flux_mass_solver,
-                          recover_flux, schur_complement, solve_gevp,
-                          solve_gevp_iterative, solve_mixed_eigenproblem)
+from .eigensolver import (EigenResult, NumericalError, flux_mass_factor,
+                          flux_mass_solver, recover_flux, schur_complement,
+                          solve_gevp, solve_gevp_iterative,
+                          solve_mixed_eigenproblem)
 from .extrapolation import (ClusterRow, ConvergenceTable, LevelSequence,
                             SupercloseBlock, build_table, match_and_cluster,
                             observed_order, richardson)
@@ -26,10 +27,10 @@ __all__ = [
     "ConvergenceTable", "EigenResult", "LevelSequence", "Mesh", "MeshError",
     "NumericalError", "ProblemSpec", "QuadratureRule", "Rectangle",
     "SupercloseBlock", "UNIT_SQUARE", "assemble", "build_structured_mesh",
-    "build_table", "dump_matrix", "edge_normals", "flux_mass_solver",
-    "fortin_interpolate", "get_preset", "l2_errors", "laplace_eigenpair",
-    "laplace_eigenvalues", "match_and_cluster", "observed_order",
-    "p0_project", "preset_names", "recover_flux", "richardson",
-    "schur_complement", "solve_gevp", "solve_gevp_iterative",
+    "build_table", "dump_matrix", "edge_normals", "flux_mass_factor",
+    "flux_mass_solver", "fortin_interpolate", "get_preset", "l2_errors",
+    "laplace_eigenpair", "laplace_eigenvalues", "match_and_cluster",
+    "observed_order", "p0_project", "preset_names", "recover_flux",
+    "richardson", "schur_complement", "solve_gevp", "solve_gevp_iterative",
     "solve_mixed_eigenproblem", "superclose_distance", "triangle_rule",
 ]

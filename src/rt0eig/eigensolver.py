@@ -8,10 +8,13 @@ The saddle-point system
 is reduced by eliminating the flux: S = B M^-1 B^T + C is symmetric positive
 definite and S u = lambda D u has exactly the finite eigenvalues of the full
 block pencil.  The dense path, for levels of at most DENSE_MAX_TRIANGLES
-triangles, factorizes M once per level by dense Cholesky.  Through that
-factor it forms S explicitly, diagonalizes the similarity transform
-D^-1/2 S D^-1/2 in S's own storage, and recovers the fluxes of all pairs
-in one solve with k right-hand sides.  The iterative path,
+triangles, factorizes M = U^T U once per level by dense Cholesky and keeps
+only the band of U: M is banded in the mesh's edge order, and a Cholesky
+factor keeps the band of its matrix.  A block forward substitution over
+that band gives X = U^-T B^T, and S = C + X^T X comes from one symmetric
+rank update, exactly symmetric.  The dense path diagonalizes the similarity
+transform D^-1/2 S D^-1/2 in S's own storage, and recovers the fluxes of
+all pairs in one banded solve with k right-hand sides.  The iterative path,
 solve_gevp_iterative, never forms S nor factorizes M or the block matrix
 K = [[M, B^T], [B, -C]].  It hybridizes K (Arnold and Brezzi, M2AN 19,
 1985): the flux space is broken triangle by triangle, one multiplier per
@@ -39,19 +42,21 @@ import scipy.sparse.linalg as spla
 # Residual and orthonormality contracts.
 RESIDUAL_RTOL = 1e-10
 FLUX_RTOL = 1e-11
-SCHUR_SYM_RTOL = 1e-11
 
-# The dense path holds the factor of M and S as full float64 arrays, and
-# diagonalizes S in its own storage (see solve_gevp): at 2048 triangles
-# (n = 32) they take 79 MB and 34 MB, and M alone would take 1.2 GB at
-# n = 64.
+# The dense path factorizes M as a full float64 array and keeps only the
+# factor's band; it then holds X = U^-T B^T (E x T) and S (T x T) as full
+# arrays, and diagonalizes S in its own storage (see solve_gevp).  At 2048
+# triangles (n = 32) M takes 75 MiB while it is factored, then X and S take
+# 49 and 32 MiB, and the level's traced peak is 84.5 MiB; at n = 64 M
+# alone would take 1.2 GB.
 DENSE_MAX_TRIANGLES = 2048
 
 ITER_BUDGET_PER_EIGENVALUE = 500
 
 
 class NumericalError(Exception):
-    """Factorization failure, non-convergence, or violated residual bound."""
+    """Factorization failure, non-convergence, violated residual bound, or
+    a quadrature of a squared error that came out negative."""
 
 
 @dataclass
@@ -84,77 +89,134 @@ class EigenResult:
     residuals: np.ndarray
 
 
-def flux_mass_solver(M: sp.csr_matrix):
-    """Factorize the SPD flux mass matrix by dense Cholesky; return its solve.
+def flux_mass_factor(M: sp.csr_matrix) -> np.ndarray:
+    """Band of the Cholesky factor U (M = U^T U) of the SPD flux mass
+    matrix.
 
-    M is densified in Fortran order, which LAPACK factors in place, so the
-    level holds one E x E array.  The factorization also certifies positive
-    definiteness.  The solve takes one right-hand side or a column block of
-    them and leaves them unchanged.  It checks only the right-hand side for
-    infs and NaNs, raising ValueError: cho_factor checked M, and the factor
-    it returned is finite.
+    M is densified in Fortran order and factored in place by dense
+    Cholesky, which also certifies positive definiteness.  M is banded in
+    the mesh's edge order, with bandwidth w (127 at n = 32), and a Cholesky
+    factor keeps the band of its matrix (George and Liu, 1981): U is exactly
+    zero more than w above its diagonal.  Its w + 1 diagonals are copied
+    out in LAPACK's upper band storage, diagonal d in row w - d as
+    cho_solve_banded reads it, and the E x E array is dropped on return.
     """
+    coo = M.tocoo()
+    width = int(np.abs(coo.row - coo.col).max(initial=0))
     try:
-        factor = la.cho_factor(M.toarray(order="F"), overwrite_a=True)
+        u, _ = la.cho_factor(M.toarray(order="F"), overwrite_a=True)
     except la.LinAlgError as exc:
         raise NumericalError(
             f"flux mass matrix is not positive definite: {exc}") from exc
-    return lambda rhs: la.cho_solve(factor, np.asarray_chkfinite(rhs),
-                                    check_finite=False)
+    band = np.zeros((width + 1, u.shape[0]))
+    for d in range(width + 1):
+        band[width - d, d:] = np.diagonal(u, d)
+    return band
 
 
-def schur_complement(sys, solve) -> np.ndarray:
+def flux_mass_solver(factor: np.ndarray):
+    """The solve with M through the band of its Cholesky factor, as
+    flux_mass_factor returns it.
+
+    The solve takes one right-hand side or a column block of them and
+    leaves them unchanged.  It checks only the right-hand side for infs and
+    NaNs, raising ValueError: cho_factor checked M, and the factor it
+    returned is finite.
+    """
+    return lambda rhs: la.cho_solve_banded(
+        (factor, False), np.asarray_chkfinite(rhs), check_finite=False)
+
+
+def schur_complement(sys, factor: np.ndarray) -> np.ndarray:
     """Dense Schur complement S = B M^-1 B^T + C of the mixed system.
 
-    `solve` applies M^-1, as returned by flux_mass_solver; it is called once
-    per column chunk of B^T.  S is checked and symmetrized in place (see
-    _symmetrize).  Raises NumericalError, naming the first column, if an
-    entry is not finite, and if S is not symmetric to within tolerance.
+    `factor` is the band of the Cholesky factor U of M, as flux_mass_factor
+    returns it.  With X = U^-T B^T, S = C + X^T X: B^T is densified as an
+    E x T array X, overwritten by U^-T X (see _band_forward_solve), and S is
+    formed by one symmetric rank update of diag(C) (dsyrk) and mirrored, so
+    it is exactly symmetric.  S is returned in C order.  Raises
+    NumericalError, naming the first column, if an entry is not finite.
     """
-    bt = sys.B.T.tocsc()
-    s = np.empty((sys.num_triangles, sys.num_triangles))
-    # densify and solve B^T in column chunks of at most 2^20 entries (7 at
-    # n = 32): each chunk's dense block, its solve and its product with B
-    # are live at once
-    chunk = max(1, min(sys.num_triangles, (1 << 20) // max(sys.num_edges, 1)))
-    for lo in range(0, sys.num_triangles, chunk):
-        hi = min(lo + chunk, sys.num_triangles)
-        s[:, lo:hi] = sys.B @ solve(bt[:, lo:hi].toarray())
-    s[np.diag_indices_from(s)] += sys.C
+    x = sys.B.T.toarray(order="C")
+    _band_forward_solve(factor, x)
+    # dsyrk adds X^T X to the upper triangle of the Fortran-ordered s; its
+    # transpose is S in C order with the lower triangle filled
+    s = np.zeros((sys.num_triangles, sys.num_triangles), order="F")
+    np.fill_diagonal(s, sys.C)
+    la.blas.dsyrk(1.0, x.T, beta=1.0, c=s, overwrite_c=True)
+    del x
+    s = s.T
+    _mirror_lower(s)
     scale = float(max(s.max(), -s.min()))  # max |s|, with no |s| array
-    # max |s| is NaN or inf exactly when an entry is, which the symmetry
-    # check below would let through
+    # max |s| is NaN or inf exactly when an entry is
     if not np.isfinite(scale):
         j = int(np.argmin(np.isfinite(s).all(axis=0)))
         raise NumericalError(f"Schur complement column {j} is not finite")
-    asym = _symmetrize(s)
-    if asym > SCHUR_SYM_RTOL * scale:
-        raise NumericalError(
-            f"Schur complement asymmetry {asym:g} exceeds "
-            f"{SCHUR_SYM_RTOL:g} * {scale:g}")
     return s
 
 
-def _symmetrize(a: np.ndarray) -> float:
-    """Replace the square array a by 0.5 * (a + a^T) in place and return the
-    largest |a_ij - a_ji| it had.
+def _band_forward_solve(band, x):
+    """Overwrite x, an E x T array in C order, by U^-T x, with U the upper
+    triangular matrix whose band `band` holds (see flux_mass_factor).
+
+    The rows of x go in blocks of b >= w rows, so that U^T couples block I
+    only to itself and to block I - 1: X_I = U_II^-T (X_I - U_(I-1)I^T
+    X_(I-1)).  A block of rows of x is contiguous, and its transpose is the
+    Fortran-ordered T x b array that dgemm and dtrsm update in place over
+    all T columns at once.
+    """
+    width, e = band.shape[0] - 1, band.shape[1]
+    # at least 16 rows, so that a narrow band does not take many tiny calls
+    block = max(width, 16)
+    for lo in range(0, e, block):
+        hi = min(lo + block, e)
+        xt = x[lo:hi].T
+        if lo:
+            prev = max(lo - block, 0)
+            la.blas.dgemm(-1.0, x[prev:lo].T,
+                          _band_block(band, prev, lo, lo, hi), beta=1.0,
+                          c=xt, overwrite_c=True)
+        la.blas.dtrsm(1.0, _band_block(band, lo, hi, lo, hi), xt, side=1,
+                      overwrite_b=True)
+
+
+def _band_block(band, r0, r1, c0, c1):
+    """U[r0:r1, c0:c1] as a dense Fortran-ordered array, from U's band."""
+    width = band.shape[0] - 1
+    rows, cols = np.ogrid[r0:r1, c0:c1]
+    d = cols - rows
+    return np.asfortranarray(np.where(
+        (d >= 0) & (d <= width), band[np.clip(width - d, 0, width), cols],
+        0.0))
+
+
+def _mirror_lower(a):
+    """Copy the lower triangle of the square array a onto its upper one,
+    a block row at a time, so that the temporaries are a few blocks."""
+    n, block = a.shape[0], 256
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        diag = a[lo:hi, lo:hi]
+        upper = np.triu_indices(hi - lo, 1)
+        diag[upper] = diag.T[upper]
+        a[lo:hi, hi:] = a[hi:, lo:hi].T
+
+
+def _symmetrize(a: np.ndarray) -> None:
+    """Replace the square array a by 0.5 * (a + a^T) in place.
 
     It goes over pairs of mirrored blocks, so its temporaries are a few
     block x block arrays; every entry is the same double as in
     0.5 * (a + a.T).
     """
     n, block = a.shape[0], 256
-    asym = 0.0
     for lo in range(0, n, block):
         rows = slice(lo, lo + block)
         for lo2 in range(lo, n, block):
             cols = slice(lo2, lo2 + block)
-            upper, lower = a[rows, cols], a[cols, rows].T
-            asym = max(asym, float(np.abs(upper - lower).max()))
-            mean = 0.5 * (upper + lower)
+            mean = 0.5 * (a[rows, cols] + a[cols, rows].T)
             a[rows, cols] = mean
             a[cols, rows] = mean.T
-    return asym
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
@@ -284,9 +346,13 @@ def _hybridize(sys):
 
 def _factor_multipliers(h):
     """Sparse LU of the SPD multiplier system H in its own order, no
-    pivoting."""
+    pivoting.
+
+    H is symmetric, so h.T, which shares h's arrays, is H in CSC: SuperLU
+    gets the same arrays as from h.tocsc() without a copy of them.
+    """
     try:
-        return spla.splu(h.tocsc(), permc_spec="NATURAL",
+        return spla.splu(h.T, permc_spec="NATURAL",
                          diag_pivot_thresh=0.0,
                          options=dict(SymmetricMode=True))
     except RuntimeError as exc:
@@ -444,10 +510,10 @@ def solve_mixed_eigenproblem(mesh, sys, k: int, method: str = "dense",
                 f"{sys.num_triangles} triangles are more than the "
                 f"{DENSE_MAX_TRIANGLES} the dense solver can hold; use the "
                 f"iterative method")
-        solve = flux_mass_solver(sys.M)
-        vals, vecs, residuals = solve_gevp(schur_complement(sys, solve),
+        factor = flux_mass_factor(sys.M)
+        vals, vecs, residuals = solve_gevp(schur_complement(sys, factor),
                                            sys.D, k)
-        fluxes = recover_flux(vecs, sys, solve)
+        fluxes = recover_flux(vecs, sys, flux_mass_solver(factor))
     elif method == "iterative":
         vals, vecs, fluxes, residuals = solve_gevp_iterative(sys, k, seed)
     else:

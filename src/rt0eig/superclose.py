@@ -26,6 +26,7 @@ import numpy as np
 
 from .coefficients import (PROJECTION_RULE, edge_rule, field_values,
                            quad_points, rowdot, weighted_sum)
+from .eigensolver import NumericalError
 from .mesh import Mesh, Rectangle, edge_normals
 
 
@@ -168,6 +169,11 @@ def l2_errors(u_h: np.ndarray, sigma_h: np.ndarray, mesh: Mesh,
     with the discrete flux evaluated pointwise from its basis expansion.
     The sign of the discrete pair is aligned to the exact eigenfunction
     first.  A defaults to the identity.
+
+    PROJECTION_RULE weights its centroid by -27/48, so on a coarse mesh a
+    quadrature sum of squares can come out negative (the err_u sum is
+    -0.0764 for the first laplace mode at n = 1); that raises
+    NumericalError naming the sum.
     """
     tri, pts = _element_points(mesh)
     x, y = pts[..., 0], pts[..., 1]
@@ -192,5 +198,17 @@ def l2_errors(u_h: np.ndarray, sigma_h: np.ndarray, mesh: Mesh,
     err_u = weighted_sum((u - sign * u_h[:, None]) ** 2,
                          PROJECTION_RULE.weights)
     err_sigma = weighted_sum(rowdot(dsig, dsig), PROJECTION_RULE.weights)
-    return (math.sqrt(_sequential_sum(mesh.areas * err_u)),
-            math.sqrt(_sequential_sum(mesh.areas * err_sigma)))
+    return (_root_of_sum("err_u", mesh.areas * err_u),
+            _root_of_sum("err_sigma", mesh.areas * err_sigma))
+
+
+def _root_of_sum(name: str, vals: np.ndarray) -> float:
+    """Square root of the sequential sum of vals, the quadrature of a
+    squared error; NumericalError if the sum is negative."""
+    total = _sequential_sum(vals)
+    if total < 0.0:
+        raise NumericalError(
+            f"{name} quadrature sum {total:.3g} is negative: the degree-3 "
+            f"rule's negative centroid weight outweighs the rest on this "
+            f"mesh")
+    return math.sqrt(total)

@@ -12,11 +12,11 @@ The references after them deliberately avoid the package's own
 quadrature rules and solver paths: element matrices come from symbolic
 integration, triangle integrals from a Duffy-transform tensor Gauss rule,
 eigenvalues of the reduced problem from the dense saddle-point pencil,
-eigenpair residuals and Rayleigh quotients through a factorization of M
-rather than of the saddle-point block, and solves with that block from a
-sparse direct solve of it whole, not from its hybridization.  The dense
-Schur complement and the dense eigensolve have references that densify or
-copy whole arrays where the package works chunk by chunk or in place.
+the dense Schur complement, eigenpair residuals and Rayleigh quotients
+through a sparse LU of M rather than the band of its Cholesky factor or
+the saddle-point block, and solves with that block from a sparse direct
+solve of it whole, not from its hybridization.  The dense eigensolve has a
+reference that copies whole arrays where the package works in place.
 
 The per-element and per-point references at the end redo, one triangle,
 edge or point at a time, what the package computes on whole arrays: global
@@ -234,23 +234,6 @@ def saddle_point_eigenvalues(sys):
     return np.sort(1.0 / finite.real)
 
 
-def full_densify_schur_complement(sys, solve):
-    """S = B M^-1 B^T + C, densifying all of B^T before the chunked solves.
-
-    The same chunks, solves (through `solve`, which applies M^-1) and
-    symmetrization as schur_complement, which densifies one chunk of B^T at
-    a time instead.
-    """
-    bt = sys.B.T.toarray()
-    s = np.empty((sys.num_triangles, sys.num_triangles))
-    chunk = max(1, min(sys.num_triangles, (1 << 20) // max(sys.num_edges, 1)))
-    for lo in range(0, sys.num_triangles, chunk):
-        hi = min(lo + chunk, sys.num_triangles)
-        s[:, lo:hi] = sys.B @ solve(bt[:, lo:hi])
-    s[np.diag_indices_from(s)] += sys.C
-    return 0.5 * (s + s.T)
-
-
 def copying_solve_gevp(S, D, k):
     """solve_gevp with a fresh array for each step of the transform
     D^-1/2 S D^-1/2, its symmetrization and eigh's own copy of it, where
@@ -272,9 +255,9 @@ def copying_solve_gevp(S, D, k):
 
 
 def mass_solve(sys, rhs):
-    """M^-1 rhs by a sparse LU of M alone, not through the dense Cholesky
-    factor of the dense path nor the saddle-point block of the iterative
-    one."""
+    """M^-1 rhs by a sparse LU of M alone, not through the band of M's
+    Cholesky factor that the dense path keeps nor the hybridized
+    saddle-point block of the iterative one."""
     return spla.splu(sys.M.tocsc()).solve(rhs)
 
 

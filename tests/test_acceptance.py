@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from rt0eig import (assemble, build_structured_mesh, flux_mass_solver,
+from rt0eig import (assemble, build_structured_mesh, flux_mass_factor,
                     fortin_interpolate, get_preset, laplace_eigenpair,
                     schur_complement, solve_gevp, triangle_rule, UNIT_SQUARE)
 from rt0eig.cli import StudyConfig, run_study
@@ -100,7 +100,7 @@ def test_criterion_5_spectral_shift(laplace_study):
     lap16 = next(r for r in runs if r.result.n == 16).result.eigenvalues
     mesh = build_structured_mesh(UNIT_SQUARE, 16)
     sys_ = assemble(mesh, get_preset("shifted"))
-    s = schur_complement(sys_, flux_mass_solver(sys_.M))
+    s = schur_complement(sys_, flux_mass_factor(sys_.M))
     vals, _, _ = solve_gevp(s, sys_.D, 4)
     rel = np.abs(vals - (lap16 + 5.0)) / np.abs(lap16 + 5.0)
     ok = _criterion(5, "spectral shift identity", bool(rel.max() <= 1e-8))
@@ -114,7 +114,7 @@ def test_criterion_6_small_instance_oracles():
     for n in (1, 2):
         mesh = build_structured_mesh(UNIT_SQUARE, n)
         sys_ = assemble(mesh, prob)
-        s = schur_complement(sys_, flux_mass_solver(sys_.M))
+        s = schur_complement(sys_, flux_mass_factor(sys_.M))
         vals, _, _ = solve_gevp(s, sys_.D, sys_.num_triangles)
         oracle = saddle_point_eigenvalues(sys_)
         pencil_ok &= bool(

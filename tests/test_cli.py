@@ -304,6 +304,22 @@ def test_numerical_failure_marks_level_and_exit_code(tmp_path, monkeypatch, caps
     assert "synthetic breakdown" in payload["levels"][-1]["error"]
 
 
+def test_negative_quadrature_sum_at_n1_fails_the_level(tmp_path, capsys):
+    """At n = 1 the degree-3 rule's negative centroid weight makes the
+    err_u sum of the first laplace mode negative; the study fails that
+    level by name, with exit code 2, instead of a math domain error."""
+    text = GOOD_CONFIG.format(out=tmp_path / "r").replace(
+        "levels = 2 4\nk = 2",
+        "levels = 1 2\nk = 1\ncompute_superclose = true")
+    assert main(["run", str(_write(tmp_path, text))]) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"numerical failure: level n=1 failed: err_u "
+                     r"quadrature sum -0\.0764 is negative", err), err
+    payload = json.loads((tmp_path / "r" / "report.json").read_text())
+    assert [(lv["n"], lv["status"]) for lv in payload["levels"]] == [
+        (1, "failed")]
+
+
 def test_dump_matrices_flag(tmp_path):
     cfg = StudyConfig(preset="laplace", levels=[1, 2], k=1,
                       dump_matrices=True, output_dir=tmp_path / "dumps")

@@ -2,8 +2,9 @@
 (one LU of the interface multiplier system per level, in the
 nested-dissection order of their edges) against a sparse direct solve, the
 loud failure on a singular element block, its eigenpairs and their
-Rayleigh-quotient eigenvalues, the checks it makes on them, and the chunked
-dense Schur complement."""
+Rayleigh-quotient eigenvalues, the checks it makes on them, and the dense
+Schur complement formed from the band of M's Cholesky factor against a
+sparse LU of M."""
 
 import numpy as np
 import pytest
@@ -13,12 +14,11 @@ import scipy.sparse.linalg as spla
 
 from rt0eig import (AssembledSystem, NumericalError, ProblemSpec, Rectangle,
                     UNIT_SQUARE, assemble, build_structured_mesh,
-                    flux_mass_solver, get_preset, schur_complement,
+                    flux_mass_factor, get_preset, schur_complement,
                     solve_gevp_iterative, solve_mixed_eigenproblem)
 from rt0eig.eigensolver import (RESIDUAL_RTOL, _check_eigentriples,
                                 _factor_multipliers, _hybridize, _k_solve)
-from oracles import (colamd_eigenvalues, flux_row_image,
-                     full_densify_schur_complement, mass_solve,
+from oracles import (colamd_eigenvalues, flux_row_image, mass_solve,
                      saddle_point_solve, schur_rayleigh_quotients,
                      schur_residuals)
 
@@ -88,14 +88,33 @@ def test_singular_element_block_names_its_triangle():
         solve_mixed_eigenproblem(mesh, bad, 2, method="iterative")
 
 
-@pytest.mark.parametrize("preset", ["laplace", "variable"])
-@pytest.mark.parametrize("n", [4, 16, 32])
-def test_schur_chunked_densify_equals_full_densify(preset, n):
-    """n = 32 takes seven column chunks, the smaller levels one."""
-    _, sys_ = _system(preset, n)
-    solve = flux_mass_solver(sys_.M)
-    assert np.array_equal(schur_complement(sys_, solve),
-                          full_densify_schur_complement(sys_, solve))
+@pytest.mark.parametrize("case",
+                         ["laplace", "shifted", "variable", "anisotropic"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16, 32])
+def test_schur_from_the_band_matches_sparse_lu(case, n):
+    """S = C + X^T X, X = U^-T B^T from the band of M's Cholesky factor U,
+    equals C + B M^-1 B^T through a sparse LU of M to 1e-14 of max |S|, and
+    is exactly symmetric.  The dense factor is exactly zero beyond M's
+    bandwidth w, and the band holds its other w + 1 diagonals bit for bit.
+    The forward substitution takes blocks of max(w, 16) rows: one at n = 1
+    and 2, 25 at n = 32 (w = 127)."""
+    sys_ = _case_system(case, n)
+    band = flux_mass_factor(sys_.M)
+    s = schur_complement(sys_, band)
+    want = (sys_.B @ mass_solve(sys_, sys_.B.T.toarray())
+            + np.diag(sys_.C))
+    assert np.abs(s - want).max() <= 1e-14 * np.abs(s).max()
+    assert np.array_equal(s, s.T)
+    assert s.flags.c_contiguous
+
+    m = sys_.M.tocoo()
+    width = int(np.abs(m.row - m.col).max())
+    assert band.shape == (width + 1, sys_.num_edges)
+    u, _ = la.cho_factor(sys_.M.toarray(order="F"))
+    assert np.all(np.triu(u, width + 1) == 0.0)
+    for d in range(width + 1):
+        assert np.array_equal(band[width - d, d:], np.diagonal(u, d))
+        assert np.all(band[width - d, :d] == 0.0)
 
 
 def test_iterative_n64_passes_residual_bound():
