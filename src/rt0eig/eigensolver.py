@@ -13,14 +13,16 @@ only the band of U: M is banded in the mesh's edge order, and a Cholesky
 factor keeps the band of its matrix.  A block forward substitution over
 that band gives X = U^-T B^T, and S = C + X^T X comes from one symmetric
 rank update, exactly symmetric.  The dense path diagonalizes the similarity
-transform D^-1/2 S D^-1/2 in S's own storage, and recovers the fluxes of
-all pairs in one banded solve with k right-hand sides.  The iterative path,
-solve_gevp_iterative, never forms S nor factorizes M or the block matrix
-K = [[M, B^T], [B, -C]].  It hybridizes K (Arnold and Brezzi, M2AN 19,
-1985): the flux space is broken triangle by triangle, one multiplier per
-interior edge makes the normal flux continuous, and the flux and the
-scalar are eliminated element by element through the block diagonal
-inverse A^-1 of the element blocks.
+transform D^-1/2 S D^-1/2 in S's own storage from one triangle and forms
+the residuals from the other, so an asymmetric S fails the residual check
+rather than being averaged, and a non-finite S is rejected by name.  It
+recovers the fluxes of all pairs in one banded solve with k right-hand
+sides.  The iterative path, solve_gevp_iterative, never forms S nor
+factorizes M or the block matrix K = [[M, B^T], [B, -C]].  It hybridizes K
+(Arnold and Brezzi, M2AN 19, 1985): the flux space is broken triangle by
+triangle, one multiplier per interior edge makes the normal flux
+continuous, and the flux and the scalar are eliminated element by element
+through the block diagonal inverse A^-1 of the element blocks.
 With G the jump map from the element slots to the multipliers, K^-1 =
 Z - W H^-1 W^T, where Z and W are A^-1 and A^-1 G^T restricted to K's
 unknowns and H = G A^-1 G^T is a symmetric positive definite system on the
@@ -147,11 +149,12 @@ def schur_complement(sys, factor: np.ndarray) -> np.ndarray:
     del x
     s = s.T
     _mirror_lower(s)
-    scale = float(max(s.max(), -s.min()))  # max |s|, with no |s| array
-    # max |s| is NaN or inf exactly when an entry is
-    if not np.isfinite(scale):
-        j = int(np.argmin(np.isfinite(s).all(axis=0)))
-        raise NumericalError(f"Schur complement column {j} is not finite")
+    # S = C + X^T X, so |s_ij| <= sqrt((s_ii - c_i)(s_jj - c_j)): with C
+    # finite, a non-finite entry makes s_ii or s_jj non-finite
+    bad = np.flatnonzero(~np.isfinite(np.diagonal(s)))
+    if bad.size:
+        raise NumericalError(
+            f"Schur complement column {bad[0]} is not finite")
     return s
 
 
@@ -202,23 +205,6 @@ def _mirror_lower(a):
         a[lo:hi, hi:] = a[hi:, lo:hi].T
 
 
-def _symmetrize(a: np.ndarray) -> None:
-    """Replace the square array a by 0.5 * (a + a^T) in place.
-
-    It goes over pairs of mirrored blocks, so its temporaries are a few
-    block x block arrays; every entry is the same double as in
-    0.5 * (a + a.T).
-    """
-    n, block = a.shape[0], 256
-    for lo in range(0, n, block):
-        rows = slice(lo, lo + block)
-        for lo2 in range(lo, n, block):
-            cols = slice(lo2, lo2 + block)
-            mean = 0.5 * (a[rows, cols] + a[cols, rows].T)
-            a[rows, cols] = mean
-            a[cols, rows] = mean.T
-
-
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     """Make the largest-magnitude entry of each column positive.
 
@@ -239,12 +225,15 @@ def solve_gevp(S: np.ndarray, D: np.ndarray, k: int):
     Returns (values, vectors, residuals) with values ascending, vectors
     D-orthonormal columns with the sign convention applied, and residuals
     the 2-norms of S u - lambda D u.  The residual bound is checked against
-    RESIDUAL_RTOL times the Frobenius norm of S.
+    RESIDUAL_RTOL times the Frobenius norm of S.  S must be finite and
+    symmetric, as schur_complement builds it: a NaN or inf raises
+    NumericalError naming the first non-finite column, and an asymmetric
+    S fails the residual bound.
 
-    S is overwritten: it is scaled in place to W = D^-1/2 S D^-1/2,
-    symmetrized, and handed to the eigensolver in Fortran order, which
-    destroys one triangle of it and the diagonal.  The diagonal is saved
-    and written back, so the other triangle still holds W, and the
+    S is overwritten: it is scaled in place to W = D^-1/2 S D^-1/2 and
+    handed to the eigensolver in Fortran order, which reads one triangle
+    of it and destroys that triangle and the diagonal.  The diagonal is
+    saved and written back, so the other triangle still holds W, and the
     residuals are formed from it as ||D^1/2 (W y - lambda y)|| for the
     eigenvectors y of W; that is S u - lambda D u up to rounding.
     """
@@ -254,17 +243,24 @@ def solve_gevp(S: np.ndarray, D: np.ndarray, k: int):
     d = np.asarray(D, dtype=float)
     if not np.all(d > 0):
         raise NumericalError("weight mass diagonal must be positive")
-    s_norm = np.linalg.norm(S)
+    # the one finiteness check of S: its norm is NaN or inf if an entry is
+    with np.errstate(over="ignore"):
+        s_norm = np.linalg.norm(S)
+    if not np.isfinite(s_norm):
+        bad = np.flatnonzero(~np.isfinite(S).all(axis=0))
+        raise NumericalError(f"S column {bad[0]} is not finite" if bad.size
+                             else "the norm of S overflows")
     sqd = np.sqrt(d)
     rsq = 1.0 / sqd
     S *= rsq[:, None]
     S *= rsq[None, :]
-    _symmetrize(S)
-    # S is symmetric, so S.T is W in Fortran order.  eigh overwrites its
-    # lower triangle and diagonal; with the diagonal written back, dsymm
-    # reads W from the diagonal and the upper triangle
+    # S.T holds W in Fortran order.  eigh reads and overwrites its lower
+    # triangle and diagonal; with the diagonal written back, dsymm reads W
+    # from the diagonal and the upper triangle, so the residuals see any
+    # asymmetry of S that eigh did not
     w, diag = S.T, S.diagonal().copy()
-    vals, y = la.eigh(w, overwrite_a=True, subset_by_index=(0, k - 1))
+    vals, y = la.eigh(w, overwrite_a=True, check_finite=False,
+                      subset_by_index=(0, k - 1))
     np.fill_diagonal(w, diag)
     wy = la.blas.dsymm(1.0, w, y, lower=0)
     residuals = _residuals(sqd[:, None] * wy, sqd[:, None] * y, vals)

@@ -73,12 +73,12 @@ class LevelSequence:
         return np.vstack([self.matched[c].mean(axis=0) for c in self.clusters])
 
 
-def match_and_cluster(levels, p: float = EXPANSION_ORDER) -> LevelSequence:
+def match_and_cluster(levels) -> LevelSequence:
     """Match eigenvalues across levels by ascending index and cluster them.
 
     `levels` is a sequence of (n, h, eigenvalues) with n strictly doubling
     and eigenvalues ascending within each level.  Adjacent indices i, i+1
-    are clustered when their order-p extrapolated limits, taken from the
+    are clustered when their extrapolated limits, taken from the
     two finest levels, agree to within CLUSTER_RTOL * max(1, |limit_i|);
     clustering is transitive so a triple eigenvalue forms one group.
     """
@@ -100,7 +100,7 @@ def match_and_cluster(levels, p: float = EXPANSION_ORDER) -> LevelSequence:
                 f"levels must double: {n0} followed by {n1}")
 
     matched = np.vstack([vals for _, _, vals in levels]).T  # (k, L)
-    limits = np.array([richardson(matched[i, -2], matched[i, -1], p)
+    limits = np.array([richardson(matched[i, -2], matched[i, -1])
                        for i in range(k)])
     clusters: list[list[int]] = [[0]]
     for i in range(1, k):
@@ -161,7 +161,7 @@ def _cluster_label(indices) -> str:
     return str(lo) if lo == hi else f"{lo}-{hi}"
 
 
-def build_table(seq: LevelSequence, p: float = EXPANSION_ORDER,
+def build_table(seq: LevelSequence,
                 reference: np.ndarray | None = None) -> ConvergenceTable:
     """Extrapolate each cluster and attach errors and observed orders.
 
@@ -176,12 +176,12 @@ def build_table(seq: LevelSequence, p: float = EXPANSION_ORDER,
     )
     nlev = len(seq.levels)
     for indices, raw in zip(seq.clusters, seq.cluster_means()):
-        extrap = np.array([richardson(raw[i], raw[i + 1], p)
+        extrap = np.array([richardson(raw[i], raw[i + 1])
                            for i in range(nlev - 1)])
         if reference is not None:
             ref = float(np.mean([reference[i] for i in indices]))
         else:
-            ref = richardson(raw[-2], raw[-1], p)
+            ref = richardson(raw[-2], raw[-1])
         err_raw = np.abs(raw - ref)
         err_extrap = np.abs(extrap - ref)
         row = ClusterRow(

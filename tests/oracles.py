@@ -235,9 +235,9 @@ def saddle_point_eigenvalues(sys):
 
 
 def copying_solve_gevp(S, D, k):
-    """solve_gevp with a fresh array for each step of the transform
-    D^-1/2 S D^-1/2, its symmetrization and eigh's own copy of it, where
-    solve_gevp works in one array in place."""
+    """solve_gevp with a fresh array for the transform D^-1/2 S D^-1/2 and
+    eigh's own copy of it, where solve_gevp works in one array in place.
+    eigh reads the same triangle of it as in solve_gevp."""
     t = S.shape[0]
     if not (1 <= k <= t):
         raise NumericalError(f"requested {k} eigenvalues from a {t}-dim space")
@@ -246,8 +246,7 @@ def copying_solve_gevp(S, D, k):
         raise NumericalError("weight mass diagonal must be positive")
     rsq = 1.0 / np.sqrt(d)
     w = rsq[:, None] * S * rsq[None, :]
-    w = 0.5 * (w + w.T)
-    vals, y = la.eigh(w, subset_by_index=(0, k - 1))
+    vals, y = la.eigh(w.T, subset_by_index=(0, k - 1))
     vecs = _fix_signs(rsq[:, None] * y)
     residuals = _residuals(S @ vecs, d[:, None] * vecs, vals)
     _check_residuals(residuals, np.linalg.norm(S))

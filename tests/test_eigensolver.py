@@ -151,16 +151,16 @@ def test_residual_check_rejects_nan():
 
 
 def test_schur_rejects_nan_solve(laplace_systems, monkeypatch):
-    """A NaN in C only at triangle 3 leaves a NaN only in S's column 3,
-    which the finiteness check names.  A NaN column 3 of X = U^-T B^T
-    fails it too; S is symmetric, so its row 3 is NaN as well, and the
-    first column with a NaN entry is column 0."""
+    """A NaN or an inf in C at triangle 3, or a NaN column 3 of
+    X = U^-T B^T, leaves S's diagonal entry 3 non-finite, and the
+    finiteness check names column 3."""
     _, sys_ = laplace_systems[4]
     factor = flux_mass_factor(sys_.M)
-    nan_c = dataclasses.replace(sys_, C=np.where(np.arange(sys_.C.size) == 3,
-                                                 np.nan, sys_.C))
-    with pytest.raises(NumericalError, match="column 3 is not finite"):
-        schur_complement(nan_c, factor)
+    for bad in (np.nan, np.inf):
+        bad_c = dataclasses.replace(
+            sys_, C=np.where(np.arange(sys_.C.size) == 3, bad, sys_.C))
+        with pytest.raises(NumericalError, match="column 3 is not finite"):
+            schur_complement(bad_c, factor)
     solve = eigensolver._band_forward_solve
 
     def nan_column(band, x):
@@ -168,8 +168,41 @@ def test_schur_rejects_nan_solve(laplace_systems, monkeypatch):
         x[:, 3] = np.nan
 
     monkeypatch.setattr(eigensolver, "_band_forward_solve", nan_column)
-    with pytest.raises(NumericalError, match="column 0 is not finite"):
+    with pytest.raises(NumericalError, match="column 3 is not finite"):
         schur_complement(sys_, factor)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_gevp_rejects_non_finite_input(laplace_systems, bad):
+    """One non-finite entry of S fails the finiteness check of its norm,
+    which names the entry's column, not scipy's check inside eigh."""
+    _, sys_ = laplace_systems[8]
+    s = _schur(sys_)
+    s[2, 7] = bad
+    with pytest.raises(NumericalError, match="S column 7 is not finite"):
+        solve_gevp(s, sys_.D, 4)
+
+
+def test_gevp_rejects_overflowing_norm():
+    big = np.full((3, 3), 1e300)
+    np.fill_diagonal(big, 2e300)
+    with pytest.raises(NumericalError, match="the norm of S overflows"):
+        solve_gevp(big, np.ones(3), 2)
+
+
+def test_gevp_rejects_asymmetric_input(laplace_systems):
+    """S is not symmetrized: eigh reads one triangle and the residuals the
+    other, so an asymmetry of 1e-9 max|S| at one entry fails the residual
+    check, while one of 1e-12 max|S| stays within it."""
+    _, sys_ = laplace_systems[8]
+    s = _schur(sys_)
+    scale = np.abs(s).max()
+    a = s.copy()
+    a[3, 5] += 1e-12 * scale
+    solve_gevp(a, sys_.D, 4)
+    s[3, 5] += 1e-9 * scale
+    with pytest.raises(NumericalError, match=r"eigenpair \d+ residual"):
+        solve_gevp(s, sys_.D, 4)
 
 
 def test_flux_rows_reject_nan_sigma(laplace_systems):

@@ -118,7 +118,7 @@ def test_match_rejects_unsorted_values():
 
 def test_build_table_analytic_reference():
     seq = match_and_cluster(_synthetic_levels([2.0, 5.0, 5.0], [1.0, 3.0, 7.0]))
-    table = build_table(seq, p=2.0, reference=np.array([2.0, 5.0, 5.0]))
+    table = build_table(seq, reference=np.array([2.0, 5.0, 5.0]))
     assert table.reference_kind == "analytic"
     assert [row.label for row in table.rows] == ["1", "2-3"]
     row = table.rows[0]
@@ -131,7 +131,7 @@ def test_build_table_analytic_reference():
 
 def test_build_table_self_reference():
     seq = match_and_cluster(_synthetic_levels([3.0], [2.0]))
-    table = build_table(seq, p=2.0)
+    table = build_table(seq)
     assert table.reference_kind == "self"
     row = table.rows[0]
     # the self reference IS the finest-pair extrapolation

@@ -1,12 +1,13 @@
 """Structure of the package itself: its modules import one another without
 a cycle, imports inside function bodies included, the assembled system
 stays plain data through a solve, and it ships no definition that only the
-tests use."""
+tests use and no private function that nothing calls."""
 
 import ast
 import dataclasses
 import graphlib
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -110,4 +111,26 @@ def test_no_public_definition_serves_only_the_tests():
     unused = [qual for qual, name in _public_definitions()
               if name not in used
               and not re.search(rf"\b{re.escape(name)}\b", readme)]
+    assert unused == []
+
+
+def _name_counts(node):
+    """How often each name and attribute is read under an AST node."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_no_private_function_is_left_uncalled():
+    """Every module-level private function is read, as a name or an
+    attribute, by package code outside its own definition: a helper whose
+    last call went is deleted with it."""
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    counts = sum((_name_counts(tree) for tree in trees.values()), Counter())
+    unused = [f"{module}.{node.name}"
+              for module, tree in trees.items() for node in tree.body
+              if isinstance(node, ast.FunctionDef)
+              and node.name.startswith("_")
+              and counts[node.name] == _name_counts(node)[node.name]]
     assert unused == []

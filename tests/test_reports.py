@@ -82,7 +82,7 @@ def _synthetic(values, clusters, reference=None):
     seq = LevelSequence(
         levels=[(n, 1.0 / n, values[:, i]) for i, n in enumerate(ns)],
         matched=values, clusters=clusters)
-    table = build_table(seq, p=2.0, reference=reference)
+    table = build_table(seq, reference=reference)
     results = [
         SimpleNamespace(
             n=n, h=1.0 / n, num_edges=3 * n * n + 2 * n,
