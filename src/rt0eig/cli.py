@@ -73,10 +73,18 @@ class StudyConfig:
                             ("seed", [self.seed])):
             for v in values:
                 try:
+                    # bool is an int subclass: k = True would run k = 1
+                    if isinstance(v, (bool, np.bool_)):
+                        raise TypeError
                     operator.index(v)
                 except TypeError:
                     raise ConfigError(
                         f"{key}: {v!r} is not an integer") from None
+        for key in ("compute_superclose", "dump_matrices"):
+            # any object is truthy or not, and report.json records it as is
+            if not isinstance(getattr(self, key), bool):
+                raise ConfigError(
+                    f"{key}: {getattr(self, key)!r} is not a bool")
         if self.preset not in preset_names():
             raise ConfigError(
                 f"unknown preset {self.preset!r}, "

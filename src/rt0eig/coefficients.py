@@ -22,8 +22,8 @@ non-constant A fills the trailing 2x2 axes, for example
 
 Evaluation must be reentrant.
 
-Quadrature rules are immutable value objects, and the study uses two of
-them: ASSEMBLY_RULE (degree 2) for the element blocks and PROJECTION_RULE
+Quadrature is fixed, not a setting: the package has two immutable rules,
+ASSEMBLY_RULE (degree 2) for the element blocks and PROJECTION_RULE
 (degree 3) for the projections and L2 errors of the superclose module.
 `weighted_sum` adds up point values with a rule's weights for both.
 """
@@ -55,62 +55,27 @@ class QuadratureRule:
         self.weights.setflags(write=False)
 
 
-def triangle_rule(degree: int) -> QuadratureRule:
-    """Quadrature rule exact for polynomials up to `degree` on a triangle.
+# Degree 2, the three edge midpoints: exact for the quadratic flux mass
+# integrand of a constant A.
+ASSEMBLY_RULE = QuadratureRule(
+    points=np.array([
+        [0.5, 0.5, 0.0],
+        [0.5, 0.0, 0.5],
+        [0.0, 0.5, 0.5],
+    ]),
+    weights=np.array([1.0, 1.0, 1.0]) / 3.0)
 
-    degree 1: centroid rule; degree 2: three edge midpoints; degree 3:
-    four points (centroid with weight -27/48, three points at barycentric
-    (3/5, 1/5, 1/5) with weight 25/48 each).
-    """
-    if degree == 1:
-        pts = np.array([[1.0, 1.0, 1.0]]) / 3.0
-        wts = np.array([1.0])
-    elif degree == 2:
-        pts = np.array([
-            [0.5, 0.5, 0.0],
-            [0.5, 0.0, 0.5],
-            [0.0, 0.5, 0.5],
-        ])
-        wts = np.array([1.0, 1.0, 1.0]) / 3.0
-    elif degree == 3:
-        pts = np.array([
-            [1 / 3, 1 / 3, 1 / 3],
-            [3 / 5, 1 / 5, 1 / 5],
-            [1 / 5, 3 / 5, 1 / 5],
-            [1 / 5, 1 / 5, 3 / 5],
-        ])
-        wts = np.array([-27.0, 25.0, 25.0, 25.0]) / 48.0
-    else:
-        raise ValueError(f"unsupported triangle quadrature degree {degree}, "
-                         "supported degrees are 1, 2, 3")
-    return QuadratureRule(points=pts, weights=wts)
-
-
-# Degree 2 is exact for the quadratic flux mass integrand of a constant A;
-# degree 3 measures the smooth exact eigenfunctions in the L2 errors.
-ASSEMBLY_RULE = triangle_rule(2)
-PROJECTION_RULE = triangle_rule(3)
-
-
-def edge_rule(npts: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [0, 1].
-
-    The 2-point rule is exact for cubics, the 3-point rule for quintics.
-    """
-    if npts == 2:
-        r = 1.0 / np.sqrt(3.0)
-        nodes = np.array([(1 - r) / 2, (1 + r) / 2])
-        weights = np.array([0.5, 0.5])
-    elif npts == 3:
-        r = np.sqrt(3.0 / 5.0)
-        nodes = np.array([(1 - r) / 2, 0.5, (1 + r) / 2])
-        weights = np.array([5.0, 8.0, 5.0]) / 18.0
-    else:
-        raise ValueError(f"unsupported edge rule size {npts}, "
-                         "supported sizes are 2, 3")
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+# Degree 3, the centroid with weight -27/48 and three points at barycentric
+# (3/5, 1/5, 1/5) with 25/48 each: measures the smooth exact eigenfunctions
+# in the projections and L2 errors.
+PROJECTION_RULE = QuadratureRule(
+    points=np.array([
+        [1 / 3, 1 / 3, 1 / 3],
+        [3 / 5, 1 / 5, 1 / 5],
+        [1 / 5, 3 / 5, 1 / 5],
+        [1 / 5, 1 / 5, 3 / 5],
+    ]),
+    weights=np.array([-27.0, 25.0, 25.0, 25.0]) / 48.0)
 
 
 def quad_points(tri: np.ndarray, rule: QuadratureRule) -> np.ndarray:
@@ -146,8 +111,8 @@ def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def weighted_sum(vals: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Sum over axis 1 of point values (N, Q, ...) with weights (Q,),
-    accumulated point by point in weight order: the quadrature means of a
-    rule over triangles, or of an edge rule over edges."""
+    accumulated point by point in weight order: the quadrature mean of each
+    of the N rows."""
     out = np.zeros(vals.shape[:1] + vals.shape[2:])
     for q, w in enumerate(weights):
         out += w * vals[:, q]

@@ -345,15 +345,18 @@ def _factor_multipliers(h):
     pivoting.
 
     H is symmetric, so h.T, which shares h's arrays, is H in CSC: SuperLU
-    gets the same arrays as from h.tocsc() without a copy of them.
+    gets the same arrays as from h.tocsc() without a copy of them.  A
+    singular H is a RuntimeError; SuperLU reports running out of memory as
+    a SystemError ("gstrf was called with invalid arguments") or a
+    MemoryError.  All three are a NumericalError of the level.
     """
     try:
         return spla.splu(h.T, permc_spec="NATURAL",
                          diag_pivot_thresh=0.0,
                          options=dict(SymmetricMode=True))
-    except RuntimeError as exc:
-        raise NumericalError(
-            f"multiplier factorization failed: {exc}") from exc
+    except (RuntimeError, SystemError, MemoryError) as exc:
+        raise NumericalError(f"multiplier factorization failed: "
+                             f"{type(exc).__name__}: {exc}") from exc
 
 
 def _k_solve(z, w, h_lu, rhs):

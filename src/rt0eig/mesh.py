@@ -259,10 +259,3 @@ def nested_dissection_order(mesh: Mesh) -> np.ndarray:
     x, y = ix.sum(axis=1), iy.sum(axis=1)
     return interior[np.argsort(key[y, x], kind="stable")]
 
-
-def edge_normals(mesh: Mesh) -> np.ndarray:
-    """Unit global normals per edge, the oriented direction rotated 90
-    degrees counterclockwise."""
-    vec = mesh.vertices[mesh.edges[:, 1]] - mesh.vertices[mesh.edges[:, 0]]
-    tangent = vec / mesh.edge_lengths[:, None]
-    return np.column_stack([-tangent[:, 1], tangent[:, 0]])

@@ -1,21 +1,17 @@
 """Mixed projections of analytic eigenfunctions and distances to the
 discrete ones.
 
-The projection pair is the canonical one for the lowest-order mixed space:
-the elementwise mean onto piecewise constants and the edge-normal-flux
-interpolant onto the Raviart-Thomas space.  With the element basis used by
-the assembly module (whose basis function on edge e has unit constant
-normal flux across e), the interpolant's coefficient on an edge is the MEAN
-normal flux of the field across that edge; this is exactly the scaling
-under which the discrete divergence of the interpolant reproduces the
-elementwise mean of the continuous divergence.  The pair is Brezzi and
-Fortin's (Mixed and Hybrid Finite Element Methods, 1991): `p0_project` is
-P_h and `fortin_interpolate` the flux interpolant Pi_h, with
-div Pi_h sigma = P_h div sigma.
+The projection pair is the canonical one for the lowest-order mixed space
+(Brezzi and Fortin, Mixed and Hybrid Finite Element Methods, 1991): the
+elementwise mean P_h onto piecewise constants and the edge-flux
+interpolant Pi_h onto the Raviart-Thomas space, with div Pi_h = P_h div.
+The study measures the superclose distance ||P_h u - u_h||_D with the
+scalar half alone, so the package ships `p0_project` (P_h); Pi_h is a test
+oracle in tests/oracles.py, where the commuting diagram is checked
+against the package's B.
 
-Triangle integrals use coefficients.PROJECTION_RULE (degree 3), edge
-integrals a Gauss rule; both add up their points with
-coefficients.weighted_sum.
+Triangle integrals use coefficients.PROJECTION_RULE (degree 3) and add up
+their points with coefficients.weighted_sum.
 """
 
 import math
@@ -24,10 +20,10 @@ from typing import Callable
 
 import numpy as np
 
-from .coefficients import (PROJECTION_RULE, edge_rule, field_values,
-                           quad_points, rowdot, weighted_sum)
+from .coefficients import (PROJECTION_RULE, field_values, quad_points,
+                           rowdot, weighted_sum)
 from .eigensolver import NumericalError
-from .mesh import Mesh, Rectangle, edge_normals
+from .mesh import Mesh, Rectangle
 
 
 @dataclass(frozen=True)
@@ -113,28 +109,6 @@ def p0_project(u_exact: Callable[[np.ndarray, np.ndarray], np.ndarray],
     _, pts = _element_points(mesh)
     return weighted_sum(field_values(u_exact, pts[..., 0], pts[..., 1]),
                         PROJECTION_RULE.weights)
-
-
-def fortin_interpolate(
-        sigma_exact: Callable[[np.ndarray, np.ndarray], np.ndarray],
-        mesh: Mesh, npts: int = 3) -> np.ndarray:
-    """Edge-flux interpolant Pi_h of a smooth vector field, the flux half
-    of the mixed projection pair.
-
-    Entry e is the mean normal flux (1/|e|) * integral over e of
-    sigma_exact . n_e, with n_e the global unit edge normal, evaluated with
-    an npts-point Gauss rule along the edge.  These are the coefficients of
-    the interpolant in the assembly basis, so B applied to the result
-    reproduces the elementwise integral of div(sigma_exact) up to
-    quadrature error.  sigma_exact returns its components on the last axis.
-    """
-    nodes, weights = edge_rule(npts)
-    normals = edge_normals(mesh)
-    p0 = mesh.vertices[mesh.edges[:, 0]]
-    vec = mesh.vertices[mesh.edges[:, 1]] - p0
-    pts = p0[:, None, :] + nodes[None, :, None] * vec[:, None, :]  # (E, S, 2)
-    sigma = field_values(sigma_exact, pts[..., 0], pts[..., 1], (2,))
-    return weighted_sum(rowdot(sigma, normals[:, None, :]), weights)
 
 
 def superclose_distance(u_h: np.ndarray, pu: np.ndarray,

@@ -6,7 +6,11 @@ with bit for bit: the flux mass block and the row of B of one triangle
 (element_flux_mass, element_div), one triangle's quadrature integral
 (integrate_triangle), the vertex coordinates of one triangle and the
 vertex count of a mesh, and a plain-text dump of a mesh.  They use the
-package's quadrature rules, as assembly does.
+package's quadrature rules, as assembly does.  Then comes the flux half of
+the mixed projection pair, the interpolant Pi_h (fortin_interpolate) with
+its unit edge normals and Gauss edge rule: the study measures superclose
+with the scalar half P_h alone, and the tests check the commuting diagram
+div Pi_h = P_h div with it against the package's B.
 
 The references after them deliberately avoid the package's own
 quadrature rules and solver paths: element matrices come from symbolic
@@ -43,11 +47,12 @@ import scipy.sparse.linalg as spla
 import sympy
 from numpy.polynomial.legendre import leggauss
 
-from rt0eig import (__version__, edge_normals, l2_errors, laplace_eigenpair,
-                    p0_project, superclose_distance)
+from rt0eig import (__version__, l2_errors, laplace_eigenpair, p0_project,
+                    superclose_distance)
 from rt0eig.assembly import DEGENERATE_AREA, AssemblyError
 from rt0eig.cli import CSV_COLUMNS
-from rt0eig.coefficients import QuadratureRule, edge_rule, quad_points
+from rt0eig.coefficients import (QuadratureRule, field_values, quad_points,
+                                 rowdot, weighted_sum)
 from rt0eig.eigensolver import (NumericalError, _check_residuals, _fix_signs,
                                 _residuals)
 from rt0eig.extrapolation import (EXPANSION_ORDER, ConvergenceTable,
@@ -147,6 +152,54 @@ def dump_mesh(mesh) -> str:
         lines.append(f"{e} {a} {b} {flag}")
     return "\n".join(lines) + "\n"
 
+
+def edge_rule(npts: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, 1].
+
+    The 2-point rule is exact for cubics, the 3-point rule for quintics.
+    """
+    if npts == 2:
+        r = 1.0 / np.sqrt(3.0)
+        nodes = np.array([(1 - r) / 2, (1 + r) / 2])
+        weights = np.array([0.5, 0.5])
+    elif npts == 3:
+        r = np.sqrt(3.0 / 5.0)
+        nodes = np.array([(1 - r) / 2, 0.5, (1 + r) / 2])
+        weights = np.array([5.0, 8.0, 5.0]) / 18.0
+    else:
+        raise ValueError(f"unsupported edge rule size {npts}, "
+                         "supported sizes are 2, 3")
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+def edge_normals(mesh) -> np.ndarray:
+    """Unit global normals per edge, the oriented direction rotated 90
+    degrees counterclockwise."""
+    vec = mesh.vertices[mesh.edges[:, 1]] - mesh.vertices[mesh.edges[:, 0]]
+    tangent = vec / mesh.edge_lengths[:, None]
+    return np.column_stack([-tangent[:, 1], tangent[:, 0]])
+
+
+def fortin_interpolate(sigma_exact, mesh, npts: int = 3) -> np.ndarray:
+    """Edge-flux interpolant Pi_h of a smooth vector field, the flux half
+    of the mixed projection pair.
+
+    Entry e is the mean normal flux (1/|e|) * integral over e of
+    sigma_exact . n_e, with n_e the global unit edge normal, evaluated with
+    an npts-point Gauss rule along the edge.  These are the coefficients of
+    the interpolant in the assembly basis, so B applied to the result
+    reproduces the elementwise integral of div(sigma_exact) up to
+    quadrature error.  sigma_exact returns its components on the last axis.
+    """
+    nodes, weights = edge_rule(npts)
+    normals = edge_normals(mesh)
+    p0 = mesh.vertices[mesh.edges[:, 0]]
+    vec = mesh.vertices[mesh.edges[:, 1]] - p0
+    pts = p0[:, None, :] + nodes[None, :, None] * vec[:, None, :]  # (E, S, 2)
+    sigma = field_values(sigma_exact, pts[..., 0], pts[..., 1], (2,))
+    return weighted_sum(rowdot(sigma, normals[:, None, :]), weights)
 
 def symbolic_flux_mass(tri, signs):
     """Exact 3x3 flux mass matrix for A = I by symbolic integration.

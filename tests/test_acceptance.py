@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from rt0eig import (assemble, build_structured_mesh, flux_mass_factor,
-                    fortin_interpolate, get_preset, laplace_eigenpair,
-                    schur_complement, solve_gevp, triangle_rule, UNIT_SQUARE)
+                    get_preset, laplace_eigenpair, schur_complement,
+                    solve_gevp, UNIT_SQUARE)
 from rt0eig.cli import StudyConfig, run_study
+from rt0eig.coefficients import ASSEMBLY_RULE
 from oracles import (duffy_triangle_integral, element_flux_mass,
-                     saddle_point_eigenvalues, symbolic_flux_mass,
-                     triangle_coords)
+                     fortin_interpolate, saddle_point_eigenvalues,
+                     symbolic_flux_mass, triangle_coords)
 
 PI2 = np.pi**2
 
@@ -120,7 +121,7 @@ def test_criterion_6_small_instance_oracles():
         pencil_ok &= bool(
             np.abs(vals - oracle).max() <= 1e-9 * np.abs(oracle).max())
 
-    rule = triangle_rule(2)
+    rule = ASSEMBLY_RULE
     identity = lambda x, y: np.eye(2)
     tris = [np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])]
     rng = np.random.default_rng(2718)

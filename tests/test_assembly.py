@@ -5,7 +5,7 @@ import pytest
 
 from rt0eig import (AssemblyError, Rectangle, assemble,
                     build_structured_mesh, dump_matrix, get_preset,
-                    triangle_rule, UNIT_SQUARE)
+                    UNIT_SQUARE)
 from rt0eig.coefficients import ASSEMBLY_RULE, ProblemSpec
 from oracles import (element_assembly, element_div, element_flux_mass,
                      symbolic_flux_mass, triangle_coords)
@@ -30,7 +30,7 @@ def _random_triangle(rng, min_area=0.05):
 
 
 def test_element_flux_mass_reference_triangle():
-    m = element_flux_mass(REF_TRI, [1, 1, 1], IDENTITY, triangle_rule(2))
+    m = element_flux_mass(REF_TRI, [1, 1, 1], IDENTITY, ASSEMBLY_RULE)
     assert np.abs(m - REF_FLUX_MASS).max() <= 1e-12
 
 
@@ -39,7 +39,7 @@ def test_element_flux_mass_matches_symbolic_oracle_random():
     for _ in range(3):
         tri = _random_triangle(rng)
         signs = rng.choice([-1, 1], 3)
-        got = element_flux_mass(tri, signs, IDENTITY, triangle_rule(2))
+        got = element_flux_mass(tri, signs, IDENTITY, ASSEMBLY_RULE)
         want = symbolic_flux_mass(tri, signs)
         assert np.abs(got - want).max() <= 1e-12
 
@@ -48,7 +48,7 @@ def test_element_flux_mass_spd():
     rng = np.random.default_rng(5)
     for _ in range(10):
         tri = _random_triangle(rng)
-        m = element_flux_mass(tri, [1, -1, 1], IDENTITY, triangle_rule(2))
+        m = element_flux_mass(tri, [1, -1, 1], IDENTITY, ASSEMBLY_RULE)
         assert np.abs(m - m.T).max() == 0.0
         assert np.linalg.eigvalsh(m).min() > 0.0
 
@@ -56,15 +56,15 @@ def test_element_flux_mass_spd():
 def test_element_flux_mass_scaling_covariance():
     rng = np.random.default_rng(6)
     tri = _random_triangle(rng)
-    m1 = element_flux_mass(tri, [1, 1, -1], IDENTITY, triangle_rule(2))
-    m2 = element_flux_mass(2.0 * tri, [1, 1, -1], IDENTITY, triangle_rule(2))
+    m1 = element_flux_mass(tri, [1, 1, -1], IDENTITY, ASSEMBLY_RULE)
+    m2 = element_flux_mass(2.0 * tri, [1, 1, -1], IDENTITY, ASSEMBLY_RULE)
     assert np.abs(m2 - 4.0 * m1).max() <= 1e-12 * np.abs(m2).max()
 
 
 def test_element_flux_mass_rejects_degenerate():
     flat = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(AssemblyError):
-        element_flux_mass(flat, [1, 1, 1], IDENTITY, triangle_rule(2))
+        element_flux_mass(flat, [1, 1, 1], IDENTITY, ASSEMBLY_RULE)
     with pytest.raises(AssemblyError):
         element_div(flat, [1, 1, 1])
 

@@ -7,11 +7,13 @@ import sys
 import weakref
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import rt0eig.cli as cli
+import rt0eig.eigensolver
 from rt0eig import (assemble, build_structured_mesh, get_preset,
                     solve_mixed_eigenproblem)
 from rt0eig.cli import (ConfigError, StudyConfig, emit_reports, main,
@@ -187,6 +189,35 @@ def test_timings_peak_rss_is_not_the_launchers(tmp_path):
     assert 0 < max(lv["peak_rss_mb"] for lv in timings["levels"]) < 256
 
 
+class _UnreadablePath:
+    """Stands in for pathlib.Path where /proc/self/status is not there."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def read_text(self):
+        raise FileNotFoundError(self.path)
+
+
+@pytest.mark.parametrize("platform,peak_mb", [("linux", 3072.0),
+                                              ("darwin", 3.0)])
+def test_peak_rss_falls_back_to_ru_maxrss(monkeypatch, platform, peak_mb):
+    """Without /proc, ru_maxrss gives the peak: KiB on Linux, bytes on
+    macOS."""
+    monkeypatch.setattr(cli, "Path", _UnreadablePath)
+    monkeypatch.setattr(cli, "resource", SimpleNamespace(
+        RUSAGE_SELF=0,
+        getrusage=lambda who: SimpleNamespace(ru_maxrss=3 * 2**20)))
+    monkeypatch.setattr(cli.sys, "platform", platform)
+    assert cli._peak_rss_mb() == peak_mb
+
+
+def test_peak_rss_is_none_without_proc_or_resource(monkeypatch):
+    monkeypatch.setattr(cli, "Path", _UnreadablePath)
+    monkeypatch.setattr(cli, "resource", None)
+    assert cli._peak_rss_mb() is None
+
+
 def test_cli_overrides(tmp_path):
     out = tmp_path / "a"
     cfgfile = _write(tmp_path, GOOD_CONFIG.format(out=out))
@@ -274,12 +305,32 @@ def test_unwritable_matrix_dump_is_config_error(tmp_path, capsys):
     ("levels", [2.0, 4.0], list(np.array([2, 4]))),
     ("k", 2.0, np.int64(2)),
     ("seed", 1.0, np.int64(1)),
-], ids=["levels", "k", "seed"])
+    # bool is an int subclass, but k = True is no eigenvalue count
+    ("levels", [True, 2], list(np.array([1, 2]))),
+    ("levels", [np.True_, 2], list(np.array([1, 2]))),
+    ("k", True, np.int64(1)),
+    ("k", np.True_, np.int64(1)),
+    ("seed", False, np.int64(0)),
+    ("seed", np.False_, np.int64(0)),
+], ids=["levels", "k", "seed", "levels_bool", "levels_numpy_bool", "k_bool",
+        "k_numpy_bool", "seed_bool", "seed_numpy_bool"])
 def test_non_integer_sizes_are_config_errors(key, value, numpy_value):
     base = dict(preset="laplace", levels=[2, 4], k=2, seed=0)
     with pytest.raises(ConfigError, match=rf"^{key}: .* is not an integer"):
         StudyConfig(**(base | {key: value})).validate()
     StudyConfig(**(base | {key: numpy_value})).validate()
+
+
+@pytest.mark.parametrize("key", ["compute_superclose", "dump_matrices"])
+@pytest.mark.parametrize("value", ["false", 1, None, np.True_],
+                         ids=["str", "int", "None", "numpy_bool"])
+def test_flags_must_be_bools(key, value):
+    """A flag that is not a bool would be read by its truth value and
+    written as it is into report.json."""
+    base = dict(preset="laplace", levels=[2, 4], k=2)
+    with pytest.raises(ConfigError, match=rf"^{key}: .* is not a bool"):
+        StudyConfig(**(base | {key: value})).validate()
+    StudyConfig(**(base | {key: True})).validate()
 
 
 def test_numerical_failure_marks_level_and_exit_code(tmp_path, monkeypatch, capsys):
@@ -302,6 +353,37 @@ def test_numerical_failure_marks_level_and_exit_code(tmp_path, monkeypatch, caps
     statuses = {lv["n"]: lv["status"] for lv in payload["levels"]}
     assert statuses == {2: "ok", 4: "failed"}
     assert "synthetic breakdown" in payload["levels"][-1]["error"]
+
+
+@pytest.mark.parametrize("error", [
+    SystemError("gstrf was called with invalid arguments"),
+    MemoryError("out of memory"),
+], ids=["SystemError", "MemoryError"])
+def test_multiplier_factorization_failure_fails_the_level(
+        tmp_path, monkeypatch, capsys, error):
+    """SuperLU running out of memory on H at level n=4 fails that level by
+    name, with exit code 2 and a report, instead of a traceback."""
+    real, calls = rt0eig.eigensolver.spla.splu, []
+
+    def failing_splu(*args, **kwargs):
+        calls.append(args)
+        if len(calls) >= 2:
+            raise error
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rt0eig.eigensolver.spla, "splu", failing_splu)
+    text = GOOD_CONFIG.format(out=tmp_path / "r").replace(
+        "k = 2", "k = 2\nsolver = iterative")
+    assert main(["run", str(_write(tmp_path, text))]) == 2
+    message = (f"multiplier factorization failed: {type(error).__name__}: "
+               f"{error}")
+    assert (f"numerical failure: level n=4 failed: {message}"
+            in capsys.readouterr().err)
+    payload = json.loads((tmp_path / "r" / "report.json").read_text())
+    assert payload["status"] == "failed"
+    assert [(lv["n"], lv["status"]) for lv in payload["levels"]] == [
+        (2, "ok"), (4, "failed")]
+    assert payload["levels"][-1]["error"] == message
 
 
 def test_negative_quadrature_sum_at_n1_fails_the_level(tmp_path, capsys):

@@ -1,64 +1,64 @@
 import numpy as np
 import pytest
 
-from rt0eig import get_preset, preset_names, triangle_rule
-from rt0eig.coefficients import COEFF_EPS, edge_rule
-from oracles import duffy_triangle_integral, integrate_triangle
+from rt0eig import get_preset, preset_names
+from rt0eig.coefficients import ASSEMBLY_RULE, COEFF_EPS, PROJECTION_RULE
+from oracles import duffy_triangle_integral, edge_rule, integrate_triangle
 
 REF_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+# the package's two fixed rules by their degree of exactness
+RULES = {2: ASSEMBLY_RULE, 3: PROJECTION_RULE}
 
 
-@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("degree", [2, 3])
 def test_weights_sum_to_one(degree):
-    rule = triangle_rule(degree)
+    rule = RULES[degree]
     assert abs(rule.weights.sum() - 1.0) <= 1e-14
 
 
-def test_unsupported_degree_rejected():
-    with pytest.raises(ValueError):
-        triangle_rule(4)
+def test_edge_rule_rejects_unsupported_size():
     with pytest.raises(ValueError):
         edge_rule(5)
 
 
 def test_degree2_integrates_constant_to_area():
-    rule = triangle_rule(2)
+    rule = ASSEMBLY_RULE
     tri = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 0.5]])  # area 0.5
     assert integrate_triangle(lambda x, y: 1.0, tri, rule) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_degree2_integrates_x_on_reference():
     # oracle: integral of x over the reference triangle is 1/6
-    rule = triangle_rule(2)
+    rule = ASSEMBLY_RULE
     assert integrate_triangle(lambda x, y: x, REF_TRI, rule) == pytest.approx(1.0 / 6.0, abs=1e-15)
 
 
 def test_degree3_integrates_x_cubed_on_reference():
     # oracle: integral of x^3 over the reference triangle is 1/20
-    rule = triangle_rule(3)
+    rule = PROJECTION_RULE
     assert integrate_triangle(lambda x, y: x**3, REF_TRI, rule) == pytest.approx(1.0 / 20.0, abs=1e-15)
 
 
 def test_degree2_integrates_x_plus_y():
-    rule = triangle_rule(2)
+    rule = ASSEMBLY_RULE
     assert integrate_triangle(lambda x, y: x + y, REF_TRI, rule) == pytest.approx(1.0 / 3.0, abs=1e-15)
 
 
 def test_constant_scales_with_area():
-    rule = triangle_rule(1)
     rng = np.random.default_rng(3)
     for _ in range(10):
         tri = rng.uniform(-2, 2, (3, 2))
         area = 0.5 * abs(np.linalg.det(np.vstack([tri[1] - tri[0], tri[2] - tri[0]])))
         k = rng.uniform(-5, 5)
-        assert integrate_triangle(lambda x, y, k=k: k, tri, rule) == pytest.approx(k * area, rel=1e-13, abs=1e-13)
+        for rule in RULES.values():
+            assert integrate_triangle(lambda x, y, k=k: k, tri, rule) == pytest.approx(k * area, rel=1e-13, abs=1e-13)
 
 
-@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("degree", [2, 3])
 def test_polynomial_exactness_matches_oracle(degree):
     """Quadrature equals exact integration for all monomials up to degree."""
     rng = np.random.default_rng(degree)
-    rule = triangle_rule(degree)
+    rule = RULES[degree]
     for _ in range(4):
         tri = rng.uniform(-1.5, 1.5, (3, 2))
         while 0.5 * abs(np.linalg.det(np.vstack([tri[1] - tri[0], tri[2] - tri[0]]))) < 0.05:

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from rt0eig import (MeshError, Rectangle, UNIT_SQUARE, assemble,
-                    build_structured_mesh, edge_normals, get_preset)
+                    build_structured_mesh, get_preset)
 from rt0eig.eigensolver import _hybridize
 from rt0eig.mesh import nested_dissection_order
 from oracles import (brute_force_edges, dict_walk_topology, dump_mesh,
-                     num_vertices, recursive_nested_dissection,
+                     edge_normals, num_vertices, recursive_nested_dissection,
                      triangle_coords)
 
 

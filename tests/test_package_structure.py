@@ -6,7 +6,6 @@ tests use and no private function that nothing calls."""
 import ast
 import dataclasses
 import graphlib
-import re
 from collections import Counter
 from pathlib import Path
 
@@ -69,9 +68,6 @@ def test_assembled_system_holds_only_its_fields_after_a_solve(method):
         f.name for f in dataclasses.fields(AssembledSystem)}
 
 
-README = PACKAGE.parent.parent / "README.md"
-
-
 def _public_definitions():
     """(qualified name, name) of every public function, class and method
     defined at the top level of the package's modules."""
@@ -105,12 +101,10 @@ def _names_referenced_by_the_package():
 
 def test_no_public_definition_serves_only_the_tests():
     """Code that only the tests call belongs in tests/oracles.py: every
-    public definition is used by the package or documented in README.md."""
+    public definition is used by the package."""
     used = _names_referenced_by_the_package()
-    readme = README.read_text()
     unused = [qual for qual, name in _public_definitions()
-              if name not in used
-              and not re.search(rf"\b{re.escape(name)}\b", readme)]
+              if name not in used]
     assert unused == []
 
 

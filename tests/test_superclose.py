@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from rt0eig import (assemble, build_structured_mesh, fortin_interpolate,
-                    get_preset, l2_errors, laplace_eigenpair,
-                    laplace_eigenvalues, p0_project, solve_mixed_eigenproblem,
-                    superclose_distance, UNIT_SQUARE)
+from rt0eig import (assemble, build_structured_mesh, get_preset, l2_errors,
+                    laplace_eigenpair, laplace_eigenvalues, p0_project,
+                    solve_mixed_eigenproblem, superclose_distance,
+                    UNIT_SQUARE)
 from rt0eig.coefficients import PROJECTION_RULE
-from rt0eig.mesh import Rectangle, edge_normals
-from oracles import (duffy_triangle_integral, gauss_edge_integral,
+from rt0eig.mesh import Rectangle
+from oracles import (duffy_triangle_integral, edge_normals,
+                     fortin_interpolate, gauss_edge_integral,
                      pointwise_fortin, pointwise_l2_errors,
                      pointwise_p0_project, triangle_coords)
 
