@@ -147,15 +147,13 @@ def assemble(mesh: Mesh, prob: ProblemSpec) -> AssembledSystem:
     that its edge lengths overflow.  Duplicate scatter entries are summed.
     """
     rule = ASSEMBLY_RULE
-    if (mesh.rect.x0, mesh.rect.y0, mesh.rect.x1, mesh.rect.y1) != (
-            prob.domain.x0, prob.domain.y0, prob.domain.x1, prob.domain.y1):
+    if mesh.rect != prob.domain:
         raise AssemblyError(
             f"mesh domain {mesh.rect} differs from problem domain {prob.domain}")
 
     nt, ne = mesh.num_triangles, mesh.num_edges
     tri = mesh.vertices[mesh.triangles]  # (T, 3, 2)
-    u, v = tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]
-    area = 0.5 * np.abs(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
+    area = mesh.areas
     pts = quad_points(tri, rule)  # (T, Q, 2)
     x, y = pts[..., 0], pts[..., 1]
     a = _coefficient(prob.A, "A", x, y, (2, 2))

@@ -28,7 +28,7 @@ except ImportError:  # Unix only
 from . import __version__
 from .assembly import AssemblyError, assemble, dump_matrix
 from .coefficients import get_preset, preset_names
-from .eigensolver import (DENSE_MAX_TRIANGLES, EigenResult, NumericalError,
+from .eigensolver import (EigenResult, NumericalError, check_request,
                           solve_mixed_eigenproblem)
 from .extrapolation import (EXPANSION_ORDER, ConvergenceTable,
                             SupercloseBlock, build_table, match_and_cluster)
@@ -69,17 +69,24 @@ class StudyConfig:
     seed: int = 0
 
     def validate(self):
-        for key, values in (("levels", self.levels), ("k", [self.k]),
-                            ("seed", [self.seed])):
-            for v in values:
-                try:
-                    # bool is an int subclass: k = True would run k = 1
-                    if isinstance(v, (bool, np.bool_)):
-                        raise TypeError
-                    operator.index(v)
-                except TypeError:
-                    raise ConfigError(
-                        f"{key}: {v!r} is not an integer") from None
+        """Reject a study that cannot run before any level does; store
+        `levels`, `k` and `seed` as ints and `output_dir` as a Path."""
+        def index(key, v):
+            try:
+                # bool is an int subclass: k = True would run k = 1
+                if isinstance(v, (bool, np.bool_)):
+                    raise TypeError
+                return operator.index(v)
+            except TypeError:
+                raise ConfigError(f"{key}: {v!r} is not an integer") from None
+
+        self.levels = [index("levels", v) for v in self.levels]
+        self.k, self.seed = index("k", self.k), index("seed", self.seed)
+        try:
+            self.output_dir = Path(self.output_dir)
+        except TypeError:
+            raise ConfigError(
+                f"output_dir: {self.output_dir!r} is not a path") from None
         for key in ("compute_superclose", "dump_matrices"):
             # any object is truthy or not, and report.json records it as is
             if not isinstance(getattr(self, key), bool):
@@ -97,29 +104,12 @@ class StudyConfig:
                     f"levels must strictly double, got {n0} then {n1}")
         if self.levels[0] < 1:
             raise ConfigError("levels must be positive")
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
-        max_k = 2 * self.levels[0] ** 2
-        if self.k > max_k:
-            raise ConfigError(
-                f"k = {self.k} exceeds the {max_k} unknowns of level "
-                f"n = {self.levels[0]}")
-        if self.solver == "iterative" and self.k > max_k - 1:
-            raise ConfigError(
-                f"k = {self.k} exceeds {max_k - 1}: the iterative solver "
-                f"needs k below the {max_k} unknowns of level "
-                f"n = {self.levels[0]}")
-        if self.solver not in ("dense", "iterative"):
-            raise ConfigError(
-                f"solver must be 'dense' or 'iterative', got {self.solver!r}")
-        n = self.levels[-1]
-        if self.solver == "dense" and 2 * n * n > DENSE_MAX_TRIANGLES:
-            raise ConfigError(
-                f"level n = {n} has {2 * n * n} triangles, more than the "
-                f"{DENSE_MAX_TRIANGLES} the dense solver can hold; use "
-                f"solver = iterative")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        # the coarsest level bounds k, the finest the dense solver's size
+        for n in (self.levels[0], self.levels[-1]):
+            try:
+                check_request(self.solver, 2 * n * n, self.k, self.seed)
+            except NumericalError as exc:
+                raise ConfigError(f"level n = {n}: {exc}") from None
         if (self.compute_superclose
                 and not get_preset(self.preset).has_analytic_spectrum):
             raise ConfigError(
@@ -497,7 +487,7 @@ def _build_parser():
     run.add_argument("config", help="path to the study config file")
     run.add_argument("--output-dir", help="override the output directory")
     run.add_argument("--levels", help="override levels, e.g. '8,16,32'")
-    run.add_argument("--k", type=int, help="override the eigenvalue count")
+    run.add_argument("--k", help="override the eigenvalue count")
     sub.add_parser("presets", help="list built-in problem presets")
     return parser
 
@@ -515,7 +505,11 @@ def main(argv=None) -> int:
         if args.levels:
             cfg = replace(cfg, levels=_parse_levels(args.levels))
         if args.k is not None:
-            cfg = replace(cfg, k=args.k)
+            try:
+                cfg = replace(cfg, k=int(args.k))
+            except ValueError:
+                raise ConfigError(
+                    f"k must be an integer, got {args.k!r}") from None
         run_study(cfg)  # validates the overridden configuration first
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

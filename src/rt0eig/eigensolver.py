@@ -61,6 +61,26 @@ class NumericalError(Exception):
     a quadrature of a squared error that came out negative."""
 
 
+def check_request(method: str, num_triangles: int, k: int, seed: int = 0):
+    """Raise NumericalError unless solver `method` takes k eigenpairs of a
+    level of num_triangles triangles from start vector `seed`: the one home
+    of the solver limits."""
+    if method not in ("dense", "iterative"):
+        raise NumericalError(
+            f"solver must be 'dense' or 'iterative', got {method!r}")
+    if method == "dense" and num_triangles > DENSE_MAX_TRIANGLES:
+        raise NumericalError(f"{num_triangles} triangles are more than the "
+                             f"{DENSE_MAX_TRIANGLES} the dense solver can "
+                             "hold; use solver = iterative")
+    max_k = num_triangles if method == "dense" else num_triangles - 1
+    if not 1 <= k <= max_k:
+        raise NumericalError(
+            f"k must be between 1 and {max_k} for the {method} solver on "
+            f"{num_triangles} triangles, got {k}")
+    if seed < 0:
+        raise NumericalError(f"seed must be >= 0, got {seed}")
+
+
 @dataclass
 class EigenResult:
     """The k smallest eigentriples of one mesh level, ascending by
@@ -205,16 +225,9 @@ def _mirror_lower(a):
         a[lo:hi, hi:] = a[hi:, lo:hi].T
 
 
-def _fix_signs(vecs: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude entry of each column positive.
-
-    Ties in magnitude resolve to the lowest index (argmax takes the first).
-    """
-    return vecs * _column_signs(vecs)[None, :]
-
-
 def _column_signs(vecs: np.ndarray) -> np.ndarray:
-    """+1 or -1 per column, the sign of its first largest-magnitude entry."""
+    """+1 or -1 per column, the sign of its first largest-magnitude entry
+    (argmax takes the lowest index of tied magnitudes)."""
     idx = np.argmax(np.abs(vecs), axis=0)
     return np.where(vecs[idx, np.arange(vecs.shape[1])] < 0, -1.0, 1.0)
 
@@ -228,7 +241,8 @@ def solve_gevp(S: np.ndarray, D: np.ndarray, k: int):
     RESIDUAL_RTOL times the Frobenius norm of S.  S must be finite and
     symmetric, as schur_complement builds it: a NaN or inf raises
     NumericalError naming the first non-finite column, and an asymmetric
-    S fails the residual bound.
+    S fails the residual bound.  k and the size of S must be within the
+    dense path's limits (see check_request).
 
     S is overwritten: it is scaled in place to W = D^-1/2 S D^-1/2 and
     handed to the eigensolver in Fortran order, which reads one triangle
@@ -237,9 +251,7 @@ def solve_gevp(S: np.ndarray, D: np.ndarray, k: int):
     residuals are formed from it as ||D^1/2 (W y - lambda y)|| for the
     eigenvectors y of W; that is S u - lambda D u up to rounding.
     """
-    t = S.shape[0]
-    if not (1 <= k <= t):
-        raise NumericalError(f"requested {k} eigenvalues from a {t}-dim space")
+    check_request("dense", S.shape[0], k)
     d = np.asarray(D, dtype=float)
     if not np.all(d > 0):
         raise NumericalError("weight mass diagonal must be positive")
@@ -265,7 +277,8 @@ def solve_gevp(S: np.ndarray, D: np.ndarray, k: int):
     wy = la.blas.dsymm(1.0, w, y, lower=0)
     residuals = _residuals(sqd[:, None] * wy, sqd[:, None] * y, vals)
     _check_residuals(residuals, s_norm)
-    return vals, _fix_signs(rsq[:, None] * y), residuals
+    u = rsq[:, None] * y
+    return vals, u * _column_signs(u), residuals
 
 
 def _residuals(sv, dv, vals):
@@ -393,9 +406,7 @@ def solve_gevp_iterative(sys, k: int, seed: int = 0):
     an error, never a silent partial result.
     """
     t = sys.num_triangles
-    if not (1 <= k <= t - 1):
-        raise NumericalError(
-            f"iterative path needs 1 <= k <= {t - 1}, got {k}")
+    check_request("iterative", t, k, seed)
     d = sys.D
     ne = sys.num_edges
     z, w, h = _hybridize(sys)
@@ -420,9 +431,7 @@ def solve_gevp_iterative(sys, k: int, seed: int = 0):
         raise NumericalError(
             f"iterative eigensolver did not converge for k={k}: {exc}"
         ) from exc
-    order = np.argsort(mu)[::-1]
-    vals = 1.0 / mu[order]
-    vecs = y[:, order] / sqd[:, None]
+    vals, vecs = 1.0 / mu, y / sqd[:, None]
     # one inverse-iteration step K [sigma; v] = [0; -lambda D u] for all
     # pairs, whose flux block is the flux of v.  One step of iterative
     # refinement, with K applied as a sparse matvec, makes the flux row
@@ -501,22 +510,17 @@ def solve_mixed_eigenproblem(mesh, sys, k: int, method: str = "dense",
 
     `method` is "dense" (Schur complement plus a dense symmetric solver, for
     at most DENSE_MAX_TRIANGLES triangles) or "iterative" (shift-invert
-    ARPACK).
+    ARPACK).  A request outside the solver limits (see check_request)
+    raises NumericalError before any work.
     """
+    check_request(method, sys.num_triangles, k, seed)
     if method == "dense":
-        if sys.num_triangles > DENSE_MAX_TRIANGLES:
-            raise NumericalError(
-                f"{sys.num_triangles} triangles are more than the "
-                f"{DENSE_MAX_TRIANGLES} the dense solver can hold; use the "
-                f"iterative method")
         factor = flux_mass_factor(sys.M)
         vals, vecs, residuals = solve_gevp(schur_complement(sys, factor),
                                            sys.D, k)
         fluxes = recover_flux(vecs, sys, flux_mass_solver(factor))
-    elif method == "iterative":
-        vals, vecs, fluxes, residuals = solve_gevp_iterative(sys, k, seed)
     else:
-        raise NumericalError(f"unknown solver method {method!r}")
+        vals, vecs, fluxes, residuals = solve_gevp_iterative(sys, k, seed)
     return EigenResult(n=mesh.n, h=mesh.h, num_edges=sys.num_edges,
                        num_triangles=sys.num_triangles, eigenvalues=vals,
                        vectors=vecs, fluxes=fluxes, residuals=residuals)

@@ -53,8 +53,8 @@ from rt0eig.assembly import DEGENERATE_AREA, AssemblyError
 from rt0eig.cli import CSV_COLUMNS
 from rt0eig.coefficients import (QuadratureRule, field_values, quad_points,
                                  rowdot, weighted_sum)
-from rt0eig.eigensolver import (NumericalError, _check_residuals, _fix_signs,
-                                _residuals)
+from rt0eig.eigensolver import (NumericalError, _check_residuals,
+                                _column_signs, _residuals)
 from rt0eig.extrapolation import (EXPANSION_ORDER, ConvergenceTable,
                                   SupercloseBlock)
 
@@ -300,7 +300,8 @@ def copying_solve_gevp(S, D, k):
     rsq = 1.0 / np.sqrt(d)
     w = rsq[:, None] * S * rsq[None, :]
     vals, y = la.eigh(w.T, subset_by_index=(0, k - 1))
-    vecs = _fix_signs(rsq[:, None] * y)
+    vecs = rsq[:, None] * y
+    vecs *= _column_signs(vecs)
     residuals = _residuals(S @ vecs, d[:, None] * vecs, vals)
     _check_residuals(residuals, np.linalg.norm(S))
     return vals, vecs, residuals

@@ -126,7 +126,8 @@ def test_validate_bounds():
         StudyConfig(preset="laplace", levels=[4], k=1).validate()
     with pytest.raises(ConfigError, match="k must be"):
         StudyConfig(preset="laplace", levels=[2, 4], k=0).validate()
-    with pytest.raises(ConfigError, match="exceeds"):
+    with pytest.raises(ConfigError,
+                       match=r"level n = 1: k must be between 1 and 2 "):
         StudyConfig(preset="laplace", levels=[1, 2], k=5).validate()
     with pytest.raises(ConfigError, match="unknown preset"):
         StudyConfig(preset="euler", levels=[2, 4], k=1).validate()
@@ -230,6 +231,21 @@ def test_cli_overrides(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, text, message", [
+    ("--k", "two", "k must be an integer, got 'two'"),
+    ("--k", "2.5", "k must be an integer, got '2.5'"),
+    ("--levels", "8,x", "levels must be integers, got '8,x'"),
+], ids=["k_word", "k_float", "levels"])
+def test_malformed_override_is_config_error(tmp_path, capsys, flag, text,
+                                            message):
+    """Exit code 2 is kept for numerical failures, so a malformed override
+    exits 1 with a config error, not through argparse."""
+    cfgfile = _write(tmp_path, GOOD_CONFIG.format(out=tmp_path / "r"))
+    assert main(["run", str(cfgfile), flag, text]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_shifted_study_columns_shift_by_five(tmp_path):
     base = StudyConfig(preset="laplace", levels=[4, 8], k=3,
                        output_dir=tmp_path / "lap")
@@ -319,6 +335,55 @@ def test_non_integer_sizes_are_config_errors(key, value, numpy_value):
     with pytest.raises(ConfigError, match=rf"^{key}: .* is not an integer"):
         StudyConfig(**(base | {key: value})).validate()
     StudyConfig(**(base | {key: numpy_value})).validate()
+
+
+@pytest.mark.parametrize("key, numpy_value", [
+    ("levels", list(np.array([2, 4]))), ("k", np.int64(2)),
+    ("seed", np.int64(1))])
+def test_numpy_integer_study_writes_the_int_study_reports(tmp_path, key,
+                                                          numpy_value):
+    """validate stores the ints that numpy integers stand for, so the
+    study runs and writes the reports of the int study byte for byte."""
+    base = dict(preset="laplace", levels=[2, 4], k=2, seed=1,
+                solver="iterative")
+    run_study(StudyConfig(**base, output_dir=tmp_path / "int"))
+    run_study(StudyConfig(**(base | {key: numpy_value}),
+                          output_dir=tmp_path / "numpy"))
+    for name in ("report.csv", "report.json"):
+        assert ((tmp_path / "numpy" / name).read_bytes()
+                == (tmp_path / "int" / name).read_bytes())
+
+
+def test_output_dir_may_be_a_path_string(tmp_path):
+    cfg = StudyConfig(preset="laplace", levels=[2, 4], k=2,
+                      output_dir=str(tmp_path / "r"))
+    run_study(cfg)
+    assert cfg.output_dir == tmp_path / "r"
+    assert (tmp_path / "r" / "report.json").is_file()
+
+
+@pytest.mark.parametrize("value", [3, None, b"out"],
+                         ids=["int", "None", "bytes"])
+def test_output_dir_of_no_path_type_is_config_error(monkeypatch, value):
+    monkeypatch.setattr(cli, "run_level", lambda *args: pytest.fail(
+        "a level ran"))
+    with pytest.raises(ConfigError, match=r"^output_dir: .* is not a path"):
+        run_study(StudyConfig(preset="laplace", levels=[2, 4], k=2,
+                              output_dir=value))
+
+
+@pytest.mark.parametrize("config, message", [
+    (dict(levels=[1, 2], k=2, solver="iterative"),
+     r"^level n = 1: k must be between 1 and 1 for the iterative solver"),
+    (dict(levels=[33, 66], k=1),
+     r"^level n = 33: 2178 triangles .*use solver = iterative"),
+    (dict(levels=[2, 4], k=1, seed=-1), r"^level n = 2: seed must be >= 0"),
+    (dict(levels=[2, 4], k=1, solver="quantum"),
+     r"^level n = 2: solver must be 'dense' or 'iterative'"),
+], ids=["k", "dense_cap", "seed", "solver"])
+def test_solver_limit_errors_name_the_level_and_the_key(config, message):
+    with pytest.raises(ConfigError, match=message):
+        StudyConfig(preset="laplace", **config).validate()
 
 
 @pytest.mark.parametrize("key", ["compute_superclose", "dump_matrices"])
@@ -449,7 +514,8 @@ def test_negative_seed_is_config_error(tmp_path, capsys):
     text = GOOD_CONFIG.format(out=tmp_path / "r").replace(
         "levels = 2 4", "levels = 2 4\nsolver = iterative\nseed = -1")
     assert main(["run", str(_write(tmp_path, text))]) == 1
-    assert "config error: seed must be >= 0" in capsys.readouterr().err
+    assert ("config error: level n = 2: seed must be >= 0"
+            in capsys.readouterr().err)
     assert not (tmp_path / "r").exists()
 
 
@@ -469,12 +535,12 @@ def test_superclose_needs_analytic_preset(tmp_path, capsys):
 
 
 def test_dense_solver_rejects_levels_it_cannot_hold(tmp_path, capsys):
-    assert 2 * 32 * 32 == cli.DENSE_MAX_TRIANGLES
+    assert 2 * 32 * 32 == rt0eig.eigensolver.DENSE_MAX_TRIANGLES
     StudyConfig(preset="laplace", levels=[16, 32], k=1).validate()
     StudyConfig(preset="laplace", levels=[64, 128], k=1,
                 solver="iterative").validate()
     with pytest.raises(ConfigError,
-                       match=r"n = 64 .*use solver = iterative"):
+                       match=r"n = 64: .*use solver = iterative"):
         StudyConfig(preset="laplace", levels=[32, 64], k=1).validate()
     text = GOOD_CONFIG.format(out=tmp_path / "r").replace(
         "levels = 2 4", "levels = 32 64")

@@ -327,6 +327,56 @@ def test_dense_size_guard_fires_before_factorizing(monkeypatch):
         solve_mixed_eigenproblem(mesh, sys_, 1, method="dense")
 
 
+@pytest.mark.parametrize("method, t, k, seed, message", [
+    ("dense", 8, 0, 0, "k must be between 1 and 8 for the dense solver"),
+    ("iterative", 8, 0, 0, "k must be between 1 and 7 "),
+    ("iterative", 8, 8, 0, "k must be between 1 and 7 for the iterative"),
+    ("dense", 2 * 33 * 33, 1, 0,
+     "2178 triangles are more than the 2048 .*use solver = iterative"),
+    ("quantum", 8, 1, 0, "solver must be 'dense' or 'iterative'"),
+    ("dense", 8, 1, -1, "seed must be >= 0, got -1"),
+    ("iterative", 8, 1, -1, "seed must be >= 0, got -1"),
+], ids=["dense_k0", "iterative_k0", "iterative_kT", "dense_n33", "quantum",
+        "dense_seed-1", "iterative_seed-1"])
+def test_check_request_rejects_just_past_each_limit(method, t, k, seed,
+                                                    message):
+    with pytest.raises(NumericalError, match=message):
+        eigensolver.check_request(method, t, k, seed)
+
+
+@pytest.mark.parametrize("method, t, k", [
+    ("dense", 8, 8), ("iterative", 8, 7), ("dense", 8, 1),
+    ("iterative", 8, 1), ("dense", 2 * 32 * 32, 1),
+    ("iterative", 2 * 33 * 33, 1)],
+    ids=["dense_kT", "iterative_kT-1", "dense_k1", "iterative_k1",
+         "dense_n32", "iterative_n33"])
+def test_check_request_accepts_each_limit(method, t, k):
+    eigensolver.check_request(method, t, k, 0)
+
+
+@pytest.mark.parametrize("method, k, seed", [
+    ("dense", 33, 0), ("iterative", 32, 0), ("iterative", 1, -1),
+    ("quantum", 1, 0)], ids=["dense_kT+1", "iterative_kT", "seed-1",
+                             "quantum"])
+def test_request_is_checked_before_any_work(monkeypatch, laplace_systems,
+                                            method, k, seed):
+    """The dispatcher rejects a request past a limit before it factors M
+    or hybridizes the system, and a negative seed is a NumericalError of
+    the solver, not numpy's ValueError from after the factorization."""
+    mesh, sys_ = laplace_systems[4]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the solver started work")
+
+    monkeypatch.setattr(eigensolver, "flux_mass_factor", no_work)
+    monkeypatch.setattr(eigensolver, "_hybridize", no_work)
+    with pytest.raises(NumericalError):
+        solve_mixed_eigenproblem(mesh, sys_, k, method=method, seed=seed)
+    if method == "iterative":
+        with pytest.raises(NumericalError):
+            solve_gevp_iterative(sys_, k, seed)
+
+
 def test_flux_norm_approaches_gradient_norm(laplace_systems):
     """||sigma_h||_L2 (squared via the flux mass) tends to sqrt(lambda_1)."""
     target = np.sqrt(2.0 * np.pi**2)
