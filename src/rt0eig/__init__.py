@@ -7,10 +7,7 @@ __version__ = "0.1.0"
 
 from .assembly import AssembledSystem, AssemblyError, assemble, dump_matrix
 from .coefficients import ProblemSpec, get_preset, preset_names
-from .eigensolver import (EigenResult, NumericalError, flux_mass_factor,
-                          flux_mass_solver, recover_flux, schur_complement,
-                          solve_gevp, solve_gevp_iterative,
-                          solve_mixed_eigenproblem)
+from .eigensolver import EigenResult, NumericalError, solve_mixed_eigenproblem
 from .extrapolation import (ConvergenceTable, SupercloseBlock, build_table,
                             match_and_cluster, observed_order, richardson)
 from .mesh import MeshError, Rectangle, UNIT_SQUARE, build_structured_mesh
@@ -22,10 +19,8 @@ __all__ = [
     "AssembledSystem", "AssemblyError", "ConvergenceTable", "EigenResult",
     "MeshError", "NumericalError", "ProblemSpec", "Rectangle",
     "SupercloseBlock", "UNIT_SQUARE", "assemble", "build_structured_mesh",
-    "build_table", "dump_matrix", "flux_mass_factor", "flux_mass_solver",
-    "get_preset", "l2_errors", "laplace_eigenpair", "laplace_eigenvalues",
-    "match_and_cluster", "observed_order", "p0_project", "preset_names",
-    "recover_flux", "richardson", "schur_complement", "solve_gevp",
-    "solve_gevp_iterative", "solve_mixed_eigenproblem",
-    "superclose_distance",
+    "build_table", "dump_matrix", "get_preset", "l2_errors",
+    "laplace_eigenpair", "laplace_eigenvalues", "match_and_cluster",
+    "observed_order", "p0_project", "preset_names", "richardson",
+    "solve_mixed_eigenproblem", "superclose_distance",
 ]

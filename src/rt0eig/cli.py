@@ -13,6 +13,7 @@ import configparser
 import json
 import math
 import operator
+import os
 import sys
 import time
 from dataclasses import MISSING, dataclass, fields, replace
@@ -64,7 +65,7 @@ class StudyConfig:
     k: int
     compute_superclose: bool = False
     dump_matrices: bool = False
-    solver: str = "dense"
+    solver: str = "iterative"
     output_dir: Path = Path("out")
     seed: int = 0
 
@@ -83,6 +84,9 @@ class StudyConfig:
         self.levels = [index("levels", v) for v in self.levels]
         self.k, self.seed = index("k", self.k), index("seed", self.seed)
         try:
+            # Path("") would be the working directory
+            if os.fspath(self.output_dir) == "":
+                raise ConfigError("output_dir is empty")
             self.output_dir = Path(self.output_dir)
         except TypeError:
             raise ConfigError(
@@ -179,7 +183,7 @@ def parse_config(path) -> StudyConfig:
         except ValueError as exc:
             raise ConfigError(f"invalid {key} in {path}: {exc}") from exc
     if "directory" in out:
-        values["output_dir"] = Path(out["directory"])
+        values["output_dir"] = out["directory"]
     return StudyConfig(**values).validate()
 
 
@@ -209,7 +213,6 @@ def run_level(cfg: StudyConfig, prob, n: int) -> Level:
     if cfg.dump_matrices:
         mdir = cfg.output_dir
         try:
-            mdir.mkdir(parents=True, exist_ok=True)
             for name, block in (("M", sys_.M), ("B", sys_.B),
                                 ("C", sys_.C), ("D", sys_.D)):
                 (mdir / f"matrix_n{n}_{name}.txt").write_text(
@@ -235,11 +238,18 @@ def run_level(cfg: StudyConfig, prob, n: int) -> Level:
 def run_study(cfg: StudyConfig):
     """Run every level of a study and write reports.
 
-    Returns (table, levels), one Level per level run.  A level failure ends
-    the study with that level as the last, failed record; the reports are
-    still written, and the failure is re-raised with the level attached.
+    Returns (table, levels), one Level per level run.  The output
+    directory is made before the first level, so an unusable one is a
+    ConfigError before any solve.  A level failure ends the study with that
+    level as the last, failed record; the reports are still written, and
+    the failure is re-raised with the level attached.
     """
     cfg.validate()
+    try:
+        cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot write reports under {cfg.output_dir}: {exc}") from exc
     prob = get_preset(cfg.preset)
     levels: list[Level] = []
     total_start = time.perf_counter()
@@ -500,9 +510,9 @@ def main(argv=None) -> int:
         return EXIT_OK
     try:
         cfg = parse_config(args.config)
-        if args.output_dir:
-            cfg = replace(cfg, output_dir=Path(args.output_dir))
-        if args.levels:
+        if args.output_dir is not None:
+            cfg = replace(cfg, output_dir=args.output_dir)
+        if args.levels is not None:
             cfg = replace(cfg, levels=_parse_levels(args.levels))
         if args.k is not None:
             try:

@@ -74,9 +74,12 @@ def check_request(method: str, num_triangles: int, k: int, seed: int = 0):
                              "hold; use solver = iterative")
     max_k = num_triangles if method == "dense" else num_triangles - 1
     if not 1 <= k <= max_k:
+        dense_takes_it = (k == num_triangles
+                          and num_triangles <= DENSE_MAX_TRIANGLES)
         raise NumericalError(
             f"k must be between 1 and {max_k} for the {method} solver on "
-            f"{num_triangles} triangles, got {k}")
+            f"{num_triangles} triangles, got {k}"
+            + (f"; solver = dense takes k = {k}" if dense_takes_it else ""))
     if seed < 0:
         raise NumericalError(f"seed must be >= 0, got {seed}")
 
@@ -504,14 +507,14 @@ def recover_flux(vecs: np.ndarray, sys, solve) -> np.ndarray:
     return sigmas
 
 
-def solve_mixed_eigenproblem(mesh, sys, k: int, method: str = "dense",
+def solve_mixed_eigenproblem(mesh, sys, k: int, method: str = "iterative",
                              seed: int = 0) -> EigenResult:
     """Solve for the k smallest eigenpairs and recover fluxes.
 
-    `method` is "dense" (Schur complement plus a dense symmetric solver, for
-    at most DENSE_MAX_TRIANGLES triangles) or "iterative" (shift-invert
-    ARPACK).  A request outside the solver limits (see check_request)
-    raises NumericalError before any work.
+    `method` is "iterative" (shift-invert ARPACK) or "dense" (Schur
+    complement plus a dense symmetric solver, for at most
+    DENSE_MAX_TRIANGLES triangles).  A request outside the solver limits
+    (see check_request) raises NumericalError before any work.
     """
     check_request(method, sys.num_triangles, k, seed)
     if method == "dense":

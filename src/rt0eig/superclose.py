@@ -47,14 +47,13 @@ class AnalyticEigenpair:
     mode: tuple[int, int]
 
 
-def laplace_eigenpair(m: int, n: int, rect: Rectangle,
-                      shift: float = 0.0) -> AnalyticEigenpair:
-    """Analytic eigenpair of -Laplace u + shift*u = lam u, u = 0 on the
-    rectangle boundary."""
+def laplace_eigenpair(m: int, n: int, rect: Rectangle) -> AnalyticEigenpair:
+    """Analytic eigenpair of -Laplace u = lam u, u = 0 on the rectangle
+    boundary."""
     if m < 1 or n < 1:
         raise ValueError(f"mode numbers must be positive, got ({m}, {n})")
     lx, ly = rect.width, rect.height
-    lam = math.pi**2 * (m**2 / lx**2 + n**2 / ly**2) + shift
+    lam = math.pi**2 * (m**2 / lx**2 + n**2 / ly**2)
     amp = 2.0 / math.sqrt(lx * ly)
     km = m * math.pi / lx
     kn = n * math.pi / ly

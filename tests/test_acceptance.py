@@ -7,9 +7,9 @@ import time
 import numpy as np
 import pytest
 
-from rt0eig import (assemble, build_structured_mesh, flux_mass_factor,
-                    get_preset, laplace_eigenpair, schur_complement,
-                    solve_gevp, UNIT_SQUARE)
+from rt0eig import (assemble, build_structured_mesh, get_preset,
+                    laplace_eigenpair, UNIT_SQUARE)
+from rt0eig.eigensolver import flux_mass_factor, schur_complement, solve_gevp
 from rt0eig.cli import StudyConfig, run_study
 from rt0eig.coefficients import ASSEMBLY_RULE
 from oracles import (duffy_triangle_integral, element_flux_mass,

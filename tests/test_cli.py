@@ -43,7 +43,7 @@ def test_parse_good_config(tmp_path):
     assert cfg.preset == "laplace"
     assert cfg.levels == [2, 4]
     assert cfg.k == 2
-    assert cfg.solver == "dense"
+    assert cfg.solver == "iterative"
     assert not cfg.compute_superclose
 
 
@@ -58,7 +58,7 @@ def test_parse_readme_example(tmp_path):
     assert cfg.seed == 0
     assert cfg.compute_superclose
     assert not cfg.dump_matrices
-    assert cfg.solver == "dense"
+    assert cfg.solver == "iterative"  # the solver line is commented out
     assert cfg.output_dir == Path("results/laplace")
 
 
@@ -128,7 +128,8 @@ def test_validate_bounds():
         StudyConfig(preset="laplace", levels=[2, 4], k=0).validate()
     with pytest.raises(ConfigError,
                        match=r"level n = 1: k must be between 1 and 2 "):
-        StudyConfig(preset="laplace", levels=[1, 2], k=5).validate()
+        StudyConfig(preset="laplace", levels=[1, 2], k=5,
+                    solver="dense").validate()
     with pytest.raises(ConfigError, match="unknown preset"):
         StudyConfig(preset="euler", levels=[2, 4], k=1).validate()
     with pytest.raises(ConfigError, match="solver"):
@@ -235,11 +236,14 @@ def test_cli_overrides(tmp_path):
     ("--k", "two", "k must be an integer, got 'two'"),
     ("--k", "2.5", "k must be an integer, got '2.5'"),
     ("--levels", "8,x", "levels must be integers, got '8,x'"),
-], ids=["k_word", "k_float", "levels"])
+    ("--levels", "", "need at least two levels"),
+    ("--output-dir", "", "output_dir is empty"),
+], ids=["k_word", "k_float", "levels", "levels_empty", "output_dir_empty"])
 def test_malformed_override_is_config_error(tmp_path, capsys, flag, text,
                                             message):
     """Exit code 2 is kept for numerical failures, so a malformed override
-    exits 1 with a config error, not through argparse."""
+    exits 1 with a config error, not through argparse.  An empty override
+    is malformed too, not the absence of one."""
     cfgfile = _write(tmp_path, GOOD_CONFIG.format(out=tmp_path / "r"))
     assert main(["run", str(cfgfile), flag, text]) == 1
     assert f"config error: {message}" in capsys.readouterr().err
@@ -306,15 +310,22 @@ def test_emit_reports_unwritable_path_named(tmp_path):
 
 
 def test_unwritable_matrix_dump_is_config_error(tmp_path, capsys):
-    """A dump directory under a regular file fails like the reports do."""
+    """A dump directory under a regular file fails like the reports do:
+    the study finds it before the first level, and a level run on its own
+    when it writes the dumps."""
     blocker = tmp_path / "afile"
     blocker.write_text("x")
     text = GOOD_CONFIG.format(out=blocker / "sub").replace(
         "k = 2", "k = 2\ndump_matrices = true")
     assert main(["run", str(_write(tmp_path, text))]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error: cannot write matrix dumps under")
+    assert err.startswith("config error: cannot write reports under")
     assert str(blocker / "sub") in err
+    cfg = StudyConfig(preset="laplace", levels=[2, 4], k=2,
+                      dump_matrices=True, output_dir=blocker / "sub")
+    with pytest.raises(ConfigError,
+                       match="^cannot write matrix dumps under .*afile"):
+        cli.run_level(cfg, get_preset("laplace"), 2)
 
 
 @pytest.mark.parametrize("key,value,numpy_value", [
@@ -331,7 +342,8 @@ def test_unwritable_matrix_dump_is_config_error(tmp_path, capsys):
 ], ids=["levels", "k", "seed", "levels_bool", "levels_numpy_bool", "k_bool",
         "k_numpy_bool", "seed_bool", "seed_numpy_bool"])
 def test_non_integer_sizes_are_config_errors(key, value, numpy_value):
-    base = dict(preset="laplace", levels=[2, 4], k=2, seed=0)
+    # levels [1, 2] hold k = 2 on the dense path only
+    base = dict(preset="laplace", levels=[2, 4], k=2, seed=0, solver="dense")
     with pytest.raises(ConfigError, match=rf"^{key}: .* is not an integer"):
         StudyConfig(**(base | {key: value})).validate()
     StudyConfig(**(base | {key: numpy_value})).validate()
@@ -372,10 +384,53 @@ def test_output_dir_of_no_path_type_is_config_error(monkeypatch, value):
                               output_dir=value))
 
 
+def test_empty_output_dir_is_config_error(tmp_path):
+    """Path("") is the working directory, which an empty value does not
+    name."""
+    with pytest.raises(ConfigError, match="^output_dir is empty"):
+        StudyConfig(preset="laplace", levels=[2, 4], k=2,
+                    output_dir="").validate()
+    with pytest.raises(ConfigError, match="^output_dir is empty"):
+        parse_config(_write(tmp_path, GOOD_CONFIG.format(out="")))
+
+
+def test_unwritable_output_dir_fails_before_any_level(tmp_path, monkeypatch,
+                                                      capsys):
+    blocker = tmp_path / "afile"
+    blocker.write_text("x")
+    monkeypatch.setattr(cli, "run_level", lambda *args: pytest.fail(
+        "a level ran"))
+    text = GOOD_CONFIG.format(out=blocker / "sub")
+    assert main(["run", str(_write(tmp_path, text))]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"config error: cannot write reports under {blocker / 'sub'}: ")
+
+
+def test_default_solver_is_iterative(tmp_path):
+    cfg = StudyConfig(preset="laplace", levels=[8, 16], k=4,
+                      output_dir=tmp_path).validate()
+    assert cfg.solver == "iterative"
+    run_study(cfg)
+    payload = json.loads((tmp_path / "report.json").read_text())
+    assert payload["study"]["solver"] == "iterative"
+
+
+def test_config_without_solver_runs_past_the_dense_cap(tmp_path):
+    """n = 64 holds more triangles than the dense path takes; a config that
+    names no solver runs it."""
+    cfgfile = _write(tmp_path, GOOD_CONFIG.format(out=tmp_path / "r").replace(
+        "levels = 2 4", "levels = 16 32 64"))
+    assert parse_config(cfgfile).levels == [16, 32, 64]
+    assert main(["run", str(cfgfile)]) == 0
+    payload = json.loads((tmp_path / "r" / "report.json").read_text())
+    assert [(lv["n"], lv["status"]) for lv in payload["levels"]] == [
+        (16, "ok"), (32, "ok"), (64, "ok")]
+
+
 @pytest.mark.parametrize("config, message", [
     (dict(levels=[1, 2], k=2, solver="iterative"),
      r"^level n = 1: k must be between 1 and 1 for the iterative solver"),
-    (dict(levels=[33, 66], k=1),
+    (dict(levels=[33, 66], k=1, solver="dense"),
      r"^level n = 33: 2178 triangles .*use solver = iterative"),
     (dict(levels=[2, 4], k=1, seed=-1), r"^level n = 2: seed must be >= 0"),
     (dict(levels=[2, 4], k=1, solver="quantum"),
@@ -484,7 +539,7 @@ def test_iterative_solver_study(tmp_path):
                       solver="iterative", seed=7, output_dir=tmp_path / "it")
     table, _ = run_study(cfg)
     dense = StudyConfig(preset="laplace", levels=[4, 8], k=2,
-                        output_dir=tmp_path / "dn")
+                        solver="dense", output_dir=tmp_path / "dn")
     table_d, _ = run_study(dense)
     for ri, rd in zip(table.rows, table_d.rows):
         assert np.abs(ri.raw - rd.raw).max() <= 1e-8 * np.abs(rd.raw).max()
@@ -497,7 +552,8 @@ def test_iterative_k_above_unknowns_minus_one_is_config_error(tmp_path,
                     solver="iterative").validate()
     StudyConfig(preset="laplace", levels=[1, 2], k=1,
                 solver="iterative").validate()
-    StudyConfig(preset="laplace", levels=[1, 2], k=2).validate()
+    StudyConfig(preset="laplace", levels=[1, 2], k=2,
+                solver="dense").validate()
     text = GOOD_CONFIG.format(out=tmp_path / "r").replace(
         "levels = 2 4", "levels = 1 2\nsolver = iterative")
     assert main(["run", str(_write(tmp_path, text))]) == 1
@@ -536,17 +592,20 @@ def test_superclose_needs_analytic_preset(tmp_path, capsys):
 
 def test_dense_solver_rejects_levels_it_cannot_hold(tmp_path, capsys):
     assert 2 * 32 * 32 == rt0eig.eigensolver.DENSE_MAX_TRIANGLES
-    StudyConfig(preset="laplace", levels=[16, 32], k=1).validate()
+    StudyConfig(preset="laplace", levels=[16, 32], k=1,
+                solver="dense").validate()
     StudyConfig(preset="laplace", levels=[64, 128], k=1,
                 solver="iterative").validate()
     with pytest.raises(ConfigError,
                        match=r"n = 64: .*use solver = iterative"):
-        StudyConfig(preset="laplace", levels=[32, 64], k=1).validate()
-    text = GOOD_CONFIG.format(out=tmp_path / "r").replace(
-        "levels = 2 4", "levels = 32 64")
+        StudyConfig(preset="laplace", levels=[32, 64], k=1,
+                    solver="dense").validate()
+    dense = GOOD_CONFIG.format(out=tmp_path / "r").replace(
+        "k = 2", "k = 2\nsolver = dense")
+    text = dense.replace("levels = 2 4", "levels = 32 64")
     assert main(["run", str(_write(tmp_path, text))]) == 1
     assert "n = 64" in capsys.readouterr().err
-    cfgfile = _write(tmp_path, GOOD_CONFIG.format(out=tmp_path / "r"), "ok.ini")
+    cfgfile = _write(tmp_path, dense, "ok.ini")
     assert main(["run", str(cfgfile), "--levels", "64,128"]) == 1
     assert "solver = iterative" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()

@@ -6,10 +6,10 @@ import pytest
 
 import rt0eig.eigensolver as eigensolver
 from rt0eig import (NumericalError, assemble, build_structured_mesh,
-                    flux_mass_factor, flux_mass_solver, get_preset,
-                    recover_flux, schur_complement, solve_gevp,
-                    solve_gevp_iterative, solve_mixed_eigenproblem,
-                    UNIT_SQUARE)
+                    get_preset, solve_mixed_eigenproblem, UNIT_SQUARE)
+from rt0eig.eigensolver import (flux_mass_factor, flux_mass_solver,
+                                recover_flux, schur_complement, solve_gevp,
+                                solve_gevp_iterative)
 from oracles import copying_solve_gevp, saddle_point_eigenvalues
 
 
@@ -344,6 +344,18 @@ def test_check_request_rejects_just_past_each_limit(method, t, k, seed,
         eigensolver.check_request(method, t, k, seed)
 
 
+def test_iterative_k_equal_t_points_to_the_dense_solver():
+    """Only the dense path takes k = T, and the iterative path's message
+    says so, but only where the dense path would take it."""
+    with pytest.raises(NumericalError,
+                       match=r"got 8; solver = dense takes k = 8$"):
+        eigensolver.check_request("iterative", 8, 8)
+    for t, k in ((8, 9), (8, 0), (2 * 33 * 33, 2 * 33 * 33)):
+        with pytest.raises(NumericalError) as exc:
+            eigensolver.check_request("iterative", t, k)
+        assert "dense" not in str(exc.value)
+
+
 @pytest.mark.parametrize("method, t, k", [
     ("dense", 8, 8), ("iterative", 8, 7), ("dense", 8, 1),
     ("iterative", 8, 1), ("dense", 2 * 32 * 32, 1),
@@ -447,6 +459,15 @@ def test_iterative_path_deterministic(laplace_systems):
     b = solve_mixed_eigenproblem(mesh, sys_, 3, method="iterative", seed=42)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
     assert np.array_equal(a.vectors, b.vectors)
+
+
+def test_dispatcher_runs_the_iterative_path_by_default(laplace_systems):
+    mesh, sys_ = laplace_systems[4]
+    default = solve_mixed_eigenproblem(mesh, sys_, 3)
+    iterative = solve_mixed_eigenproblem(mesh, sys_, 3, method="iterative")
+    for f in dataclasses.fields(default):
+        assert np.array_equal(getattr(default, f.name),
+                              getattr(iterative, f.name))
 
 
 def test_unknown_method_rejected(laplace_systems):

@@ -68,6 +68,18 @@ def test_assembled_system_holds_only_its_fields_after_a_solve(method):
         f.name for f in dataclasses.fields(AssembledSystem)}
 
 
+def test_solve_mixed_eigenproblem_is_the_one_public_solver():
+    """The solver paths' building blocks stay in rt0eig.eigensolver, where
+    the dispatcher calls them, and the package exports the dispatcher."""
+    internals = {"flux_mass_factor", "flux_mass_solver", "schur_complement",
+                 "recover_flux", "solve_gevp", "solve_gevp_iterative"}
+    assert "solve_mixed_eigenproblem" in rt0eig.__all__
+    assert internals.isdisjoint(rt0eig.__all__)
+    assert internals.isdisjoint(vars(rt0eig))
+    assert all(callable(getattr(rt0eig.eigensolver, name))
+               for name in internals)
+
+
 def _public_definitions():
     """(qualified name, name) of every public function, class and method
     defined at the top level of the package's modules."""

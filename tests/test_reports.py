@@ -139,7 +139,8 @@ def test_superclose_on_cluster_row_matches_reference(tmp_path):
 
 
 def test_failed_level_without_table_matches_reference(tmp_path):
-    cfg = StudyConfig(preset="laplace", levels=[2, 4], k=2,
+    # k = 2 at n = 1 is k = T, which only the dense path takes
+    cfg = StudyConfig(preset="laplace", levels=[2, 4], k=2, solver="dense",
                       output_dir=tmp_path / "run")
     _, levels = run_study(replace(cfg, levels=[1, 2]))
     failures = [{"n": 4, "error": "synthetic breakdown"}]
