@@ -8,21 +8,24 @@ The saddle-point system
 is reduced by eliminating the flux: S = B M^-1 B^T + C is symmetric positive
 definite and S u = lambda D u has exactly the finite eigenvalues of the full
 block pencil.  The dense path, for levels of at most DENSE_MAX_TRIANGLES
-triangles, factorizes M = U^T U once per level by dense Cholesky and keeps
-only the band of U: M is banded in the mesh's edge order, and a Cholesky
-factor keeps the band of its matrix.  A block forward substitution over
-that band gives X = U^-T B^T, and S = C + X^T X comes from one symmetric
-rank update, exactly symmetric.  The dense path diagonalizes the similarity
-transform D^-1/2 S D^-1/2 in S's own storage from one triangle and forms
-the residuals from the other, so an asymmetric S fails the residual check
-rather than being averaged, and a non-finite S is rejected by name.  It
-recovers the fluxes of all pairs in one banded solve with k right-hand
-sides.  The iterative path, solve_gevp_iterative, never forms S nor
-factorizes M or the block matrix K = [[M, B^T], [B, -C]].  It hybridizes K
-(Arnold and Brezzi, M2AN 19, 1985): the flux space is broken triangle by
-triangle, one multiplier per interior edge makes the normal flux
-continuous, and the flux and the scalar are eliminated element by element
-through the block diagonal inverse A^-1 of the element blocks.
+triangles, factorizes M = U^T U once per level within its band: M is
+banded in the mesh's edge order, and a Cholesky factor keeps the band of
+its matrix, so U is computed block by block in band storage and neither M
+nor U is ever a full E x E array.  A block forward substitution over that
+band gives X = U^-T B^T a chunk of rows at a time, and S = C + X^T X
+accumulates one symmetric rank update per chunk and is mirrored, so it is
+exactly symmetric; X is never held whole.  The dense path diagonalizes
+the similarity transform D^-1/2 S D^-1/2 in S's own storage from one
+triangle and forms the residuals from the other, so an asymmetric S fails
+the residual check rather than being averaged, and a non-finite S is
+rejected by name.  It recovers the fluxes of all pairs in one banded
+solve with k right-hand sides.  The iterative path, solve_gevp_iterative,
+never forms S nor factorizes M or the block matrix
+K = [[M, B^T], [B, -C]].  It hybridizes K (Arnold and Brezzi, M2AN 19,
+1985): the flux space is broken triangle by triangle, one multiplier per
+interior edge makes the normal flux continuous, and the flux and the
+scalar are eliminated element by element through the block diagonal
+inverse A^-1 of the element blocks.
 With G the jump map from the element slots to the multipliers, K^-1 =
 Z - W H^-1 W^T, where Z and W are A^-1 and A^-1 G^T restricted to K's
 unknowns and H = G A^-1 G^T is a symmetric positive definite system on the
@@ -34,6 +37,7 @@ approximate the scalar's trace on the interior edges, from which Arnold
 and Brezzi post-process it.
 """
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,13 +49,13 @@ import scipy.sparse.linalg as spla
 RESIDUAL_RTOL = 1e-10
 FLUX_RTOL = 1e-11
 
-# The dense path factorizes M as a full float64 array and keeps only the
-# factor's band; it then holds X = U^-T B^T (E x T) and S (T x T) as full
-# arrays, and diagonalizes S in its own storage (see solve_gevp).  At 2048
-# triangles (n = 32) M takes 75 MiB while it is factored, then X and S take
-# 49 and 32 MiB, and the level's traced peak is 84.5 MiB; at n = 64 M
-# alone would take 1.2 GB.
+# The dense path holds the band of M's Cholesky factor, S (T x T) as a full
+# array, which it diagonalizes in its own storage (see solve_gevp), and one
+# chunk of X = U^-T B^T of about SCHUR_CHUNK_ROWS rows at a time.  At 2048
+# triangles (n = 32) S takes 32 MiB and a chunk 8 MiB; at n = 64 S alone
+# would take 512 MiB.
 DENSE_MAX_TRIANGLES = 2048
+SCHUR_CHUNK_ROWS = 512
 
 ITER_BUDGET_PER_EIGENVALUE = 500
 
@@ -116,26 +120,52 @@ class EigenResult:
 
 def flux_mass_factor(M: sp.csr_matrix) -> np.ndarray:
     """Band of the Cholesky factor U (M = U^T U) of the SPD flux mass
-    matrix.
+    matrix, in LAPACK's upper band storage: diagonal d in row w - d, as
+    cho_solve_banded and _band_block read it.
 
-    M is densified in Fortran order and factored in place by dense
-    Cholesky, which also certifies positive definiteness.  M is banded in
-    the mesh's edge order, with bandwidth w (127 at n = 32), and a Cholesky
-    factor keeps the band of its matrix (George and Liu, 1981): U is exactly
-    zero more than w above its diagonal.  Its w + 1 diagonals are copied
-    out in LAPACK's upper band storage, diagonal d in row w - d as
-    cho_solve_banded reads it, and the E x E array is dropped on return.
+    M is banded in the mesh's edge order, with bandwidth w (127 at n = 32),
+    and a Cholesky factor keeps the band of its matrix (George and Liu,
+    1981): U is exactly zero more than w above its diagonal.  M's upper
+    band is copied from its COO into that storage and factored there, in
+    blocks of b = max(w, 16) rows, so that block I couples only to blocks
+    I - 1 and I + 1:
+
+        U_II = chol(M_II - U_(I-1)I^T U_(I-1)I),  U_I(I+1) = U_II^-T M_I(I+1),
+
+    by cho_factor, which also certifies positive definiteness, dtrsm and
+    dsyrk on b x b blocks: the level never holds M as an E x E array.
+    Raises NumericalError naming the row of M whose pivot is not positive.
     """
     coo = M.tocoo()
-    width = int(np.abs(coo.row - coo.col).max(initial=0))
-    try:
-        u, _ = la.cho_factor(M.toarray(order="F"), overwrite_a=True)
-    except la.LinAlgError as exc:
-        raise NumericalError(
-            f"flux mass matrix is not positive definite: {exc}") from exc
-    band = np.zeros((width + 1, u.shape[0]))
-    for d in range(width + 1):
-        band[width - d, d:] = np.diagonal(u, d)
+    upper = coo.col >= coo.row
+    row, col = coo.row[upper], coo.col[upper]
+    width = int((col - row).max(initial=0))
+    e = M.shape[0]
+    band = np.zeros((width + 1, e))
+    np.add.at(band, (width - (col - row), col), coo.data[upper])
+    block = _block_rows(width)
+    # the diagonal block of the next rows, updated by the coupling block
+    diag = _band_block(band, 0, min(block, e), 0, min(block, e))
+    for lo in range(0, e, block):
+        hi, nxt = min(lo + block, e), min(lo + 2 * block, e)
+        try:
+            u, _ = la.cho_factor(diag, overwrite_a=True)
+        except la.LinAlgError as exc:
+            minor = re.match(r"\d+", str(exc))
+            where = (f"row {lo + int(minor[0]) - 1}" if minor
+                     else f"rows {lo} to {hi - 1}")
+            raise NumericalError(
+                f"flux mass matrix is not positive definite at {where}"
+            ) from exc
+        _set_band_block(band, lo, lo, u)
+        if hi == e:
+            break
+        coupling = la.blas.dtrsm(1.0, u, _band_block(band, lo, hi, hi, nxt),
+                                 trans_a=1, overwrite_b=True)
+        _set_band_block(band, lo, hi, coupling)
+        diag = la.blas.dsyrk(-1.0, coupling, beta=1.0,
+                             c=_band_block(band, hi, nxt, hi, nxt), trans=1,
+                             overwrite_c=True)
     return band
 
 
@@ -156,24 +186,34 @@ def schur_complement(sys, factor: np.ndarray) -> np.ndarray:
     """Dense Schur complement S = B M^-1 B^T + C of the mixed system.
 
     `factor` is the band of the Cholesky factor U of M, as flux_mass_factor
-    returns it.  With X = U^-T B^T, S = C + X^T X: B^T is densified as an
-    E x T array X, overwritten by U^-T X (see _band_forward_solve), and S is
-    formed by one symmetric rank update of diag(C) (dsyrk) and mirrored, so
-    it is exactly symmetric.  S is returned in C order.  Raises
+    returns it.  With X = U^-T B^T, S = C + X^T X.  X is never held whole:
+    the rows of B^T go in chunks of whole blocks of _band_forward_solve,
+    about SCHUR_CHUNK_ROWS rows, each densified, overwritten by its rows of
+    U^-T B^T and added to S by one symmetric rank update (dsyrk); only the
+    chunk's last block is kept, for the next chunk's coupling.  S is then
+    mirrored, so it is exactly symmetric, and returned in C order.  Raises
     NumericalError, naming the first column, if an entry is not finite.
     """
-    x = sys.B.T.toarray(order="C")
-    _band_forward_solve(factor, x)
+    e, t = sys.num_edges, sys.num_triangles
+    block = _block_rows(factor.shape[0] - 1)
+    chunk = block * max(SCHUR_CHUNK_ROWS // block, 1)
+    bt = sys.B.T.tocsr()
     # dsyrk adds X^T X to the upper triangle of the Fortran-ordered s; its
     # transpose is S in C order with the lower triangle filled
-    s = np.zeros((sys.num_triangles, sys.num_triangles), order="F")
+    s = np.zeros((t, t), order="F")
     np.fill_diagonal(s, sys.C)
-    la.blas.dsyrk(1.0, x.T, beta=1.0, c=s, overwrite_c=True)
-    del x
+    prev = None
+    for lo in range(0, e, chunk):
+        x = bt[lo:lo + chunk].toarray(order="C")
+        _band_forward_solve(factor, x, lo, prev)
+        s = la.blas.dsyrk(1.0, x.T, beta=1.0, c=s, overwrite_c=True)
+        prev = x[-block:].copy()
+        del x
     s = s.T
     _mirror_lower(s)
-    # S = C + X^T X, so |s_ij| <= sqrt((s_ii - c_i)(s_jj - c_j)): with C
-    # finite, a non-finite entry makes s_ii or s_jj non-finite
+    # S = C + sum over the chunks of X_c^T X_c, so
+    # |s_ij| <= sqrt((s_ii - c_i)(s_jj - c_j)): with C finite, a non-finite
+    # entry makes s_ii or s_jj non-finite
     bad = np.flatnonzero(~np.isfinite(np.diagonal(s)))
     if bad.size:
         raise NumericalError(
@@ -181,39 +221,60 @@ def schur_complement(sys, factor: np.ndarray) -> np.ndarray:
     return s
 
 
-def _band_forward_solve(band, x):
-    """Overwrite x, an E x T array in C order, by U^-T x, with U the upper
-    triangular matrix whose band `band` holds (see flux_mass_factor).
+def _block_rows(width):
+    """Rows per block of the band sweeps for bandwidth `width`: at least w,
+    so that U couples block I only to itself and to blocks I - 1 and I + 1,
+    and at least 16, so that a narrow band does not take many tiny calls."""
+    return max(width, 16)
 
-    The rows of x go in blocks of b >= w rows, so that U^T couples block I
-    only to itself and to block I - 1: X_I = U_II^-T (X_I - U_(I-1)I^T
-    X_(I-1)).  A block of rows of x is contiguous, and its transpose is the
-    Fortran-ordered T x b array that dgemm and dtrsm update in place over
-    all T columns at once.
+
+def _band_forward_solve(band, x, lo, prev):
+    """Overwrite x, the rows lo, lo + 1, ... of an E x T array in C order,
+    whole blocks of _block_rows except at row E, by their rows of U^-T x,
+    with U the upper triangular matrix whose band `band` holds (see
+    flux_mass_factor).  `prev` holds the solved rows of the block before
+    row lo, or is None when lo is 0.
+
+    X_I = U_II^-T (X_I - U_(I-1)I^T X_(I-1)).  A block of rows of x is
+    contiguous, and its transpose is the Fortran-ordered T x b array that
+    dgemm and dtrsm update in place over all T columns at once.
     """
-    width, e = band.shape[0] - 1, band.shape[1]
-    # at least 16 rows, so that a narrow band does not take many tiny calls
-    block = max(width, 16)
-    for lo in range(0, e, block):
-        hi = min(lo + block, e)
-        xt = x[lo:hi].T
-        if lo:
-            prev = max(lo - block, 0)
-            la.blas.dgemm(-1.0, x[prev:lo].T,
-                          _band_block(band, prev, lo, lo, hi), beta=1.0,
+    block = _block_rows(band.shape[0] - 1)
+    for r in range(0, x.shape[0], block):
+        xt = x[r:r + block].T
+        g, hi = lo + r, lo + r + xt.shape[1]
+        if g:
+            before = x[r - block:r] if r else prev
+            la.blas.dgemm(-1.0, before.T,
+                          _band_block(band, g - block, g, g, hi), beta=1.0,
                           c=xt, overwrite_c=True)
-        la.blas.dtrsm(1.0, _band_block(band, lo, hi, lo, hi), xt, side=1,
+        la.blas.dtrsm(1.0, _band_block(band, g, hi, g, hi), xt, side=1,
                       overwrite_b=True)
+
+
+def _band_entries(band, r0, r1, c0, c1):
+    """The mask of the entries of U[r0:r1, c0:c1] that lie in U's band, and
+    their (row, column) positions in `band`, in the mask's C order."""
+    width = band.shape[0] - 1
+    rows, cols = np.ogrid[r0:r1, c0:c1]
+    d = cols - rows
+    keep = (d >= 0) & (d <= width)
+    return keep, (width - d[keep], np.broadcast_to(cols, keep.shape)[keep])
 
 
 def _band_block(band, r0, r1, c0, c1):
     """U[r0:r1, c0:c1] as a dense Fortran-ordered array, from U's band."""
-    width = band.shape[0] - 1
-    rows, cols = np.ogrid[r0:r1, c0:c1]
-    d = cols - rows
-    return np.asfortranarray(np.where(
-        (d >= 0) & (d <= width), band[np.clip(width - d, 0, width), cols],
-        0.0))
+    keep, at = _band_entries(band, r0, r1, c0, c1)
+    a = np.zeros((r1 - r0, c1 - c0), order="F")
+    a[keep] = band[at]
+    return a
+
+
+def _set_band_block(band, r0, c0, a):
+    """Write the entries of a = U[r0:, c0:] that lie in U's band into the
+    band; the inverse of _band_block, which leaves the rest of a unread."""
+    keep, at = _band_entries(band, r0, r0 + a.shape[0], c0, c0 + a.shape[1])
+    band[at] = a[keep]
 
 
 def _mirror_lower(a):

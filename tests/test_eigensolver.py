@@ -93,11 +93,11 @@ def test_gevp_in_place_equals_copying_oracle(preset, n):
 
 
 def test_dense_level_peak_memory():
-    """A dense n = 32 level holds M densified for its Cholesky factor
-    (E x E, 75 MiB) only until the factor's band is copied out; then
-    X = U^-T B^T (E x T, 49 MiB) and S (T x T, 32 MiB), which is
-    diagonalized in its own storage.  The traced peak stays at 96 MiB or
-    below (84.5 MiB measured)."""
+    """A dense n = 32 level holds S (T x T, 32 MiB), which is diagonalized
+    in its own storage, one chunk of X = U^-T B^T (at most 512 rows,
+    8 MiB) at a time and the band of M's Cholesky factor (3 MiB); it
+    holds neither M nor X as a full array.  The traced peak stays at
+    64 MiB or below (47 MiB measured)."""
     mesh = build_structured_mesh(UNIT_SQUARE, 32)
     sys_ = assemble(mesh, get_preset("laplace"))
     tracemalloc.start()
@@ -106,7 +106,7 @@ def test_dense_level_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 96 * 2**20
+    assert peak <= 64 * 2**20
 
 
 def test_gevp_identity_operator():
@@ -151,8 +151,8 @@ def test_residual_check_rejects_nan():
 
 
 def test_schur_rejects_nan_solve(laplace_systems, monkeypatch):
-    """A NaN or an inf in C at triangle 3, or a NaN column 3 of
-    X = U^-T B^T, leaves S's diagonal entry 3 non-finite, and the
+    """A NaN or an inf in C at triangle 3, or a NaN column 3 in one chunk
+    of X = U^-T B^T, leaves S's diagonal entry 3 non-finite, and the
     finiteness check names column 3."""
     _, sys_ = laplace_systems[4]
     factor = flux_mass_factor(sys_.M)
@@ -161,15 +161,22 @@ def test_schur_rejects_nan_solve(laplace_systems, monkeypatch):
             sys_, C=np.where(np.arange(sys_.C.size) == 3, bad, sys_.C))
         with pytest.raises(NumericalError, match="column 3 is not finite"):
             schur_complement(bad_c, factor)
-    solve = eigensolver._band_forward_solve
+    # n = 16 takes X in two chunks; the NaN goes into the second
+    mesh = build_structured_mesh(UNIT_SQUARE, 16)
+    sys_ = assemble(mesh, get_preset("laplace"))
+    factor = flux_mass_factor(sys_.M)
+    solve, chunks = eigensolver._band_forward_solve, []
 
-    def nan_column(band, x):
-        solve(band, x)
-        x[:, 3] = np.nan
+    def nan_column(band, x, lo, prev):
+        solve(band, x, lo, prev)
+        chunks.append(lo)
+        if lo:
+            x[:, 3] = np.nan
 
     monkeypatch.setattr(eigensolver, "_band_forward_solve", nan_column)
     with pytest.raises(NumericalError, match="column 3 is not finite"):
         schur_complement(sys_, factor)
+    assert len(chunks) == 2 and chunks[0] == 0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -95,10 +95,11 @@ def test_singular_element_block_names_its_triangle():
 def test_schur_from_the_band_matches_sparse_lu(case, n):
     """S = C + X^T X, X = U^-T B^T from the band of M's Cholesky factor U,
     equals C + B M^-1 B^T through a sparse LU of M to 1e-14 of max |S|, and
-    is exactly symmetric.  The dense factor is exactly zero beyond M's
-    bandwidth w, and the band holds its other w + 1 diagonals bit for bit.
-    The forward substitution takes blocks of max(w, 16) rows: one at n = 1
-    and 2, 25 at n = 32 (w = 127)."""
+    is exactly symmetric.  The band, factored block by block, agrees with
+    LAPACK's band Cholesky of M to 4 ulp of max |U|, and U^T U rebuilt from
+    it reproduces M to 4 ulp of max |M|.  The sweeps take blocks of
+    max(w, 16) rows: one at n = 1 and 2, 25 at n = 32 (w = 127), where the
+    Schur complement takes X in 7 chunks of 4 blocks."""
     sys_ = _case_system(case, n)
     band = flux_mass_factor(sys_.M)
     s = schur_complement(sys_, band)
@@ -109,13 +110,32 @@ def test_schur_from_the_band_matches_sparse_lu(case, n):
     assert s.flags.c_contiguous
 
     m = sys_.M.tocoo()
-    width = int(np.abs(m.row - m.col).max())
-    assert band.shape == (width + 1, sys_.num_edges)
-    u, _ = la.cho_factor(sys_.M.toarray(order="F"))
-    assert np.all(np.triu(u, width + 1) == 0.0)
+    width, e = int(np.abs(m.row - m.col).max()), sys_.num_edges
+    assert band.shape == (width + 1, e)
+    m_band = np.zeros_like(band)
     for d in range(width + 1):
-        assert np.array_equal(band[width - d, d:], np.diagonal(u, d))
+        m_band[width - d, d:] = sys_.M.diagonal(d)
         assert np.all(band[width - d, :d] == 0.0)
+    lapack = la.cholesky_banded(m_band)
+    assert (np.abs(band - lapack).max()
+            <= 4 * np.spacing(np.abs(lapack).max()))
+    u = sp.dia_matrix((band, np.arange(width, -1, -1)), shape=(e, e))
+    m_max = np.abs(sys_.M).max()
+    assert abs(u.T @ u - sys_.M).max() <= 4 * np.spacing(m_max)
+
+
+def test_band_factor_names_the_row_of_a_bad_pivot():
+    """An M that is positive definite except for a pivot in the last block
+    of the factorization is rejected, naming the row of M, not the row
+    within its block."""
+    _, sys_ = _system("laplace", 8)
+    m = sys_.M.tolil()
+    row = sys_.num_edges - 2
+    m[row, row] = -1.0
+    with pytest.raises(NumericalError) as info:
+        flux_mass_factor(m.tocsr())
+    assert str(info.value) == (
+        f"flux mass matrix is not positive definite at row {row}")
 
 
 def test_iterative_n64_passes_residual_bound():
