@@ -240,9 +240,10 @@ def run_study(cfg: StudyConfig):
 
     Returns (table, levels), one Level per level run.  The output
     directory is made before the first level, so an unusable one is a
-    ConfigError before any solve.  A level failure ends the study with that
-    level as the last, failed record; the reports are still written, and
-    the failure is re-raised with the level attached.
+    ConfigError before any solve.  A level failure, running out of memory
+    included, ends the study with that level as the last, failed record;
+    the reports are still written, and the failure is re-raised as a
+    NumericalError with the level attached.
     """
     cfg.validate()
     try:
@@ -258,6 +259,9 @@ def run_study(cfg: StudyConfig):
             levels.append(run_level(cfg, prob, n))
         except (MeshError, AssemblyError, NumericalError) as exc:
             levels.append(Level(n=n, error=str(exc)))
+            break
+        except MemoryError as exc:
+            levels.append(Level(n=n, error=f"MemoryError: {exc}"))
             break
     total = time.perf_counter() - total_start
 

@@ -10,16 +10,17 @@ definite and S u = lambda D u has exactly the finite eigenvalues of the full
 block pencil.  The dense path, for levels of at most DENSE_MAX_TRIANGLES
 triangles, factorizes M = U^T U once per level within its band: M is
 banded in the mesh's edge order, and a Cholesky factor keeps the band of
-its matrix, so U is computed block by block in band storage and neither M
-nor U is ever a full E x E array.  A block forward substitution over that
-band gives X = U^-T B^T a chunk of rows at a time, and S = C + X^T X
-accumulates one symmetric rank update per chunk and is mirrored, so it is
-exactly symmetric; X is never held whole.  The dense path diagonalizes
-the similarity transform D^-1/2 S D^-1/2 in S's own storage from one
-triangle and forms the residuals from the other, so an asymmetric S fails
-the residual check rather than being averaged, and a non-finite S is
-rejected by name.  It recovers the fluxes of all pairs in one banded
-solve with k right-hand sides.  The iterative path, solve_gevp_iterative,
+its matrix, so U is block-bidiagonal and is kept as the dense blocks its
+block Cholesky computes; neither M nor U is ever a full E x E array.  A
+block forward substitution over those blocks gives X = U^-T B^T a chunk
+of rows at a time, and S = C + X^T X accumulates one symmetric rank
+update per chunk and is mirrored, so it is exactly symmetric; X is never
+held whole.  The dense path diagonalizes the similarity transform
+D^-1/2 S D^-1/2 in S's own storage from one triangle and forms the
+residuals from the other, so an asymmetric S fails the residual check
+rather than being averaged, and a non-finite S is rejected by name.  A
+forward and a backward block sweep with k right-hand sides recover the
+fluxes of all pairs.  The iterative path, solve_gevp_iterative,
 never forms S nor factorizes M or the block matrix
 K = [[M, B^T], [B, -C]].  It hybridizes K (Arnold and Brezzi, M2AN 19,
 1985): the flux space is broken triangle by triangle, one multiplier per
@@ -49,11 +50,11 @@ import scipy.sparse.linalg as spla
 RESIDUAL_RTOL = 1e-10
 FLUX_RTOL = 1e-11
 
-# The dense path holds the band of M's Cholesky factor, S (T x T) as a full
+# The dense path holds the blocks of M's Cholesky factor, S (T x T) as a full
 # array, which it diagonalizes in its own storage (see solve_gevp), and one
 # chunk of X = U^-T B^T of about SCHUR_CHUNK_ROWS rows at a time.  At 2048
-# triangles (n = 32) S takes 32 MiB and a chunk 8 MiB; at n = 64 S alone
-# would take 512 MiB.
+# triangles (n = 32) S takes 32 MiB, a chunk 8 MiB and the 49 blocks of the
+# factor 6 MiB; at n = 64 S alone would take 512 MiB.
 DENSE_MAX_TRIANGLES = 2048
 SCHUR_CHUNK_ROWS = 512
 
@@ -118,34 +119,29 @@ class EigenResult:
     residuals: np.ndarray
 
 
-def flux_mass_factor(M: sp.csr_matrix) -> np.ndarray:
-    """Band of the Cholesky factor U (M = U^T U) of the SPD flux mass
-    matrix, in LAPACK's upper band storage: diagonal d in row w - d, as
-    cho_solve_banded and _band_block read it.
+def flux_mass_factor(M: sp.csr_matrix) -> list:
+    """Cholesky factor U (M = U^T U) of the SPD flux mass matrix: the list
+    [(U_11, U_12), ..., (U_LL, None)] of its blocks of b rows (the last may
+    have fewer), which the sweeps of schur_complement and flux_mass_solver
+    read.  Below its diagonal each U_II still holds entries of M, which no
+    sweep reads.
 
     M is banded in the mesh's edge order, with bandwidth w (127 at n = 32),
     and a Cholesky factor keeps the band of its matrix (George and Liu,
-    1981): U is exactly zero more than w above its diagonal.  M's upper
-    band is copied from its COO into that storage and factored there, in
-    blocks of b = max(w, 16) rows, so that block I couples only to blocks
-    I - 1 and I + 1:
+    1981).  With b = max(w, 16) (at least 16, so that a narrow band does not
+    take many tiny calls), U is block-bidiagonal:
 
         U_II = chol(M_II - U_(I-1)I^T U_(I-1)I),  U_I(I+1) = U_II^-T M_I(I+1),
 
     by cho_factor, which also certifies positive definiteness, dtrsm and
-    dsyrk on b x b blocks: the level never holds M as an E x E array.
-    Raises NumericalError naming the row of M whose pivot is not positive.
+    dsyrk on dense b x b slices of M: M is never an E x E array.  Raises
+    NumericalError naming the row of M whose pivot is not positive.
     """
     coo = M.tocoo()
-    upper = coo.col >= coo.row
-    row, col = coo.row[upper], coo.col[upper]
-    width = int((col - row).max(initial=0))
-    e = M.shape[0]
-    band = np.zeros((width + 1, e))
-    np.add.at(band, (width - (col - row), col), coo.data[upper])
-    block = _block_rows(width)
+    block = max(int((coo.col - coo.row).max(initial=0)), 16)
+    e, factor = M.shape[0], []
     # the diagonal block of the next rows, updated by the coupling block
-    diag = _band_block(band, 0, min(block, e), 0, min(block, e))
+    diag = M[:block, :block].toarray(order="F")
     for lo in range(0, e, block):
         hi, nxt = min(lo + block, e), min(lo + 2 * block, e)
         try:
@@ -157,45 +153,59 @@ def flux_mass_factor(M: sp.csr_matrix) -> np.ndarray:
             raise NumericalError(
                 f"flux mass matrix is not positive definite at {where}"
             ) from exc
-        _set_band_block(band, lo, lo, u)
         if hi == e:
+            factor.append((u, None))
             break
-        coupling = la.blas.dtrsm(1.0, u, _band_block(band, lo, hi, hi, nxt),
+        coupling = la.blas.dtrsm(1.0, u, M[lo:hi, hi:nxt].toarray(order="F"),
                                  trans_a=1, overwrite_b=True)
-        _set_band_block(band, lo, hi, coupling)
+        factor.append((u, coupling))
         diag = la.blas.dsyrk(-1.0, coupling, beta=1.0,
-                             c=_band_block(band, hi, nxt, hi, nxt), trans=1,
+                             c=M[hi:nxt, hi:nxt].toarray(order="F"), trans=1,
                              overwrite_c=True)
-    return band
+    return factor
 
 
-def flux_mass_solver(factor: np.ndarray):
-    """The solve with M through the band of its Cholesky factor, as
-    flux_mass_factor returns it.
+def flux_mass_solver(factor: list):
+    """The solve with M through the blocks of its Cholesky factor, as
+    flux_mass_factor returns them.
 
     The solve takes one right-hand side or a column block of them and
-    leaves them unchanged.  It checks only the right-hand side for infs and
-    NaNs, raising ValueError: cho_factor checked M, and the factor it
-    returned is finite.
+    leaves them unchanged.  A C-ordered copy goes through _forward_solve
+    and then, from the last block up, X_I = U_II^-1 (X_I - U_I(I+1) X_(I+1)),
+    in scipy's BLAS alone: numpy loads an OpenBLAS of its own, and
+    alternating between the two is slow.  It checks only the right-hand
+    side for infs and NaNs, raising ValueError: cho_factor checked M.
     """
-    return lambda rhs: la.cho_solve_banded(
-        (factor, False), np.asarray_chkfinite(rhs), check_finite=False)
+    def solve(rhs):
+        x = np.array(np.asarray_chkfinite(rhs), dtype=float, order="C")
+        rows, block = x.reshape(x.shape[0], -1), factor[0][0].shape[0]
+        _forward_solve(factor, rows, 0, None)
+        for i, (u, coupling) in reversed(list(enumerate(factor))):
+            lo = i * block
+            xt, after = rows[lo:lo + block].T, rows[lo + block:lo + 2 * block]
+            if coupling is not None:
+                la.blas.dgemm(-1.0, after.T, coupling, beta=1.0, c=xt,
+                              trans_b=1, overwrite_c=True)
+            la.blas.dtrsm(1.0, u, xt, side=1, trans_a=1, overwrite_b=True)
+        return x
+
+    return solve
 
 
-def schur_complement(sys, factor: np.ndarray) -> np.ndarray:
+def schur_complement(sys, factor: list) -> np.ndarray:
     """Dense Schur complement S = B M^-1 B^T + C of the mixed system.
 
-    `factor` is the band of the Cholesky factor U of M, as flux_mass_factor
-    returns it.  With X = U^-T B^T, S = C + X^T X.  X is never held whole:
-    the rows of B^T go in chunks of whole blocks of _band_forward_solve,
-    about SCHUR_CHUNK_ROWS rows, each densified, overwritten by its rows of
-    U^-T B^T and added to S by one symmetric rank update (dsyrk); only the
-    chunk's last block is kept, for the next chunk's coupling.  S is then
-    mirrored, so it is exactly symmetric, and returned in C order.  Raises
+    `factor` holds the blocks of the Cholesky factor U of M, as
+    flux_mass_factor returns them.  With X = U^-T B^T, S = C + X^T X.  X is
+    never held whole: the rows of B^T go in chunks of whole blocks, about
+    SCHUR_CHUNK_ROWS rows, each densified, overwritten by _forward_solve
+    and added to S by one symmetric rank update (dsyrk); only the chunk's
+    last block is kept, for the next chunk's coupling.  S is then mirrored,
+    so it is exactly symmetric, and returned in C order.  Raises
     NumericalError, naming the first column, if an entry is not finite.
     """
     e, t = sys.num_edges, sys.num_triangles
-    block = _block_rows(factor.shape[0] - 1)
+    block = factor[0][0].shape[0]
     chunk = block * max(SCHUR_CHUNK_ROWS // block, 1)
     bt = sys.B.T.tocsr()
     # dsyrk adds X^T X to the upper triangle of the Fortran-ordered s; its
@@ -205,7 +215,7 @@ def schur_complement(sys, factor: np.ndarray) -> np.ndarray:
     prev = None
     for lo in range(0, e, chunk):
         x = bt[lo:lo + chunk].toarray(order="C")
-        _band_forward_solve(factor, x, lo, prev)
+        _forward_solve(factor, x, lo, prev)
         s = la.blas.dsyrk(1.0, x.T, beta=1.0, c=s, overwrite_c=True)
         prev = x[-block:].copy()
         del x
@@ -221,60 +231,24 @@ def schur_complement(sys, factor: np.ndarray) -> np.ndarray:
     return s
 
 
-def _block_rows(width):
-    """Rows per block of the band sweeps for bandwidth `width`: at least w,
-    so that U couples block I only to itself and to blocks I - 1 and I + 1,
-    and at least 16, so that a narrow band does not take many tiny calls."""
-    return max(width, 16)
-
-
-def _band_forward_solve(band, x, lo, prev):
+def _forward_solve(factor, x, lo, prev):
     """Overwrite x, the rows lo, lo + 1, ... of an E x T array in C order,
-    whole blocks of _block_rows except at row E, by their rows of U^-T x,
-    with U the upper triangular matrix whose band `band` holds (see
-    flux_mass_factor).  `prev` holds the solved rows of the block before
-    row lo, or is None when lo is 0.
+    whole blocks of U except at row E, by their rows of U^-T x, with
+    `factor` the blocks of U (see flux_mass_factor).  `prev` holds the
+    solved rows of the block before row lo, or is None when lo is 0.
 
     X_I = U_II^-T (X_I - U_(I-1)I^T X_(I-1)).  A block of rows of x is
     contiguous, and its transpose is the Fortran-ordered T x b array that
     dgemm and dtrsm update in place over all T columns at once.
     """
-    block = _block_rows(band.shape[0] - 1)
+    block = factor[0][0].shape[0]
     for r in range(0, x.shape[0], block):
-        xt = x[r:r + block].T
-        g, hi = lo + r, lo + r + xt.shape[1]
-        if g:
+        xt, i = x[r:r + block].T, (lo + r) // block
+        if i:
             before = x[r - block:r] if r else prev
-            la.blas.dgemm(-1.0, before.T,
-                          _band_block(band, g - block, g, g, hi), beta=1.0,
-                          c=xt, overwrite_c=True)
-        la.blas.dtrsm(1.0, _band_block(band, g, hi, g, hi), xt, side=1,
-                      overwrite_b=True)
-
-
-def _band_entries(band, r0, r1, c0, c1):
-    """The mask of the entries of U[r0:r1, c0:c1] that lie in U's band, and
-    their (row, column) positions in `band`, in the mask's C order."""
-    width = band.shape[0] - 1
-    rows, cols = np.ogrid[r0:r1, c0:c1]
-    d = cols - rows
-    keep = (d >= 0) & (d <= width)
-    return keep, (width - d[keep], np.broadcast_to(cols, keep.shape)[keep])
-
-
-def _band_block(band, r0, r1, c0, c1):
-    """U[r0:r1, c0:c1] as a dense Fortran-ordered array, from U's band."""
-    keep, at = _band_entries(band, r0, r1, c0, c1)
-    a = np.zeros((r1 - r0, c1 - c0), order="F")
-    a[keep] = band[at]
-    return a
-
-
-def _set_band_block(band, r0, c0, a):
-    """Write the entries of a = U[r0:, c0:] that lie in U's band into the
-    band; the inverse of _band_block, which leaves the rest of a unread."""
-    keep, at = _band_entries(band, r0, r0 + a.shape[0], c0, c0 + a.shape[1])
-    band[at] = a[keep]
+            la.blas.dgemm(-1.0, before.T, factor[i - 1][1], beta=1.0, c=xt,
+                          overwrite_c=True)
+        la.blas.dtrsm(1.0, factor[i][0], xt, side=1, overwrite_b=True)
 
 
 def _mirror_lower(a):

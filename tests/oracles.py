@@ -17,7 +17,7 @@ quadrature rules and solver paths: element matrices come from symbolic
 integration, triangle integrals from a Duffy-transform tensor Gauss rule,
 eigenvalues of the reduced problem from the dense saddle-point pencil,
 the dense Schur complement, eigenpair residuals and Rayleigh quotients
-through a sparse LU of M rather than the band of its Cholesky factor or
+through a sparse LU of M rather than the blocks of its Cholesky factor or
 the saddle-point block, and solves with that block from a sparse direct
 solve of it whole, not from its hybridization.  The dense eigensolve has a
 reference that copies whole arrays where the package works in place.
@@ -308,10 +308,22 @@ def copying_solve_gevp(S, D, k):
 
 
 def mass_solve(sys, rhs):
-    """M^-1 rhs by a sparse LU of M alone, not through the band of M's
+    """M^-1 rhs by a sparse LU of M alone, not through the blocks of M's
     Cholesky factor that the dense path keeps nor the hybridized
     saddle-point block of the iterative one."""
     return spla.splu(sys.M.tocsc()).solve(rhs)
+
+
+def dense_schur_eigentriples(sys, k):
+    """The k smallest eigentriples of S u = lambda D u as (values, vectors,
+    fluxes), S = C + B M^-1 B^T formed whole through mass_solve and handed
+    to eigh with diag(D): no blocks, no chunks, no in-place transform.  The
+    vectors are D-orthonormal with the solver paths' sign convention, and
+    the fluxes are sigma = -M^-1 B^T u."""
+    s = sys.B @ mass_solve(sys, sys.B.T.toarray()) + np.diag(sys.C)
+    vals, vecs = la.eigh(s, np.diag(sys.D), subset_by_index=(0, k - 1))
+    vecs *= _column_signs(vecs)
+    return vals, vecs, -mass_solve(sys, sys.B.T @ vecs)
 
 
 def schur_residuals(sys, vals, vecs):

@@ -475,28 +475,32 @@ def test_numerical_failure_marks_level_and_exit_code(tmp_path, monkeypatch, caps
     assert "synthetic breakdown" in payload["levels"][-1]["error"]
 
 
-@pytest.mark.parametrize("error", [
-    SystemError("gstrf was called with invalid arguments"),
-    MemoryError("out of memory"),
-], ids=["SystemError", "MemoryError"])
+@pytest.mark.parametrize("site, error", [
+    ("splu", SystemError("gstrf was called with invalid arguments")),
+    ("splu", MemoryError("out of memory")),
+    ("assemble", MemoryError("Unable to allocate 75.0 MiB for an array")),
+], ids=["SystemError", "MemoryError", "assemble-MemoryError"])
 def test_multiplier_factorization_failure_fails_the_level(
-        tmp_path, monkeypatch, capsys, error):
-    """SuperLU running out of memory on H at level n=4 fails that level by
-    name, with exit code 2 and a report, instead of a traceback."""
-    real, calls = rt0eig.eigensolver.spla.splu, []
+        tmp_path, monkeypatch, capsys, site, error):
+    """SuperLU running out of memory on H at level n=4, or numpy running
+    out of it outside SuperLU, here while assembling that level, fails that
+    level by name, with exit code 2 and a report, instead of a
+    traceback."""
+    owner = rt0eig.eigensolver.spla if site == "splu" else cli
+    real, calls = getattr(owner, site), []
 
-    def failing_splu(*args, **kwargs):
+    def failing(*args, **kwargs):
         calls.append(args)
         if len(calls) >= 2:
             raise error
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(rt0eig.eigensolver.spla, "splu", failing_splu)
+    monkeypatch.setattr(owner, site, failing)
     text = GOOD_CONFIG.format(out=tmp_path / "r").replace(
         "k = 2", "k = 2\nsolver = iterative")
     assert main(["run", str(_write(tmp_path, text))]) == 2
-    message = (f"multiplier factorization failed: {type(error).__name__}: "
-               f"{error}")
+    message = (("multiplier factorization failed: " if site == "splu"
+                else "") + f"{type(error).__name__}: {error}")
     assert (f"numerical failure: level n=4 failed: {message}"
             in capsys.readouterr().err)
     payload = json.loads((tmp_path / "r" / "report.json").read_text())

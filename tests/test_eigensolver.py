@@ -10,7 +10,7 @@ from rt0eig import (NumericalError, assemble, build_structured_mesh,
 from rt0eig.eigensolver import (flux_mass_factor, flux_mass_solver,
                                 recover_flux, schur_complement, solve_gevp,
                                 solve_gevp_iterative)
-from oracles import copying_solve_gevp, saddle_point_eigenvalues
+from oracles import copying_solve_gevp, mass_solve, saddle_point_eigenvalues
 
 
 def _schur(sys_):
@@ -56,13 +56,23 @@ def test_schur_n1_against_dense_elimination(laplace_systems):
     assert np.abs(s - want).max() <= 1e-12 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("order", ["C", "F"])
-def test_flux_mass_solve_leaves_rhs_unchanged(laplace_systems, order):
-    _, sys_ = laplace_systems[4]
-    rhs = np.asarray(sys_.B.T[:, :5].toarray(), order=order)
+@pytest.mark.parametrize("rhs_form", ["1d", "C", "F"])
+@pytest.mark.parametrize("n", [1, 4, 32])
+def test_flux_mass_solve_leaves_rhs_unchanged(n, rhs_form):
+    """The two block sweeps match a sparse LU of M to 1e-13 relative, on
+    one block at n = 1 and on 25 at n = 32 (b = 127, E = 3136, so the last
+    block has 88 rows), for one right-hand side and for a C- or
+    Fortran-ordered column block of them, which they leave unchanged."""
+    sys_ = assemble(build_structured_mesh(UNIT_SQUARE, n),
+                    get_preset("laplace"))
+    rhs = sys_.B.T[:, :5].toarray()
+    rhs = rhs[:, 1] if rhs_form == "1d" else np.asarray(rhs, order=rhs_form)
     before = rhs.copy()
     x = _solver(sys_)(rhs)
     assert np.array_equal(rhs, before)
+    assert x.shape == rhs.shape
+    want = mass_solve(sys_, rhs)
+    assert np.abs(x - want).max() <= 1e-13 * np.abs(want).max()
     assert np.abs(sys_.M @ x - rhs).max() <= 1e-12 * np.abs(rhs).max()
 
 
@@ -95,9 +105,9 @@ def test_gevp_in_place_equals_copying_oracle(preset, n):
 def test_dense_level_peak_memory():
     """A dense n = 32 level holds S (T x T, 32 MiB), which is diagonalized
     in its own storage, one chunk of X = U^-T B^T (at most 512 rows,
-    8 MiB) at a time and the band of M's Cholesky factor (3 MiB); it
+    8 MiB) at a time and the 49 blocks of M's Cholesky factor (6 MiB); it
     holds neither M nor X as a full array.  The traced peak stays at
-    64 MiB or below (47 MiB measured)."""
+    64 MiB or below (50 MiB measured)."""
     mesh = build_structured_mesh(UNIT_SQUARE, 32)
     sys_ = assemble(mesh, get_preset("laplace"))
     tracemalloc.start()
@@ -165,15 +175,15 @@ def test_schur_rejects_nan_solve(laplace_systems, monkeypatch):
     mesh = build_structured_mesh(UNIT_SQUARE, 16)
     sys_ = assemble(mesh, get_preset("laplace"))
     factor = flux_mass_factor(sys_.M)
-    solve, chunks = eigensolver._band_forward_solve, []
+    solve, chunks = eigensolver._forward_solve, []
 
-    def nan_column(band, x, lo, prev):
-        solve(band, x, lo, prev)
+    def nan_column(factor, x, lo, prev):
+        solve(factor, x, lo, prev)
         chunks.append(lo)
         if lo:
             x[:, 3] = np.nan
 
-    monkeypatch.setattr(eigensolver, "_band_forward_solve", nan_column)
+    monkeypatch.setattr(eigensolver, "_forward_solve", nan_column)
     with pytest.raises(NumericalError, match="column 3 is not finite"):
         schur_complement(sys_, factor)
     assert len(chunks) == 2 and chunks[0] == 0

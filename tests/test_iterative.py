@@ -3,7 +3,7 @@
 nested-dissection order of their edges) against a sparse direct solve, the
 loud failure on a singular element block, its eigenpairs and their
 Rayleigh-quotient eigenvalues, the checks it makes on them, and the dense
-Schur complement formed from the band of M's Cholesky factor against a
+Schur complement formed from the blocks of M's Cholesky factor against a
 sparse LU of M."""
 
 import numpy as np
@@ -19,9 +19,9 @@ from rt0eig.eigensolver import (RESIDUAL_RTOL, _check_eigentriples,
                                 _factor_multipliers, _hybridize, _k_solve,
                                 flux_mass_factor, schur_complement,
                                 solve_gevp_iterative)
-from oracles import (colamd_eigenvalues, flux_row_image, mass_solve,
-                     saddle_point_solve, schur_rayleigh_quotients,
-                     schur_residuals)
+from oracles import (colamd_eigenvalues, dense_schur_eigentriples,
+                     flux_row_image, mass_solve, saddle_point_solve,
+                     schur_rayleigh_quotients, schur_residuals)
 
 
 def _system(preset, n):
@@ -93,16 +93,16 @@ def test_singular_element_block_names_its_triangle():
                          ["laplace", "shifted", "variable", "anisotropic"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16, 32])
 def test_schur_from_the_band_matches_sparse_lu(case, n):
-    """S = C + X^T X, X = U^-T B^T from the band of M's Cholesky factor U,
-    equals C + B M^-1 B^T through a sparse LU of M to 1e-14 of max |S|, and
-    is exactly symmetric.  The band, factored block by block, agrees with
-    LAPACK's band Cholesky of M to 4 ulp of max |U|, and U^T U rebuilt from
-    it reproduces M to 4 ulp of max |M|.  The sweeps take blocks of
-    max(w, 16) rows: one at n = 1 and 2, 25 at n = 32 (w = 127), where the
-    Schur complement takes X in 7 chunks of 4 blocks."""
+    """S = C + X^T X, X = U^-T B^T from the blocks of M's Cholesky factor
+    U, equals C + B M^-1 B^T through a sparse LU of M to 1e-14 of max |S|,
+    and is exactly symmetric.  U, rebuilt from its blocks, agrees with
+    LAPACK's band Cholesky of M to 4 ulp of max |U|, and U^T U reproduces
+    M to 4 ulp of max |M|.  The blocks have max(w, 16) rows: one at n = 1
+    and 2, 25 at n = 32 (w = 127), where the Schur complement takes X in 7
+    chunks of 4 blocks."""
     sys_ = _case_system(case, n)
-    band = flux_mass_factor(sys_.M)
-    s = schur_complement(sys_, band)
+    factor = flux_mass_factor(sys_.M)
+    s = schur_complement(sys_, factor)
     want = (sys_.B @ mass_solve(sys_, sys_.B.T.toarray())
             + np.diag(sys_.C))
     assert np.abs(s - want).max() <= 1e-14 * np.abs(s).max()
@@ -111,15 +111,24 @@ def test_schur_from_the_band_matches_sparse_lu(case, n):
 
     m = sys_.M.tocoo()
     width, e = int(np.abs(m.row - m.col).max()), sys_.num_edges
-    assert band.shape == (width + 1, e)
-    m_band = np.zeros_like(band)
+    block = max(width, 16)
+    assert len(factor) == -(-e // block)
+    assert factor[-1][1] is None
+    # cho_factor leaves M's old entries below the diagonal of U_II
+    u = sp.block_diag([np.triu(u_ii) for u_ii, _ in factor], format="lil")
+    for i, (_, coupling) in enumerate(factor[:-1]):
+        u[i * block:(i + 1) * block, (i + 1) * block:(i + 2) * block] = (
+            coupling)
+    u = u.tocsr()
+    m_band = np.zeros((width + 1, e))
     for d in range(width + 1):
         m_band[width - d, d:] = sys_.M.diagonal(d)
-        assert np.all(band[width - d, :d] == 0.0)
     lapack = la.cholesky_banded(m_band)
-    assert (np.abs(band - lapack).max()
+    u_band = np.array([np.pad(u.diagonal(d), (d, 0))
+                       for d in range(width, -1, -1)])
+    assert abs(sp.triu(u, width + 1)).max() == 0.0
+    assert (np.abs(u_band - lapack).max()
             <= 4 * np.spacing(np.abs(lapack).max()))
-    u = sp.dia_matrix((band, np.arange(width, -1, -1)), shape=(e, e))
     m_max = np.abs(sys_.M).max()
     assert abs(u.T @ u - sys_.M).max() <= 4 * np.spacing(m_max)
 
@@ -209,16 +218,23 @@ def test_residual_margin_n128(laplace128):
 
 
 def test_iterative_matches_dense_n16():
+    """The iterative path agrees with the dense one, and both agree with
+    the reference S = C + B M^-1 B^T through a sparse LU of M, eigh'd
+    whole, to the same tolerances."""
     mesh, sys_ = _system("laplace", 16)
     dense = solve_mixed_eigenproblem(mesh, sys_, 4, method="dense")
     it = solve_mixed_eigenproblem(mesh, sys_, 4, method="iterative", seed=0)
-    rel = np.abs(it.eigenvalues - dense.eigenvalues) / dense.eigenvalues
-    assert rel.max() <= 1e-12
-    # the first eigenvalue is simple
-    for dense_col, it_col in ((dense.vectors[:, 0], it.vectors[:, 0]),
-                              (dense.fluxes[:, 0], it.fluxes[:, 0])):
-        assert (np.abs(it_col - dense_col).max()
-                <= 1e-10 * np.abs(dense_col).max())
+    dense, it = ((r.eigenvalues, r.vectors, r.fluxes) for r in (dense, it))
+    ref = dense_schur_eigentriples(sys_, 4)
+    for (want_vals, want_vecs, want_fluxes), (vals, vecs, fluxes) in (
+            (dense, it), (ref, dense), (ref, it)):
+        rel = np.abs(vals - want_vals) / want_vals
+        assert rel.max() <= 1e-12
+        # the first eigenvalue is simple
+        for want_col, col in ((want_vecs[:, 0], vecs[:, 0]),
+                              (want_fluxes[:, 0], fluxes[:, 0])):
+            assert (np.abs(col - want_col).max()
+                    <= 1e-10 * np.abs(want_col).max())
 
 
 @pytest.fixture(scope="module")
