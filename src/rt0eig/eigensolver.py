@@ -11,17 +11,17 @@ block pencil.  The dense path, for levels of at most DENSE_MAX_TRIANGLES
 triangles, factorizes M = U^T U once per level within its band: M is
 banded in the mesh's edge order, and a Cholesky factor keeps the band of
 its matrix, so U is block-bidiagonal and is kept as the dense blocks its
-block Cholesky computes; neither M nor U is ever a full E x E array.  A
-block forward substitution over those blocks gives X = U^-T B^T a chunk
-of rows at a time, and S = C + X^T X accumulates one symmetric rank
-update per chunk and is mirrored, so it is exactly symmetric; X is never
-held whole.  The dense path diagonalizes the similarity transform
-D^-1/2 S D^-1/2 in S's own storage from one triangle and forms the
-residuals from the other, so an asymmetric S fails the residual check
-rather than being averaged, and a non-finite S is rejected by name.  A
-forward and a backward block sweep with k right-hand sides recover the
-fluxes of all pairs.  The iterative path, solve_gevp_iterative,
-never forms S nor factorizes M or the block matrix
+block Cholesky computes; neither M nor U is ever a full E x E array.  S
+is formed a block of columns at a time: a forward and a backward block
+sweep overwrite those columns of B^T by M^-1 B^T in place, B times them
+gives S's columns on and below the diagonal, and S is mirrored, so it is
+exactly symmetric; M^-1 B^T is never held whole.  The dense path
+diagonalizes the similarity transform D^-1/2 S D^-1/2 in S's own storage
+from one triangle and forms the residuals from the other, so an
+asymmetric S fails the residual check rather than being averaged, and a
+non-finite S is rejected by name.  The same sweeps with k right-hand
+sides recover the fluxes of all pairs.  The iterative path,
+solve_gevp_iterative, never forms S nor factorizes M or the block matrix
 K = [[M, B^T], [B, -C]].  It hybridizes K (Arnold and Brezzi, M2AN 19,
 1985): the flux space is broken triangle by triangle, one multiplier per
 interior edge makes the normal flux continuous, and the flux and the
@@ -52,11 +52,11 @@ FLUX_RTOL = 1e-11
 
 # The dense path holds the blocks of M's Cholesky factor, S (T x T) as a full
 # array, which it diagonalizes in its own storage (see solve_gevp), and one
-# chunk of X = U^-T B^T of about SCHUR_CHUNK_ROWS rows at a time.  At 2048
-# triangles (n = 32) S takes 32 MiB, a chunk 8 MiB and the 49 blocks of the
-# factor 6 MiB; at n = 64 S alone would take 512 MiB.
+# block of b columns of M^-1 B^T (E x b) and of S (T x b) at a time.  At 2048
+# triangles (n = 32, b = 127) S takes 32 MiB, the 49 blocks of the factor
+# 6 MiB and the two column blocks 5 MiB; at n = 64 S alone would take
+# 512 MiB.
 DENSE_MAX_TRIANGLES = 2048
-SCHUR_CHUNK_ROWS = 512
 
 ITER_BUDGET_PER_EIGENVALUE = 500
 
@@ -122,9 +122,8 @@ class EigenResult:
 def flux_mass_factor(M: sp.csr_matrix) -> list:
     """Cholesky factor U (M = U^T U) of the SPD flux mass matrix: the list
     [(U_11, U_12), ..., (U_LL, None)] of its blocks of b rows (the last may
-    have fewer), which the sweeps of schur_complement and flux_mass_solver
-    read.  Below its diagonal each U_II still holds entries of M, which no
-    sweep reads.
+    have fewer), which _solve_in_place reads.  Below its diagonal each U_II
+    still holds entries of M, which no sweep reads.
 
     M is banded in the mesh's edge order, with bandwidth w (127 at n = 32),
     and a Cholesky factor keeps the band of its matrix (George and Liu,
@@ -170,23 +169,13 @@ def flux_mass_solver(factor: list):
     flux_mass_factor returns them.
 
     The solve takes one right-hand side or a column block of them and
-    leaves them unchanged.  A C-ordered copy goes through _forward_solve
-    and then, from the last block up, X_I = U_II^-1 (X_I - U_I(I+1) X_(I+1)),
-    in scipy's BLAS alone: numpy loads an OpenBLAS of its own, and
-    alternating between the two is slow.  It checks only the right-hand
-    side for infs and NaNs, raising ValueError: cho_factor checked M.
+    leaves them unchanged: a C-ordered copy goes through _solve_in_place.
+    It checks only the right-hand side for infs and NaNs, raising
+    ValueError: cho_factor checked M.
     """
     def solve(rhs):
         x = np.array(np.asarray_chkfinite(rhs), dtype=float, order="C")
-        rows, block = x.reshape(x.shape[0], -1), factor[0][0].shape[0]
-        _forward_solve(factor, rows, 0, None)
-        for i, (u, coupling) in reversed(list(enumerate(factor))):
-            lo = i * block
-            xt, after = rows[lo:lo + block].T, rows[lo + block:lo + 2 * block]
-            if coupling is not None:
-                la.blas.dgemm(-1.0, after.T, coupling, beta=1.0, c=xt,
-                              trans_b=1, overwrite_c=True)
-            la.blas.dtrsm(1.0, u, xt, side=1, trans_a=1, overwrite_b=True)
+        _solve_in_place(factor, x.reshape(x.shape[0], -1))
         return x
 
     return solve
@@ -195,60 +184,60 @@ def flux_mass_solver(factor: list):
 def schur_complement(sys, factor: list) -> np.ndarray:
     """Dense Schur complement S = B M^-1 B^T + C of the mixed system.
 
-    `factor` holds the blocks of the Cholesky factor U of M, as
-    flux_mass_factor returns them.  With X = U^-T B^T, S = C + X^T X.  X is
-    never held whole: the rows of B^T go in chunks of whole blocks, about
-    SCHUR_CHUNK_ROWS rows, each densified, overwritten by _forward_solve
-    and added to S by one symmetric rank update (dsyrk); only the chunk's
-    last block is kept, for the next chunk's coupling.  S is then mirrored,
-    so it is exactly symmetric, and returned in C order.  Raises
-    NumericalError, naming the first column, if an entry is not finite.
+    `factor` holds the blocks of M's Cholesky factor (see
+    flux_mass_factor).  S is filled b columns at a time, b the factor's
+    block size: those columns of B^T are densified and overwritten by
+    Y = M^-1 B^T (_solve_in_place), and B Y plus C gives S's rows on and
+    below the diagonal.  Those columns of B^T, and the rows of B from the
+    block's first triangle on, have no entry above the first edge of those
+    triangles, so the sweeps start at its block.  Each block is checked, and
+    S is then mirrored, so it is exactly symmetric, in C order.  Raises
+    NumericalError naming the first column of S that is not finite.
     """
-    e, t = sys.num_edges, sys.num_triangles
-    block = factor[0][0].shape[0]
-    chunk = block * max(SCHUR_CHUNK_ROWS // block, 1)
-    bt = sys.B.T.tocsr()
-    # dsyrk adds X^T X to the upper triangle of the Fortran-ordered s; its
-    # transpose is S in C order with the lower triangle filled
-    s = np.zeros((t, t), order="F")
-    np.fill_diagonal(s, sys.C)
-    prev = None
-    for lo in range(0, e, chunk):
-        x = bt[lo:lo + chunk].toarray(order="C")
-        _forward_solve(factor, x, lo, prev)
-        s = la.blas.dsyrk(1.0, x.T, beta=1.0, c=s, overwrite_c=True)
-        prev = x[-block:].copy()
-        del x
-    s = s.T
+    t, block = sys.num_triangles, factor[0][0].shape[0]
+    # first[c]: the block of the first edge of triangles c, c + 1, ...
+    first = np.minimum.accumulate(
+        sys.triangle_edges.min(axis=1)[::-1])[::-1] // block
+    s = np.empty((t, t))
+    for lo in range(0, t, block):
+        hi, start = min(lo + block, t), first[lo]
+        y = sys.B[lo:hi].T.toarray(order="C")
+        _solve_in_place(factor[start:], y[start * block:])
+        cols, diag = s[lo:, lo:hi], np.arange(lo, hi)
+        cols[...] = sys.B[lo:] @ y
+        s[diag, diag] += sys.C[lo:hi]
+        bad = np.flatnonzero(~np.isfinite(cols).all(axis=0))
+        if bad.size:
+            raise NumericalError(
+                f"Schur complement column {lo + bad[0]} is not finite")
     _mirror_lower(s)
-    # S = C + sum over the chunks of X_c^T X_c, so
-    # |s_ij| <= sqrt((s_ii - c_i)(s_jj - c_j)): with C finite, a non-finite
-    # entry makes s_ii or s_jj non-finite
-    bad = np.flatnonzero(~np.isfinite(np.diagonal(s)))
-    if bad.size:
-        raise NumericalError(
-            f"Schur complement column {bad[0]} is not finite")
     return s
 
 
-def _forward_solve(factor, x, lo, prev):
-    """Overwrite x, the rows lo, lo + 1, ... of an E x T array in C order,
-    whole blocks of U except at row E, by their rows of U^-T x, with
-    `factor` the blocks of U (see flux_mass_factor).  `prev` holds the
-    solved rows of the block before row lo, or is None when lo is 0.
+def _solve_in_place(factor, x):
+    """Overwrite x, C-ordered with a row per edge, by M^-1 x, with `factor`
+    the blocks of U (see flux_mass_factor) or a trailing part of them, and
+    x the rows they cover.
 
-    X_I = U_II^-T (X_I - U_(I-1)I^T X_(I-1)).  A block of rows of x is
-    contiguous, and its transpose is the Fortran-ordered T x b array that
-    dgemm and dtrsm update in place over all T columns at once.
+    From the first block down, X_I = U_II^-T (X_I - U_(I-1)I^T X_(I-1)),
+    and then from the last block up, X_I = U_II^-1 (X_I - U_I(I+1) X_(I+1)).
+    A block of rows of x is contiguous, and its transpose is the
+    Fortran-ordered array that dgemm and dtrsm update in place, in scipy's
+    BLAS alone: numpy loads an OpenBLAS of its own, and alternating between
+    the two is slow.
     """
     block = factor[0][0].shape[0]
-    for r in range(0, x.shape[0], block):
-        xt, i = x[r:r + block].T, (lo + r) // block
+    xt = [x[lo:lo + block].T for lo in range(0, x.shape[0], block)]
+    for i, (u, _) in enumerate(factor):
         if i:
-            before = x[r - block:r] if r else prev
-            la.blas.dgemm(-1.0, before.T, factor[i - 1][1], beta=1.0, c=xt,
-                          overwrite_c=True)
-        la.blas.dtrsm(1.0, factor[i][0], xt, side=1, overwrite_b=True)
+            la.blas.dgemm(-1.0, xt[i - 1], factor[i - 1][1], beta=1.0,
+                          c=xt[i], overwrite_c=True)
+        la.blas.dtrsm(1.0, u, xt[i], side=1, overwrite_b=True)
+    for i, (u, coupling) in reversed(list(enumerate(factor))):
+        if coupling is not None:
+            la.blas.dgemm(-1.0, xt[i + 1], coupling, beta=1.0, c=xt[i],
+                          trans_b=1, overwrite_c=True)
+        la.blas.dtrsm(1.0, u, xt[i], side=1, trans_a=1, overwrite_b=True)
 
 
 def _mirror_lower(a):

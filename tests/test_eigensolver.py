@@ -104,10 +104,10 @@ def test_gevp_in_place_equals_copying_oracle(preset, n):
 
 def test_dense_level_peak_memory():
     """A dense n = 32 level holds S (T x T, 32 MiB), which is diagonalized
-    in its own storage, one chunk of X = U^-T B^T (at most 512 rows,
-    8 MiB) at a time and the 49 blocks of M's Cholesky factor (6 MiB); it
-    holds neither M nor X as a full array.  The traced peak stays at
-    64 MiB or below (50 MiB measured)."""
+    in its own storage, the 49 blocks of M's Cholesky factor (6 MiB), and
+    one E x b block of M^-1 B^T (3 MiB) and one T x b block of S's columns
+    (2 MiB) at a time, b = 127; it holds neither M nor M^-1 B^T as a full
+    array.  The traced peak stays at 48 MiB or below (44 MiB measured)."""
     mesh = build_structured_mesh(UNIT_SQUARE, 32)
     sys_ = assemble(mesh, get_preset("laplace"))
     tracemalloc.start()
@@ -116,7 +116,7 @@ def test_dense_level_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 64 * 2**20
+    assert peak <= 48 * 2**20
 
 
 def test_gevp_identity_operator():
@@ -161,9 +161,10 @@ def test_residual_check_rejects_nan():
 
 
 def test_schur_rejects_nan_solve(laplace_systems, monkeypatch):
-    """A NaN or an inf in C at triangle 3, or a NaN column 3 in one chunk
-    of X = U^-T B^T, leaves S's diagonal entry 3 non-finite, and the
-    finiteness check names column 3."""
+    """A NaN or an inf in C at triangle 3, a NaN column 3 of Y = M^-1 B^T
+    in the second block of S's columns, or a NaN in Y at an edge that
+    triangle 3 does not have, makes a column of S non-finite, and the
+    finiteness check names it by its global index."""
     _, sys_ = laplace_systems[4]
     factor = flux_mass_factor(sys_.M)
     for bad in (np.nan, np.inf):
@@ -171,22 +172,35 @@ def test_schur_rejects_nan_solve(laplace_systems, monkeypatch):
             sys_, C=np.where(np.arange(sys_.C.size) == 3, bad, sys_.C))
         with pytest.raises(NumericalError, match="column 3 is not finite"):
             schur_complement(bad_c, factor)
-    # n = 16 takes X in two chunks; the NaN goes into the second
+    solve, calls = eigensolver._solve_in_place, []
+
+    def nan_after(call, row, col):
+        def hooked(factor, x):
+            solve(factor, x)
+            calls.append(x.shape[0])
+            if len(calls) == call:
+                x[row, col] = np.nan
+        return hooked
+
+    # s_33 reads Y only at the edges of triangle 3, so the NaN at an edge
+    # of the last triangle leaves it finite; s_(T-1)3 is not
+    edge = sys_.triangle_edges[-1, 0]
+    assert edge not in sys_.triangle_edges[3]
+    monkeypatch.setattr(eigensolver, "_solve_in_place", nan_after(1, edge, 3))
+    with pytest.raises(NumericalError, match="column 3 is not finite"):
+        schur_complement(sys_, factor)
+    assert calls == [sys_.num_edges]
+    # n = 16 takes S's columns in blocks of b; the NaN goes into the second
     mesh = build_structured_mesh(UNIT_SQUARE, 16)
     sys_ = assemble(mesh, get_preset("laplace"))
     factor = flux_mass_factor(sys_.M)
-    solve, chunks = eigensolver._forward_solve, []
-
-    def nan_column(factor, x, lo, prev):
-        solve(factor, x, lo, prev)
-        chunks.append(lo)
-        if lo:
-            x[:, 3] = np.nan
-
-    monkeypatch.setattr(eigensolver, "_forward_solve", nan_column)
-    with pytest.raises(NumericalError, match="column 3 is not finite"):
+    block, calls[:] = factor[0][0].shape[0], []
+    monkeypatch.setattr(eigensolver, "_solve_in_place",
+                        nan_after(2, slice(None), 3))
+    with pytest.raises(NumericalError,
+                       match=f"column {block + 3} is not finite"):
         schur_complement(sys_, factor)
-    assert len(chunks) == 2 and chunks[0] == 0
+    assert len(calls) == 2 and block + 3 < sys_.num_triangles
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -93,13 +93,13 @@ def test_singular_element_block_names_its_triangle():
                          ["laplace", "shifted", "variable", "anisotropic"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16, 32])
 def test_schur_from_the_band_matches_sparse_lu(case, n):
-    """S = C + X^T X, X = U^-T B^T from the blocks of M's Cholesky factor
+    """S, formed through the solves with the blocks of M's Cholesky factor
     U, equals C + B M^-1 B^T through a sparse LU of M to 1e-14 of max |S|,
     and is exactly symmetric.  U, rebuilt from its blocks, agrees with
     LAPACK's band Cholesky of M to 4 ulp of max |U|, and U^T U reproduces
     M to 4 ulp of max |M|.  The blocks have max(w, 16) rows: one at n = 1
-    and 2, 25 at n = 32 (w = 127), where the Schur complement takes X in 7
-    chunks of 4 blocks."""
+    and 2, 25 at n = 32 (w = 127), where the Schur complement takes S's
+    2048 columns in 17 blocks."""
     sys_ = _case_system(case, n)
     factor = flux_mass_factor(sys_.M)
     s = schur_complement(sys_, factor)
