@@ -96,11 +96,12 @@ class EigenResult:
     dense path, or solve_gevp_iterative on the iterative one.
 
     Column j of `vectors` (T, k) is u_j, normalized to u^T D u = 1 with its
-    largest-magnitude entry positive; column j of `fluxes` (E, k) is
-    sigma_j, which solves M sigma = -B^T u.  `residuals` (k,) holds the
-    2-norms of S u - lambda D u on the dense path, formed from the triangle
-    of W = D^-1/2 S D^-1/2 that is left in S's storage after the
-    eigensolver overwrote it (see solve_gevp).  The iterative path does not
+    first entry within a relative 1e-8 of its largest magnitude positive
+    (see _column_signs); column j of `fluxes` (E, k) is sigma_j, which
+    solves M sigma = -B^T u.  `residuals` (k,) holds the 2-norms of
+    S u - lambda D u on the dense path, formed from the triangle of
+    W = D^-1/2 S D^-1/2 that is left in S's storage after the eigensolver
+    overwrote it (see solve_gevp).  The iterative path does not
     apply S and reports the 2-norms of C u - B sigma - lambda D u instead,
     the scalar row of the saddle-point system; they differ from
     S u - lambda D u by B M^-1 (M sigma + B^T u), the image of the flux
@@ -253,9 +254,11 @@ def _mirror_lower(a):
 
 
 def _column_signs(vecs: np.ndarray) -> np.ndarray:
-    """+1 or -1 per column, the sign of its first largest-magnitude entry
-    (argmax takes the lowest index of tied magnitudes)."""
-    idx = np.argmax(np.abs(vecs), axis=0)
+    """+1 or -1 per column, the sign of its first entry within a relative
+    1e-8 of its largest magnitude: a mode with entries +-a at mirrored
+    triangles must not leave the sign to rounding."""
+    mags = np.abs(vecs)
+    idx = np.argmax(mags >= (1.0 - 1e-8) * mags.max(axis=0), axis=0)
     return np.where(vecs[idx, np.arange(vecs.shape[1])] < 0, -1.0, 1.0)
 
 

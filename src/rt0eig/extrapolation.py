@@ -1,9 +1,12 @@
 """Richardson extrapolation and convergence-order estimation.
 
 Eigenvalue sequences computed on meshes with n doubling between levels are
-matched by ascending index, grouped into clusters when the gap on the
-finest level is negligible (a multiple eigenvalue split by discretization),
-extrapolated pairwise, and turned into observed-order tables.
+matched by ascending index into a (k, L) array, grouped into clusters when
+the extrapolated limits of neighbouring indices agree (a multiple eigenvalue
+split by discretization), extrapolated across every neighbouring level pair
+at once, and turned into observed-order tables.  Each step is an array
+expression over indices and level pairs; only the table's rows are built
+one cluster at a time.
 """
 
 import math
@@ -31,7 +34,8 @@ def richardson(coarse: float, fine: float,
     """Cancel the leading h^p error term from values at h and h/2.
 
     Returns (2^p * fine - coarse) / (2^p - 1); exact whenever the inputs
-    follow value + C h^p.
+    follow value + C h^p.  It works elementwise, so arrays of coarse and
+    fine values give the extrapolations of all their pairs in one call.
     """
     if p <= 0:
         raise ValueError(f"expansion order must be positive, got {p}")
@@ -48,11 +52,9 @@ def observed_order(errors) -> np.ndarray:
     e = np.asarray(errors, dtype=float)
     if e.size < 2:
         raise ValueError("need at least two error values")
-    orders = np.full(e.size - 1, np.nan)
-    for i in range(e.size - 1):
-        if e[i] > SATURATION and e[i + 1] > SATURATION:
-            orders[i] = math.log2(e[i] / e[i + 1])
-    return orders
+    # math.log2, not np.log2: the two differ in the last bit on some ratios
+    return np.array([math.log2(a / b) if a > SATURATION and b > SATURATION
+                     else math.nan for a, b in zip(e, e[1:])])
 
 
 @dataclass(frozen=True)
@@ -100,15 +102,12 @@ def match_and_cluster(levels) -> LevelSequence:
                 f"levels must double: {n0} followed by {n1}")
 
     matched = np.vstack([vals for _, _, vals in levels]).T  # (k, L)
-    limits = np.array([richardson(matched[i, -2], matched[i, -1])
-                       for i in range(k)])
-    clusters: list[list[int]] = [[0]]
-    for i in range(1, k):
-        gap = abs(limits[i] - limits[i - 1])
-        if gap <= CLUSTER_RTOL * max(1.0, abs(limits[i - 1])):
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
+    limits = richardson(matched[:, -2], matched[:, -1])
+    # a cluster ends wherever the gap test fails, a NaN gap included
+    joined = (np.abs(np.diff(limits))
+              <= CLUSTER_RTOL * np.maximum(1.0, np.abs(limits[:-1])))
+    clusters = [c.tolist() for c in
+                np.split(np.arange(k), np.flatnonzero(~joined) + 1)]
     return LevelSequence(levels=levels, matched=matched, clusters=clusters)
 
 
@@ -176,12 +175,11 @@ def build_table(seq: LevelSequence,
     )
     nlev = len(seq.levels)
     for indices, raw in zip(seq.clusters, seq.cluster_means()):
-        extrap = np.array([richardson(raw[i], raw[i + 1])
-                           for i in range(nlev - 1)])
+        extrap = richardson(raw[:-1], raw[1:])
         if reference is not None:
-            ref = float(np.mean([reference[i] for i in indices]))
+            ref = float(np.mean(np.asarray(reference)[indices]))
         else:
-            ref = richardson(raw[-2], raw[-1])
+            ref = extrap[-1]
         err_raw = np.abs(raw - ref)
         err_extrap = np.abs(extrap - ref)
         row = ClusterRow(

@@ -73,20 +73,14 @@ def laplace_eigenpair(m: int, n: int, rect: Rectangle) -> AnalyticEigenpair:
 
 def laplace_eigenvalues(count: int, rect: Rectangle,
                         shift: float = 0.0) -> np.ndarray:
-    """The `count` smallest analytic eigenvalues, ascending."""
-    lx, ly = rect.width, rect.height
-    # The modes (m, 1), m <= count, along the longer side are `count`
-    # eigenvalues, so the count-th smallest is at most pi^2 * bound.  A mode
-    # (m, n) at or below that has m^2/lx^2 <= bound - 1/ly^2 and
-    # n^2/ly^2 <= bound - 1/lx^2, which bounds each axis by its own length.
-    bound = count**2 / max(lx, ly) ** 2 + 1.0 / min(lx, ly) ** 2
-    m_max = int(lx * math.sqrt(bound - 1.0 / ly**2)) + 1
-    n_max = int(ly * math.sqrt(bound - 1.0 / lx**2)) + 1
-    vals = sorted(
-        math.pi**2 * (m**2 / lx**2 + n**2 / ly**2) + shift
-        for m in range(1, m_max + 1) for n in range(1, n_max + 1)
-    )
-    return np.array(vals[:count])
+    """The `count` smallest analytic eigenvalues, ascending, with `shift`
+    added: pi^2 (m^2 / width^2 + n^2 / height^2) + shift over m, n >= 1."""
+    # A mode (m, n) with m > count lies above the `count` modes (1..count, n),
+    # and likewise in n, so the count smallest all have m, n <= count.
+    m = np.arange(1, count + 1)
+    vals = (math.pi**2 * (m[:, None]**2 / rect.width**2
+                          + m[None, :]**2 / rect.height**2) + shift)
+    return np.sort(vals, axis=None)[:count]
 
 
 def _element_points(mesh: Mesh):

@@ -20,7 +20,9 @@ the dense Schur complement, eigenpair residuals and Rayleigh quotients
 through a sparse LU of M rather than the blocks of its Cholesky factor or
 the saddle-point block, and solves with that block from a sparse direct
 solve of it whole, not from its hybridization.  The dense eigensolve has a
-reference that copies whole arrays where the package works in place.
+reference that copies whole arrays where the package works in place, and
+the sign convention one that scans each column for the entry it makes
+positive.
 
 The per-element and per-point references at the end redo, one triangle,
 edge or point at a time, what the package computes on whole arrays: global
@@ -31,7 +33,8 @@ nested-dissection LU of the saddle-point block, and the projections and L2
 errors of the superclose module, at the points of a given rule.  The study's
 superclose block has a post-hoc reference that measures every level after
 the last one is solved, where the package measures each level while it is
-alive.  Last come the report renderers that walk the convergence table
+alive.  The extrapolation table and the analytic Laplace spectrum follow,
+one index, level pair or mode at a time.  Last come the report renderers that walk the convergence table
 once per output, each with its own level offsets.
 """
 
@@ -55,8 +58,9 @@ from rt0eig.coefficients import (QuadratureRule, field_values, quad_points,
                                  rowdot, weighted_sum)
 from rt0eig.eigensolver import (NumericalError, _check_residuals,
                                 _column_signs, _residuals)
-from rt0eig.extrapolation import (EXPANSION_ORDER, ConvergenceTable,
-                                  SupercloseBlock)
+from rt0eig.extrapolation import (CLUSTER_RTOL, EXPANSION_ORDER, SATURATION,
+                                  ClusterRow, ConvergenceTable, LevelSequence,
+                                  SupercloseBlock, richardson)
 
 
 def _local_geometry(tri):
@@ -305,6 +309,16 @@ def copying_solve_gevp(S, D, k):
     residuals = _residuals(S @ vecs, d[:, None] * vecs, vals)
     _check_residuals(residuals, np.linalg.norm(S))
     return vals, vecs, residuals
+
+
+def sign_entries(vecs):
+    """Per column, its first entry whose magnitude is within a relative
+    1e-8 of its largest: the entry the sign convention makes positive."""
+    out = []
+    for col in np.asarray(vecs).T:
+        top = max(abs(v) for v in col)
+        out.append(next(v for v in col if abs(v) >= (1.0 - 1e-8) * top))
+    return np.array(out)
 
 
 def mass_solve(sys, rhs):
@@ -562,6 +576,79 @@ def posthoc_superclose_block(prob, solved):
         err_u=np.array(err_u),
         err_sigma=np.array(err_sigma),
     )
+
+
+def loop_observed_order(errors):
+    """observed_order one neighbouring pair at a time."""
+    e = np.asarray(errors, dtype=float)
+    orders = np.full(e.size - 1, np.nan)
+    for i in range(e.size - 1):
+        if e[i] > SATURATION and e[i + 1] > SATURATION:
+            orders[i] = math.log2(e[i] / e[i + 1])
+    return orders
+
+
+def loop_match_and_cluster(levels):
+    """match_and_cluster without its input checks, extrapolating one index
+    at a time and growing the clusters one index at a time."""
+    levels = [(int(n), float(h), np.asarray(vals, dtype=float))
+              for n, h, vals in levels]
+    k = levels[0][2].size
+    matched = np.vstack([vals for _, _, vals in levels]).T
+    limits = np.array([richardson(matched[i, -2], matched[i, -1])
+                       for i in range(k)])
+    clusters = [[0]]
+    for i in range(1, k):
+        gap = abs(limits[i] - limits[i - 1])
+        if gap <= CLUSTER_RTOL * max(1.0, abs(limits[i - 1])):
+            clusters[-1].append(i)
+        else:
+            clusters.append([i])
+    return LevelSequence(levels=levels, matched=matched, clusters=clusters)
+
+
+def loop_build_table(seq, reference=None):
+    """build_table extrapolating one level pair at a time, with the self
+    reference extrapolated again from the two finest raw values."""
+    table = ConvergenceTable(
+        level_ns=[n for n, _, _ in seq.levels],
+        level_hs=[h for _, h, _ in seq.levels],
+        reference_kind="analytic" if reference is not None else "self",
+    )
+    nlev = len(seq.levels)
+    for indices, raw in zip(seq.clusters, seq.cluster_means()):
+        extrap = np.array([richardson(raw[i], raw[i + 1])
+                           for i in range(nlev - 1)])
+        if reference is not None:
+            ref = float(np.mean([reference[i] for i in indices]))
+        else:
+            ref = richardson(raw[-2], raw[-1])
+        err_raw = np.abs(raw - ref)
+        err_extrap = np.abs(extrap - ref)
+        lo, hi = indices[0] + 1, indices[-1] + 1
+        table.rows.append(ClusterRow(
+            indices=list(indices),
+            label=str(lo) if lo == hi else f"{lo}-{hi}",
+            raw=raw, extrapolated=extrap, reference=ref,
+            err_raw=err_raw, err_extrap=err_extrap,
+            order_raw=loop_observed_order(err_raw),
+            order_extrap=(loop_observed_order(err_extrap)
+                          if nlev >= 3 else np.empty(0))))
+    return table
+
+
+def loop_laplace_eigenvalues(count, rect, shift=0.0):
+    """laplace_eigenvalues from a separate bound on each axis, sorted as
+    a Python list."""
+    lx, ly = rect.width, rect.height
+    bound = count**2 / max(lx, ly) ** 2 + 1.0 / min(lx, ly) ** 2
+    m_max = int(lx * math.sqrt(bound - 1.0 / ly**2)) + 1
+    n_max = int(ly * math.sqrt(bound - 1.0 / lx**2)) + 1
+    vals = sorted(
+        math.pi**2 * (m**2 / lx**2 + n**2 / ly**2) + shift
+        for m in range(1, m_max + 1) for n in range(1, n_max + 1)
+    )
+    return np.array(vals[:count])
 
 
 # ---------------------------------------------------------------------------

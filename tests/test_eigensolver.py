@@ -10,7 +10,8 @@ from rt0eig import (NumericalError, assemble, build_structured_mesh,
 from rt0eig.eigensolver import (flux_mass_factor, flux_mass_solver,
                                 recover_flux, schur_complement, solve_gevp,
                                 solve_gevp_iterative)
-from oracles import copying_solve_gevp, mass_solve, saddle_point_eigenvalues
+from oracles import (copying_solve_gevp, mass_solve, saddle_point_eigenvalues,
+                     sign_entries)
 
 
 def _schur(sys_):
@@ -287,8 +288,33 @@ def test_d_orthonormality_and_positivity(laplace_systems):
 def test_sign_convention(laplace_systems):
     _, sys_ = laplace_systems[4]
     _, vecs, _ = solve_gevp(_schur(sys_), sys_.D, 4)
-    for j in range(4):
-        assert vecs[np.argmax(np.abs(vecs[:, j])), j] > 0
+    assert np.all(sign_entries(vecs) > 0)
+
+
+def test_sign_of_tied_entries_ignores_rounding():
+    """Entries -0.5 and 0.5, one of them nudged by one ulp up or down, give
+    one sign: that of the first of them, whichever rounding makes larger."""
+    signs = []
+    for nudged in (1, 2):
+        for toward in (0.0, 1.0):
+            col = np.array([0.1, -0.5, 0.5, 0.3])
+            col[nudged] = np.copysign(np.nextafter(0.5, toward), col[nudged])
+            signs.append(float(eigensolver._column_signs(col[:, None])[0]))
+    assert signs == [-1.0] * 4
+
+
+def test_dense_and_iterative_vectors_agree_in_sign():
+    """Every eigenvalue here is simple, so each discrete mode is one vector
+    up to sign, and both paths must give it the same sign."""
+    for preset in ("laplace", "shifted", "variable"):
+        for n in (4, 8, 16):
+            mesh = build_structured_mesh(UNIT_SQUARE, n)
+            sys_ = assemble(mesh, get_preset(preset))
+            dense, it = (solve_mixed_eigenproblem(mesh, sys_, 6, method=m)
+                         for m in ("dense", "iterative"))
+            cosines = np.sum(dense.vectors * (sys_.D[:, None] * it.vectors),
+                             axis=0)
+            assert np.all(cosines > 0.99), (preset, n, cosines)
 
 
 def test_first_eigenvalue_converges_to_reference(laplace_systems):
@@ -471,8 +497,7 @@ def test_eigen_result_holds_the_solver_arrays(laplace_systems, method):
     assert np.array_equal(res.residuals, residuals)
     norms = np.sum(sys_.D[:, None] * res.vectors**2, axis=0)
     assert np.all(np.abs(norms - 1.0) <= 1e-12)
-    largest = np.argmax(np.abs(res.vectors), axis=0)
-    assert np.all(res.vectors[largest, np.arange(k)] > 0)
+    assert np.all(sign_entries(res.vectors) > 0)
 
 
 def test_iterative_path_matches_dense(laplace_systems):

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
-from rt0eig import (SupercloseBlock, build_table, match_and_cluster,
-                    observed_order, richardson)
+from rt0eig import (UNIT_SQUARE, SupercloseBlock, assemble, build_table,
+                    build_structured_mesh, get_preset, laplace_eigenvalues,
+                    match_and_cluster, observed_order, richardson,
+                    solve_mixed_eigenproblem)
+from rt0eig.extrapolation import SATURATION
+from oracles import (loop_build_table, loop_match_and_cluster,
+                     loop_observed_order)
 
 
 def test_richardson_cancels_quadratic_term():
@@ -149,3 +154,101 @@ def test_superclose_orders_are_derived_not_passed():
     with pytest.raises(TypeError, match="order_distance"):
         SupercloseBlock(mode=(1, 1), distance=errors, err_u=errors,
                         err_sigma=errors, order_distance=np.zeros(2))
+
+
+# ---------------------------------------------------------------------------
+# the array expressions against the loops they replace
+
+
+def _with_nan(levels, level, index):
+    levels[level][2][index] = np.nan
+    return levels
+
+
+SYNTHETIC = {
+    "split double": _synthetic_levels([2.0, 5.0, 5.0, 8.0],
+                                      [1.0, 3.0, 7.0, 2.0]),
+    "triple": _synthetic_levels([1.0, 4.0, 4.0, 4.0, 9.0],
+                                [1.0, 2.0, 5.0, 9.0, 1.0], (8, 16, 32, 64)),
+    "equal values": [(4, 0.35, np.array([1.0, 2.5, 2.5])),
+                     (8, 0.17, np.array([1.0, 2.5, 2.5])),
+                     (16, 0.09, np.array([1.0, 2.5, 2.5]))],
+    "NaN on the finest level": _with_nan(_synthetic_levels(
+        [1.0, 2.0, 2.0, 3.0], [1.0, 1.0, 2.0, 1.0]), 2, 1),
+    "NaN on a coarse level": _with_nan(_synthetic_levels(
+        [1.0, 2.0, 2.0, 3.0], [1.0, 1.0, 2.0, 1.0]), 0, 2),
+    "saturated errors": _synthetic_levels([1.0, 1.0 + 1e-14, 7.0],
+                                          [0.0, 0.0, 1e-12]),
+    "two levels": _synthetic_levels([2.0, 5.0, 5.0], [1.0, 3.0, 7.0],
+                                    (8, 16)),
+    "k = 1": _synthetic_levels([3.0], [2.0], (4, 8, 16, 32)),
+}
+
+
+@pytest.fixture(scope="module")
+def solved_levels():
+    """Iterative eigenvalues per study: laplace with a split (1,3)/(3,1)
+    pair, then with that pair cut at k = 5, and the variable preset."""
+    studies = {}
+    for preset, ns, k in (("laplace", (8, 16, 32), 6),
+                          ("laplace", (8, 16, 32), 5),
+                          ("variable", (8, 16, 32, 64), 6)):
+        levels = []
+        for n in ns:
+            mesh = build_structured_mesh(UNIT_SQUARE, n)
+            res = solve_mixed_eigenproblem(
+                mesh, assemble(mesh, get_preset(preset)), k)
+            levels.append((res.n, res.h, res.eigenvalues))
+        studies[f"{preset} k={k}"] = levels
+    return studies
+
+
+def _assert_same_tables(got, want):
+    assert (got.level_ns, got.level_hs, got.reference_kind) == (
+        want.level_ns, want.level_hs, want.reference_kind)
+    assert len(got.rows) == len(want.rows)
+    for g, w in zip(got.rows, want.rows):
+        assert (g.indices, g.label) == (w.indices, w.label)
+        assert type(g.reference) is type(w.reference)
+        for name in ("reference", "raw", "extrapolated", "err_raw",
+                     "err_extrap", "order_raw", "order_extrap"):
+            a, b = getattr(g, name), getattr(w, name)
+            assert np.shape(a) == np.shape(b), name
+            assert np.array_equal(a, b, equal_nan=True), name
+
+
+def _assert_matches_loops(levels, reference):
+    seq, want = match_and_cluster(levels), loop_match_and_cluster(levels)
+    assert seq.clusters == want.clusters
+    assert all(type(i) is int for c in seq.clusters for i in c)
+    assert np.array_equal(seq.matched, want.matched, equal_nan=True)
+    for ref in (None, reference):
+        _assert_same_tables(build_table(seq, reference=ref),
+                            loop_build_table(want, reference=ref))
+
+
+@pytest.mark.parametrize("case", SYNTHETIC)
+def test_table_matches_loops_on_synthetic_sequences(case):
+    levels = SYNTHETIC[case]
+    # one reference value per index: the finest values, a NaN replaced
+    reference = np.sort(np.nan_to_num(levels[-1][2], nan=2.0))
+    _assert_matches_loops(levels, reference)
+
+
+@pytest.mark.parametrize("study", ["laplace k=6", "laplace k=5",
+                                   "variable k=6"])
+def test_table_matches_loops_on_solved_levels(solved_levels, study):
+    levels = solved_levels[study]
+    k = levels[0][2].size
+    _assert_matches_loops(levels, laplace_eigenvalues(k, UNIT_SQUARE))
+
+
+def test_observed_order_matches_loop():
+    rng = np.random.default_rng(7)
+    e = 10.0 ** rng.uniform(-16, 0, 200)
+    e[rng.integers(0, 200, 20)] = 0.0
+    e[rng.integers(0, 200, 5)] = -1e-3
+    e[rng.integers(0, 200, 5)] = np.nan
+    for errors in (e, e[:2], [SATURATION, 1e-3]):
+        assert np.array_equal(observed_order(errors),
+                              loop_observed_order(errors), equal_nan=True)

@@ -9,6 +9,7 @@ from rt0eig.coefficients import PROJECTION_RULE
 from rt0eig.mesh import Rectangle
 from oracles import (duffy_triangle_integral, edge_normals,
                      fortin_interpolate, gauss_edge_integral,
+                     loop_laplace_eigenvalues,
                      pointwise_fortin, pointwise_l2_errors,
                      pointwise_p0_project, triangle_coords)
 
@@ -212,6 +213,22 @@ def test_laplace_eigenvalues_match_brute_force(rect, count):
                                 + n**2 / rect.height**2), axis=None)
     got = laplace_eigenvalues(count, rect, shift=1.5)
     assert got == pytest.approx(brute[:count] + 1.5, rel=1e-14)
+
+
+@pytest.mark.parametrize("rect", [UNIT_SQUARE,
+                                  Rectangle(0.0, 0.0, 10.0, 1.0),
+                                  Rectangle(0.0, 0.0, 1.0, 0.001),
+                                  Rectangle(0.0, 0.0, 1.0, 2.0),
+                                  Rectangle(0.0, 0.0, 4.0, 1.0),
+                                  Rectangle(-1.0, 0.5, 2.0, 3.5),
+                                  Rectangle(0.0, 0.0, 0.3, 0.7)])
+def test_laplace_eigenvalues_bitwise_equal_to_axis_bound_loop(rect):
+    for count in [*range(1, 60), 100, 257]:
+        for shift in (0.0, 1.5, 5.0):
+            got = laplace_eigenvalues(count, rect, shift=shift)
+            want = loop_laplace_eigenvalues(count, rect, shift=shift)
+            assert got.shape == want.shape == (count,)
+            assert np.array_equal(got, want), (count, shift)
 
 
 def test_eigenpair_broadcasts_over_point_arrays():
