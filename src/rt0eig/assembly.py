@@ -32,7 +32,7 @@ import scipy.sparse as sp
 
 from .coefficients import (ASSEMBLY_RULE, COEFF_EPS, ProblemSpec,
                            field_values, quad_points, rowdot, weighted_sum)
-from .mesh import Mesh, nested_dissection_order
+from .mesh import Mesh
 
 DEGENERATE_AREA = 1e-14
 
@@ -47,17 +47,13 @@ class AssembledSystem:
     the solvers factorize what they need of it themselves.
 
     C and D hold the diagonals of the (diagonal) reaction and weight mass
-    matrices as 1-D arrays of length num_triangles.  `order` lists the
-    interior edges in the mesh's nested-dissection order (see
-    nested_dissection_order); they carry the interface multipliers of the
-    iterative solver, which numbers them in that order.
+    matrices as 1-D arrays of length num_triangles.
 
     The element blocks that M and B are summed from stay alongside them
     for the iterative solver, which hybridizes the mixed system triangle by
     triangle: `m_vals` (T, 3, 3) holds each triangle's flux mass block and
-    `div_vals` (T, 3) its row of B, both over its local edges, and
-    `triangle_edges` (T, 3) the global edge of each local edge (the mesh's
-    array of that name).
+    `div_vals` (T, 3) its row of B, both over its local edges, whose global
+    edges are the mesh's `triangle_edges`.
     """
 
     M: sp.csr_matrix
@@ -66,10 +62,8 @@ class AssembledSystem:
     D: np.ndarray
     num_edges: int
     num_triangles: int
-    order: np.ndarray
     m_vals: np.ndarray
     div_vals: np.ndarray
-    triangle_edges: np.ndarray
 
 
 def _coefficient(f, name, x, y, tail=()):
@@ -206,9 +200,7 @@ def assemble(mesh: Mesh, prob: ProblemSpec) -> AssembledSystem:
 
     return AssembledSystem(M=M, B=B, C=c_diag, D=d_diag,
                            num_edges=ne, num_triangles=nt,
-                           order=nested_dissection_order(mesh),
-                           m_vals=m_vals, div_vals=div_vals,
-                           triangle_edges=te)
+                           m_vals=m_vals, div_vals=div_vals)
 
 
 def dump_matrix(mat) -> str:

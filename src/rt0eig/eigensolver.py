@@ -26,16 +26,16 @@ K = [[M, B^T], [B, -C]].  It hybridizes K (Arnold and Brezzi, M2AN 19,
 1985): the flux space is broken triangle by triangle, one multiplier per
 interior edge makes the normal flux continuous, and the flux and the
 scalar are eliminated element by element through the block diagonal
-inverse A^-1 of the element blocks.
+inverse A^-1 of the element blocks, over the mesh's triangle edges.
 With G the jump map from the element slots to the multipliers, K^-1 =
 Z - W H^-1 W^T, where Z and W are A^-1 and A^-1 G^T restricted to K's
 unknowns and H = G A^-1 G^T is a symmetric positive definite system on the
 interior edges with at most 5 entries per row.  One sparse LU of H per
-level, in the mesh's nested-dissection order and without pivoting,
-applies S^-1 for shift-invert ARPACK and then gives the fluxes of the
-eigentriples.  Up to a sign and the edge length, the multipliers
-approximate the scalar's trace on the interior edges, from which Arnold
-and Brezzi post-process it.
+level, in the nested-dissection order of the mesh that the iterative path
+takes with its system, and without pivoting, applies S^-1 for shift-invert
+ARPACK and then gives the fluxes of the eigentriples.  Up to a sign and
+the edge length, the multipliers approximate the scalar's trace on the
+interior edges, from which Arnold and Brezzi post-process it.
 """
 
 import re
@@ -45,6 +45,8 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+from .mesh import nested_dissection_order
 
 # Residual and orthonormality contracts.
 RESIDUAL_RTOL = 1e-10
@@ -191,14 +193,15 @@ def schur_complement(sys, factor: list) -> np.ndarray:
     Y = M^-1 B^T (_solve_in_place), and B Y plus C gives S's rows on and
     below the diagonal.  Those columns of B^T, and the rows of B from the
     block's first triangle on, have no entry above the first edge of those
-    triangles, so the sweeps start at its block.  Each block is checked, and
-    S is then mirrored, so it is exactly symmetric, in C order.  Raises
-    NumericalError naming the first column of S that is not finite.
+    triangles, the least column in their rows of B, so the sweeps start at
+    its block.  Each block is checked, and S is then mirrored, so it is
+    exactly symmetric, in C order.  Raises NumericalError naming the first
+    column of S that is not finite.
     """
     t, block = sys.num_triangles, factor[0][0].shape[0]
     # first[c]: the block of the first edge of triangles c, c + 1, ...
-    first = np.minimum.accumulate(
-        sys.triangle_edges.min(axis=1)[::-1])[::-1] // block
+    first = np.minimum.accumulate(np.minimum.reduceat(
+        sys.B.indices, sys.B.indptr[:-1])[::-1])[::-1] // block
     s = np.empty((t, t))
     for lo in range(0, t, block):
         hi, start = min(lo + block, t), first[lo]
@@ -325,7 +328,7 @@ def _check_residuals(residuals, s_norm):
             f"eigenpair {bad} residual {worst:g} exceeds bound {bound:g}")
 
 
-def _hybridize(sys):
+def _hybridize(mesh, sys):
     """Sparse (Z, W, H) such that K^-1 r = Z r - W H^-1 W^T r.
 
     The flux space is broken triangle by triangle, and the normal flux of
@@ -335,9 +338,9 @@ def _hybridize(sys):
     [[M_T, L_T^T], [L_T, -c_T]] (M_T from m_vals, L_T from div_vals).  Each
     unknown of K has one slot: a triangle's scalar its own, and an edge's
     flux that of its first triangle, its owner, which also gives its sigma
-    back.  The jump map G takes the owner's slot minus the neighbour's to
-    the multipliers, numbered as `sys.order` lists the interior edges.
-    Then
+    back.  The jump map G takes the owner's slot minus the neighbour's, at
+    the mesh's `triangle_edges`, to the multipliers, numbered in the mesh's
+    nested_dissection_order of its interior edges.  Then
 
         Z = A^-1 restricted to the slots of K,
         W = A^-1 G^T restricted to the slots of K,   H = G A^-1 G^T.
@@ -361,19 +364,20 @@ def _hybridize(sys):
     inv = 0.5 * (inv + inv.transpose(0, 2, 1))
     a_inv = sp.bsr_matrix((inv, np.arange(t), np.arange(t + 1))).tocsr()
 
-    te = sys.triangle_edges.ravel()
+    te = mesh.triangle_edges.ravel()
     # local edge p = 3t + i has slot 4t + i; owner[e] is the first p of e
     p = np.arange(3 * t)
     local = 4 * (p // 3) + p % 3
     owner = np.unique(te, return_index=True)[1]
     slot = np.concatenate([local[owner], 4 * np.arange(t) + 3])
+    order = nested_dissection_order(mesh)
     multiplier = np.full(ne, -1)
-    multiplier[sys.order] = np.arange(sys.order.size)
+    multiplier[order] = np.arange(order.size)
     interior = multiplier[te] >= 0
     g = sp.csr_matrix(
         (np.where(owner[te] == p, 1.0, -1.0)[interior],
          (multiplier[te][interior], local[interior])),
-        shape=(sys.order.size, 4 * t))
+        shape=(order.size, 4 * t))
 
     a_inv_gt = a_inv @ g.T
     z, w, h = a_inv[slot][:, slot], a_inv_gt[slot], g @ a_inv_gt
@@ -407,9 +411,9 @@ def _k_solve(z, w, h_lu, rhs):
     return z @ rhs - w @ h_lu.solve(w.T @ rhs)
 
 
-def solve_gevp_iterative(sys, k: int, seed: int = 0):
+def solve_gevp_iterative(mesh, sys, k: int, seed: int = 0):
     """Shift-invert ARPACK variant of solve_gevp acting on the assembled
-    system without forming S or factorizing M.
+    system of `mesh` without forming S or factorizing M.
 
     Returns (values, vectors, fluxes, residuals): values and vectors like
     solve_gevp, the flux sigma_j of each vector as the columns of fluxes,
@@ -417,8 +421,8 @@ def solve_gevp_iterative(sys, k: int, seed: int = 0):
     block K = [[M, B^T], [B, -C]] is solved through its hybridization (see
     _hybridize): K^-1 r = Z r - W H^-1 W^T r, with H the symmetric positive
     definite system of the interface multipliers, factorized once per level
-    by a sparse LU without pivoting in the multipliers' nested-dissection
-    order.  Through that factor:
+    by a sparse LU without pivoting in the mesh's nested-dissection order
+    of its interior edges.  Through that factor:
 
     * ARPACK finds the largest eigenvalues 1/lambda of D^1/2 S^-1 D^1/2,
       applying S^-1 v as the triangle block of K^-1 [0; -v], from a start
@@ -439,7 +443,7 @@ def solve_gevp_iterative(sys, k: int, seed: int = 0):
     check_request("iterative", t, k, seed)
     d = sys.D
     ne = sys.num_edges
-    z, w, h = _hybridize(sys)
+    z, w, h = _hybridize(mesh, sys)
     h_lu = _factor_multipliers(h)
     sqd = np.sqrt(d)
     # the triangle block of K^-1: Z's is diagonal
@@ -540,9 +544,16 @@ def solve_mixed_eigenproblem(mesh, sys, k: int, method: str = "iterative",
 
     `method` is "iterative" (shift-invert ARPACK) or "dense" (Schur
     complement plus a dense symmetric solver, for at most
-    DENSE_MAX_TRIANGLES triangles).  A request outside the solver limits
-    (see check_request) raises NumericalError before any work.
+    DENSE_MAX_TRIANGLES triangles).  A system whose edge and triangle
+    counts are not the mesh's raises ValueError, and a request outside the
+    solver limits (see check_request) NumericalError, both before any work.
     """
+    if ((sys.num_edges, sys.num_triangles)
+            != (mesh.num_edges, mesh.num_triangles)):
+        raise ValueError(
+            f"system of {sys.num_edges} edges and {sys.num_triangles} "
+            f"triangles does not match the mesh of {mesh.num_edges} edges "
+            f"and {mesh.num_triangles} triangles")
     check_request(method, sys.num_triangles, k, seed)
     if method == "dense":
         factor = flux_mass_factor(sys.M)
@@ -550,7 +561,8 @@ def solve_mixed_eigenproblem(mesh, sys, k: int, method: str = "iterative",
                                            sys.D, k)
         fluxes = recover_flux(vecs, sys, flux_mass_solver(factor))
     else:
-        vals, vecs, fluxes, residuals = solve_gevp_iterative(sys, k, seed)
+        vals, vecs, fluxes, residuals = solve_gevp_iterative(mesh, sys, k,
+                                                             seed)
     return EigenResult(n=mesh.n, h=mesh.h, num_edges=sys.num_edges,
                        num_triangles=sys.num_triangles, eigenvalues=vals,
                        vectors=vecs, fluxes=fluxes, residuals=residuals)

@@ -89,6 +89,8 @@ def match_and_cluster(levels) -> LevelSequence:
     if len(levels) < 2:
         raise ValueError("need at least two levels")
     k = levels[0][2].size
+    if k == 0:
+        raise ValueError("need at least one eigenvalue per level")
     for n, _, vals in levels:
         if vals.size != k:
             raise ValueError(

@@ -110,18 +110,25 @@ def superclose_distance(u_h: np.ndarray, pu: np.ndarray,
     projection of the exact one.
 
     Both vectors are normalized to unit D-norm and the sign of u_h is
-    aligned to the projection before measuring.
+    aligned to the projection before measuring.  A vector whose D-norm is
+    zero or not finite raises ValueError naming it.
     """
     d = np.asarray(D, dtype=float)
-    pu_norm = math.sqrt(float(pu @ (d * pu)))
-    if pu_norm <= 0.0:
-        raise ValueError("projection vector has zero weighted norm")
-    pu = pu / pu_norm
-    u = u_h / math.sqrt(float(u_h @ (d * u_h)))
+    pu = _unit(pu, d, "projection vector")
+    u = _unit(u_h, d, "u_h")
     if float(u @ (d * pu)) < 0:
         u = -u
     diff = u - pu
     return math.sqrt(float(diff @ (d * diff)))
+
+
+def _unit(v, d, name):
+    """v over its D-norm, which must be positive and finite."""
+    norm = math.sqrt(float(v @ (d * v)))
+    # negated, so that NaN fails it
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"{name} has zero or non-finite weighted norm")
+    return v / norm
 
 
 def l2_errors(u_h: np.ndarray, sigma_h: np.ndarray, mesh: Mesh,

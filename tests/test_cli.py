@@ -165,6 +165,26 @@ def test_run_study_writes_reports(tmp_path, capsys):
     assert "total time" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("solver, levels", [("dense", []),
+                                            ("iterative", [4, 8])])
+def test_the_iterative_solver_orders_the_multipliers_once_per_level(
+        tmp_path, monkeypatch, solver, levels):
+    """The nested-dissection order of the interface multipliers is the
+    iterative solver's: it is computed once per iterative level, and
+    neither by assembly nor on the dense path."""
+    order, seen = rt0eig.eigensolver.nested_dissection_order, []
+
+    def counted(mesh):
+        seen.append(mesh.n)
+        return order(mesh)
+
+    monkeypatch.setattr(rt0eig.eigensolver, "nested_dissection_order",
+                        counted)
+    run_study(StudyConfig(preset="laplace", levels=[4, 8], k=2,
+                          solver=solver, output_dir=tmp_path))
+    assert seen == levels
+
+
 def test_timings_record_peak_rss_per_level(tmp_path):
     cfg = StudyConfig(preset="laplace", levels=[2, 4, 8], k=2,
                       output_dir=tmp_path)

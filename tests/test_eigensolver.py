@@ -166,7 +166,7 @@ def test_schur_rejects_nan_solve(laplace_systems, monkeypatch):
     in the second block of S's columns, or a NaN in Y at an edge that
     triangle 3 does not have, makes a column of S non-finite, and the
     finiteness check names it by its global index."""
-    _, sys_ = laplace_systems[4]
+    mesh, sys_ = laplace_systems[4]
     factor = flux_mass_factor(sys_.M)
     for bad in (np.nan, np.inf):
         bad_c = dataclasses.replace(
@@ -185,8 +185,8 @@ def test_schur_rejects_nan_solve(laplace_systems, monkeypatch):
 
     # s_33 reads Y only at the edges of triangle 3, so the NaN at an edge
     # of the last triangle leaves it finite; s_(T-1)3 is not
-    edge = sys_.triangle_edges[-1, 0]
-    assert edge not in sys_.triangle_edges[3]
+    edge = mesh.triangle_edges[-1, 0]
+    assert edge not in mesh.triangle_edges[3]
     monkeypatch.setattr(eigensolver, "_solve_in_place", nan_after(1, edge, 3))
     with pytest.raises(NumericalError, match="column 3 is not finite"):
         schur_complement(sys_, factor)
@@ -262,9 +262,8 @@ def test_not_spd_mass_rejected(laplace_systems):
     bad = type(sys_)(M=-sp.identity(sys_.num_edges, format="csr"),
                      B=sys_.B, C=sys_.C, D=sys_.D,
                      num_edges=sys_.num_edges,
-                     num_triangles=sys_.num_triangles, order=sys_.order,
-                     m_vals=sys_.m_vals, div_vals=sys_.div_vals,
-                     triangle_edges=sys_.triangle_edges)
+                     num_triangles=sys_.num_triangles,
+                     m_vals=sys_.m_vals, div_vals=sys_.div_vals)
     with pytest.raises(NumericalError, match="positive definite"):
         flux_mass_factor(bad.M)
 
@@ -443,7 +442,26 @@ def test_request_is_checked_before_any_work(monkeypatch, laplace_systems,
         solve_mixed_eigenproblem(mesh, sys_, k, method=method, seed=seed)
     if method == "iterative":
         with pytest.raises(NumericalError):
-            solve_gevp_iterative(sys_, k, seed)
+            solve_gevp_iterative(mesh, sys_, k, seed)
+
+
+@pytest.mark.parametrize("method", ["dense", "iterative"])
+def test_dispatcher_rejects_a_system_of_another_mesh(monkeypatch,
+                                                     laplace_systems, method):
+    """A system assembled on the n = 8 mesh, solved with the n = 4 mesh,
+    is rejected before any work, naming both sets of counts."""
+    mesh, _ = laplace_systems[4]
+    _, sys_ = laplace_systems[8]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the solver started work")
+
+    monkeypatch.setattr(eigensolver, "flux_mass_factor", no_work)
+    monkeypatch.setattr(eigensolver, "_hybridize", no_work)
+    with pytest.raises(ValueError, match=(
+            r"system of 208 edges and 128 triangles does not match the "
+            r"mesh of 56 edges and 32 triangles")):
+        solve_mixed_eigenproblem(mesh, sys_, 2, method=method)
 
 
 def test_flux_norm_approaches_gradient_norm(laplace_systems):
@@ -490,7 +508,8 @@ def test_eigen_result_holds_the_solver_arrays(laplace_systems, method):
                                            sys_.D, k)
         fluxes = recover_flux(vecs, sys_, flux_mass_solver(factor))
     else:
-        vals, vecs, fluxes, residuals = solve_gevp_iterative(sys_, k, seed)
+        vals, vecs, fluxes, residuals = solve_gevp_iterative(mesh, sys_, k,
+                                                             seed)
     assert np.array_equal(res.eigenvalues, vals)
     assert np.array_equal(res.vectors, vecs)
     assert np.array_equal(res.fluxes, fluxes)
@@ -503,7 +522,7 @@ def test_eigen_result_holds_the_solver_arrays(laplace_systems, method):
 def test_iterative_path_matches_dense(laplace_systems):
     mesh, sys_ = laplace_systems[8]
     dense_vals, _, _ = solve_gevp(_schur(sys_), sys_.D, 4)
-    it_vals, it_vecs, _, _ = solve_gevp_iterative(sys_, 4, seed=0)
+    it_vals, it_vecs, _, _ = solve_gevp_iterative(mesh, sys_, 4, seed=0)
     assert np.abs(it_vals - dense_vals).max() <= 1e-8 * dense_vals.max()
     gram = it_vecs.T @ (sys_.D[:, None] * it_vecs)
     assert np.abs(gram - np.eye(4)).max() <= 1e-8

@@ -108,6 +108,12 @@ def test_match_rejects_inconsistent_k():
         match_and_cluster(levels)
 
 
+def test_match_rejects_levels_without_eigenvalues():
+    levels = [(4, 0.35, np.array([])), (8, 0.17, np.array([]))]
+    with pytest.raises(ValueError, match="at least one eigenvalue"):
+        match_and_cluster(levels)
+
+
 def test_match_rejects_non_doubling():
     levels = [(4, 0.35, np.array([1.0])), (12, 0.1, np.array([1.0]))]
     with pytest.raises(ValueError, match="double"):

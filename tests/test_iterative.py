@@ -46,9 +46,9 @@ ANISOTROPIC = ProblemSpec(name="anisotropic",
 
 def _case_system(case, n):
     if case == "anisotropic":
-        return assemble(build_structured_mesh(ANISOTROPIC.domain, n),
-                        ANISOTROPIC)
-    return _system(case, n)[1]
+        mesh = build_structured_mesh(ANISOTROPIC.domain, n)
+        return mesh, assemble(mesh, ANISOTROPIC)
+    return _system(case, n)
 
 
 @pytest.mark.parametrize("case",
@@ -58,10 +58,10 @@ def test_hybrid_solve_matches_sparse_direct_solve(case, n):
     """K^-1 r = Z r - W H^-1 W^T r for right-hand sides with flux and
     scalar parts, and H is a symmetric positive definite system with at
     most 5 entries per row, one row per interior edge."""
-    sys_ = _case_system(case, n)
+    mesh, sys_ = _case_system(case, n)
     rhs = np.random.default_rng(n).standard_normal(
         (sys_.num_edges + sys_.num_triangles, 3))
-    z, w, h = _hybridize(sys_)
+    z, w, h = _hybridize(mesh, sys_)
     got = _k_solve(z, w, _factor_multipliers(h), rhs)
     want = saddle_point_solve(sys_, rhs)
     assert np.all(np.linalg.norm(got - want, axis=0)
@@ -69,7 +69,7 @@ def test_hybrid_solve_matches_sparse_direct_solve(case, n):
     assert (h != h.T).nnz == 0
     assert np.diff(h.tocsr().indptr).max() <= 5
     la.cholesky(h.toarray())
-    interior = np.bincount(sys_.triangle_edges.ravel()) == 2
+    interior = np.bincount(mesh.triangle_edges.ravel()) == 2
     assert h.shape == (interior.sum(),) * 2
     if n == 1:
         assert h.shape == (1, 1)
@@ -82,9 +82,8 @@ def test_singular_element_block_names_its_triangle():
     m_vals[[9, 5]] = 0.0
     bad = AssembledSystem(M=sys_.M, B=sys_.B, C=sys_.C, D=sys_.D,
                           num_edges=sys_.num_edges,
-                          num_triangles=sys_.num_triangles, order=sys_.order,
-                          m_vals=m_vals, div_vals=sys_.div_vals,
-                          triangle_edges=sys_.triangle_edges)
+                          num_triangles=sys_.num_triangles,
+                          m_vals=m_vals, div_vals=sys_.div_vals)
     with pytest.raises(NumericalError,
                        match=r"local block of triangle 5 is singular"):
         solve_mixed_eigenproblem(mesh, bad, 2, method="iterative")
@@ -101,7 +100,7 @@ def test_schur_from_the_band_matches_sparse_lu(case, n):
     M to 4 ulp of max |M|.  The blocks have max(w, 16) rows: one at n = 1
     and 2, 25 at n = 32 (w = 127), where the Schur complement takes S's
     2048 columns in 17 blocks."""
-    sys_ = _case_system(case, n)
+    _, sys_ = _case_system(case, n)
     factor = flux_mass_factor(sys_.M)
     s = schur_complement(sys_, factor)
     want = (sys_.B @ mass_solve(sys_, sys_.B.T.toarray())
@@ -171,7 +170,7 @@ def test_nested_dissection_halves_the_fill_n64(monkeypatch):
     """The one factor the solver makes, that of the multiplier system in
     nested-dissection order, against SuperLU's default COLAMD ordering of K
     in its own numbering."""
-    _, sys_ = _system("laplace", 64)
+    mesh, sys_ = _system("laplace", 64)
     splu, factors = spla.splu, []
 
     def recording_splu(*args, **kwargs):
@@ -179,7 +178,7 @@ def test_nested_dissection_halves_the_fill_n64(monkeypatch):
         return factors[-1]
 
     monkeypatch.setattr(spla, "splu", recording_splu)
-    solve_gevp_iterative(sys_, 1, 0)
+    solve_gevp_iterative(mesh, sys_, 1, 0)
     monkeypatch.undo()
     (lu,) = factors
     colamd = splu(sp.bmat([[sys_.M, sys_.B.T], [sys_.B, -sp.diags(sys_.C)]],
@@ -190,8 +189,8 @@ def test_nested_dissection_halves_the_fill_n64(monkeypatch):
 
 @pytest.fixture(scope="module")
 def laplace128():
-    _, sys_ = _system("laplace", 128)
-    return sys_, solve_gevp_iterative(sys_, 4, 0)
+    mesh, sys_ = _system("laplace", 128)
+    return sys_, solve_gevp_iterative(mesh, sys_, 4, 0)
 
 
 def test_nested_dissection_n128_matches_colamd(laplace128):
@@ -240,8 +239,8 @@ def test_iterative_matches_dense_n16():
 
 @pytest.fixture(scope="module")
 def triples():
-    _, sys_ = _system("laplace", 16)
-    vals, vecs, sigmas, residuals = solve_gevp_iterative(sys_, 4, 0)
+    mesh, sys_ = _system("laplace", 16)
+    vals, vecs, sigmas, residuals = solve_gevp_iterative(mesh, sys_, 4, 0)
     return sys_, vals, vecs, sigmas, residuals
 
 

@@ -61,6 +61,12 @@ def test_import_graph_has_no_cycle():
 
 @pytest.mark.parametrize("method", ["dense", "iterative"])
 def test_assembled_system_holds_only_its_fields_after_a_solve(method):
+    """It holds what assemble computes: the multipliers' order and the
+    triangles' edges are the mesh's, which the iterative solver takes
+    with the system."""
+    assert [f.name for f in dataclasses.fields(AssembledSystem)] == [
+        "M", "B", "C", "D", "num_edges", "num_triangles", "m_vals",
+        "div_vals"]
     mesh = build_structured_mesh(UNIT_SQUARE, 4)
     sys_ = assemble(mesh, get_preset("laplace"))
     solve_mixed_eigenproblem(mesh, sys_, 2, method=method)

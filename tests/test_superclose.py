@@ -122,10 +122,17 @@ def test_superclose_distance_identical_and_flipped(unit_mesh_n2):
 
 
 def test_superclose_distance_rejects_zero_projection(unit_mesh_n2):
+    """A zero projection, and a u_h of zero D-norm or with a NaN in it,
+    raise ValueError naming the vector rather than returning NaN."""
     d = np.full(unit_mesh_n2.num_triangles, 0.125)
     u = np.ones(unit_mesh_n2.num_triangles)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="projection vector"):
         superclose_distance(u, np.zeros_like(u), d)
+    nan_u = u.copy()
+    nan_u[3] = np.nan
+    for bad in (np.zeros_like(u), nan_u):
+        with pytest.raises(ValueError, match="u_h"):
+            superclose_distance(bad, u, d)
 
 
 def test_superclose_distance_scale_invariant(unit_mesh_n2):
