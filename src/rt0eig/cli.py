@@ -31,7 +31,7 @@ from .assembly import AssemblyError, assemble, dump_matrix
 from .coefficients import get_preset, preset_names
 from .eigensolver import (EigenResult, NumericalError, check_request,
                           solve_mixed_eigenproblem)
-from .extrapolation import (EXPANSION_ORDER, ConvergenceTable,
+from .extrapolation import (EXPANSION_ORDER, ClusterRow, ConvergenceTable,
                             SupercloseBlock, build_table, match_and_cluster)
 from .mesh import MeshError, build_structured_mesh
 from .superclose import (l2_errors, laplace_eigenpair, laplace_eigenvalues,
@@ -41,11 +41,20 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 
-CSV_COLUMNS = [
-    "eigen", "level_n", "h", "lambda_h", "lambda_extrap", "err_raw",
-    "err_extrap", "order_raw", "order_extrap", "superclose", "err_u",
-    "err_sigma",
-]
+# report column after eigen, level_n and h -> the ClusterRow or
+# SupercloseBlock array it reads (see _level_records)
+_COLUMN_ARRAYS = {
+    "lambda_h": (ClusterRow, "raw"),
+    "lambda_extrap": (ClusterRow, "extrapolated"),
+    "err_raw": (ClusterRow, "err_raw"),
+    "err_extrap": (ClusterRow, "err_extrap"),
+    "order_raw": (ClusterRow, "order_raw"),
+    "order_extrap": (ClusterRow, "order_extrap"),
+    "superclose": (SupercloseBlock, "distance"),
+    "err_u": (SupercloseBlock, "err_u"),
+    "err_sigma": (SupercloseBlock, "err_sigma"),
+}
+CSV_COLUMNS = ["eigen", "level_n", "h", *_COLUMN_ARRAYS]
 
 
 class ConfigError(Exception):
@@ -96,10 +105,10 @@ class StudyConfig:
             if not isinstance(getattr(self, key), bool):
                 raise ConfigError(
                     f"{key}: {getattr(self, key)!r} is not a bool")
-        if self.preset not in preset_names():
-            raise ConfigError(
-                f"unknown preset {self.preset!r}, "
-                f"available: {', '.join(preset_names())}")
+        try:
+            prob = get_preset(self.preset)
+        except KeyError as exc:
+            raise ConfigError(exc.args[0]) from None
         if len(self.levels) < 2:
             raise ConfigError("need at least two levels")
         for n0, n1 in zip(self.levels, self.levels[1:]):
@@ -114,8 +123,7 @@ class StudyConfig:
                 check_request(self.solver, 2 * n * n, self.k, self.seed)
             except NumericalError as exc:
                 raise ConfigError(f"level n = {n}: {exc}") from None
-        if (self.compute_superclose
-                and not get_preset(self.preset).has_analytic_spectrum):
+        if self.compute_superclose and not prob.has_analytic_spectrum:
             raise ConfigError(
                 f"compute_superclose needs an analytic spectrum, which "
                 f"preset {self.preset!r} does not have")
@@ -147,7 +155,11 @@ _OUTPUT_KEYS = {"directory"}
 
 
 def parse_config(path) -> StudyConfig:
-    """Read a study configuration file, rejecting unknown sections or keys."""
+    """Read a study configuration file, rejecting unknown sections or keys.
+
+    The study is not validated yet: run_study does that once, after any
+    command-line overrides.
+    """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -184,7 +196,7 @@ def parse_config(path) -> StudyConfig:
             raise ConfigError(f"invalid {key} in {path}: {exc}") from exc
     if "directory" in out:
         values["output_dir"] = out["directory"]
-    return StudyConfig(**values).validate()
+    return StudyConfig(**values)
 
 
 @dataclass
@@ -316,35 +328,31 @@ def _round12(v):
 
 
 def _level_records(table: ConvergenceTable):
-    """Per cluster row, one record per level keyed by CSV_COLUMNS.
+    """One record per cluster row and level, keyed by CSV_COLUMNS.
 
-    Extrapolated values, their errors and the raw orders come from the
-    level pair ending at a level, extrapolated orders from the level
-    triple; a column that does not apply at a level holds None.  The
-    superclose columns fill only the row that carries the first mode.
+    A column's array (see _COLUMN_ARRAYS) is placed by its length: one of
+    L - j values over the L levels fills the levels from j on, so
+    `build_table` alone decides where a column first applies.  A column
+    holds None where it does not apply, the superclose columns on every
+    row but the one that carries the first mode.
     """
-    sc = table.superclose
+    nlev, sc = len(table.level_ns), table.superclose
     records = []
     for row in table.rows:
-        mode = sc if sc is not None and 0 in row.indices else None
-        records.append([{
-            "eigen": row.label,
-            "level_n": n,
-            "h": h,
-            "lambda_h": row.raw[i],
-            "lambda_extrap": row.extrapolated[i - 1] if i >= 1 else None,
-            "err_raw": row.err_raw[i],
-            "err_extrap": row.err_extrap[i - 1] if i >= 1 else None,
-            "order_raw": row.order_raw[i - 1] if i >= 1 else None,
-            "order_extrap": row.order_extrap[i - 2] if i >= 2 else None,
-            "superclose": mode.distance[i] if mode else None,
-            "err_u": mode.err_u[i] if mode else None,
-            "err_sigma": mode.err_sigma[i] if mode else None,
-        } for i, (n, h) in enumerate(zip(table.level_ns, table.level_hs))])
+        blocks = {ClusterRow: row,
+                  SupercloseBlock: sc if 0 in row.indices else None}
+        # each array right-aligned on the levels; None has no arrays
+        columns = [[row.label] * nlev, table.level_ns, table.level_hs] + [
+            ([None] * nlev + list(getattr(blocks[kind], name, ())))[-nlev:]
+            for kind, name in _COLUMN_ARRAYS.values()]
+        records += [dict(zip(CSV_COLUMNS, cells)) for cells in zip(*columns)]
     return records
 
 
 def _json_payload(table, cfg, levels):
+    """report.json at 12 significant digits, NaN as null: each level's
+    sizes, eigenvalues and residuals or its error, each row's ClusterRow
+    arrays of _COLUMN_ARRAYS whole, and the superclose block's arrays."""
     records = []
     for lv in levels:
         if lv.error is not None:
@@ -381,14 +389,14 @@ def _json_payload(table, cfg, levels):
     if table is None:
         return payload
     payload["reference_kind"] = table.reference_kind
-    for row, recs in zip(table.rows, _level_records(table)):
-        entry = {"label": row.label,
-                 "indices": [i + 1 for i in row.indices],
-                 "reference": _round12(row.reference)}
-        for col in CSV_COLUMNS[3:9]:  # lambda_h ... order_extrap
-            values = [rec[col] for rec in recs if rec[col] is not None]
-            entry[col] = [_round12(v) for v in values]
-        payload["eigen"].append(entry)
+    for row in table.rows:
+        payload["eigen"].append({
+            "label": row.label,
+            "indices": [i + 1 for i in row.indices],
+            "reference": _round12(row.reference),
+        } | {col: [_round12(v) for v in getattr(row, name)]
+             for col, (kind, name) in _COLUMN_ARRAYS.items()
+             if kind is ClusterRow})
     sc = table.superclose
     if sc is not None:
         # every array of the block, in declaration order
@@ -404,10 +412,9 @@ def emit_reports(table, cfg: StudyConfig, levels):
     try:
         out.mkdir(parents=True, exist_ok=True)
         csv_lines = [",".join(CSV_COLUMNS)]
-        for recs in _level_records(table) if table is not None else ():
-            for rec in recs:
-                csv_lines.append(",".join(
-                    [rec["eigen"]] + [_f12(rec[c]) for c in CSV_COLUMNS[1:]]))
+        for rec in _level_records(table) if table is not None else ():
+            csv_lines.append(",".join(
+                [rec["eigen"]] + [_f12(rec[c]) for c in CSV_COLUMNS[1:]]))
         (out / "report.csv").write_text("\n".join(csv_lines) + "\n")
         payload = _json_payload(table, cfg, levels)
         (out / "report.json").write_text(
@@ -469,13 +476,12 @@ def _print_summary(table, cfg, levels, total):
                   f"{'extrapolated':>16} {'err_raw':>11} {'err_extrap':>11} "
                   f"{'ord':>6} {'ord_x':>6}\n")
         w(header)
-        for recs in _level_records(table):
-            for r in recs:
-                w(f"{r['eigen']:>6} {r['level_n']:>5} {r['lambda_h']:>16.10g} "
-                  f"{_f12(r['lambda_extrap']):>16.16s} {r['err_raw']:>11.5e} "
-                  f"{_fmt(r['err_extrap'], '.5e'):>11} "
-                  f"{_fmt(r['order_raw'], '.2f'):>6} "
-                  f"{_fmt(r['order_extrap'], '.2f'):>6}\n")
+        for r in _level_records(table):
+            w(f"{r['eigen']:>6} {r['level_n']:>5} {r['lambda_h']:>16.10g} "
+              f"{_f12(r['lambda_extrap']):>16.16s} {r['err_raw']:>11.5e} "
+              f"{_fmt(r['err_extrap'], '.5e'):>11} "
+              f"{_fmt(r['order_raw'], '.2f'):>6} "
+              f"{_fmt(r['order_extrap'], '.2f'):>6}\n")
         sc = table.superclose
         if sc is not None:
             w("superclose (mode 1,1):\n")
@@ -524,7 +530,7 @@ def main(argv=None) -> int:
             except ValueError:
                 raise ConfigError(
                     f"k must be an integer, got {args.k!r}") from None
-        run_study(cfg)  # validates the overridden configuration first
+        run_study(cfg)  # the one validation, of the file as overridden
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

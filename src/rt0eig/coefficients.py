@@ -22,6 +22,9 @@ non-constant A fills the trailing 2x2 axes, for example
 
 Evaluation must be reentrant.
 
+The built-in problems are frozen ProblemSpec values with pure coefficients
+in one table by name: `get_preset` returns the shared entry itself.
+
 Quadrature is fixed, not a setting: the package has two immutable rules,
 ASSEMBLY_RULE (degree 2) for the element blocks and PROJECTION_RULE
 (degree 3) for the projections and L2 errors of the superclose module.
@@ -151,18 +154,6 @@ def _identity_tensor(x, y):
     return np.eye(2)
 
 
-def _make_laplace(name="laplace", shift=0.0):
-    c_val = float(shift)
-    return ProblemSpec(
-        name=name,
-        domain=UNIT_SQUARE,
-        A=_identity_tensor,
-        c=lambda x, y: c_val,
-        b=lambda x, y: 1.0,
-        analytic_shift=c_val,
-    )
-
-
 def _variable_tensor(x, y):
     a = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)) + (2, 2))
     a[..., 0, 0] = 1.0 + x
@@ -170,22 +161,14 @@ def _variable_tensor(x, y):
     return a
 
 
-def _make_variable():
-    return ProblemSpec(
-        name="variable",
-        domain=UNIT_SQUARE,
-        A=_variable_tensor,
-        c=lambda x, y: x * y,
-        b=lambda x, y: 1.0 + (x + y) / 4.0,
-        analytic_shift=None,
-    )
-
-
-_PRESETS: dict[str, Callable[[], ProblemSpec]] = {
-    "laplace": lambda: _make_laplace("laplace", 0.0),
-    "shifted": lambda: _make_laplace("shifted", 5.0),
-    "variable": _make_variable,
-}
+_PRESETS = {spec.name: spec for spec in (
+    ProblemSpec("laplace", UNIT_SQUARE, _identity_tensor,
+                c=lambda x, y: 0.0, b=lambda x, y: 1.0, analytic_shift=0.0),
+    ProblemSpec("shifted", UNIT_SQUARE, _identity_tensor,
+                c=lambda x, y: 5.0, b=lambda x, y: 1.0, analytic_shift=5.0),
+    ProblemSpec("variable", UNIT_SQUARE, _variable_tensor,
+                c=lambda x, y: x * y, b=lambda x, y: 1.0 + (x + y) / 4.0),
+)}
 
 
 def preset_names() -> list[str]:
@@ -195,9 +178,8 @@ def preset_names() -> list[str]:
 def get_preset(name: str) -> ProblemSpec:
     """Look up a built-in problem by name."""
     try:
-        factory = _PRESETS[name]
+        return _PRESETS[name]
     except KeyError:
         raise KeyError(
             f"unknown preset {name!r}, available: {', '.join(preset_names())}"
         ) from None
-    return factory()

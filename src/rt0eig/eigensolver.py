@@ -472,10 +472,10 @@ def solve_gevp_iterative(mesh, sys, k: int, seed: int = 0):
     # hold to roundoff; what is left of it reaches S v - lambda D v
     # amplified by M^-1.  ARPACK's eigenvalues carry the error of its
     # unrefined solves, so lambda is then taken as the Rayleigh quotient of
-    # the refined pair.  On laplace with k = 6 over eight start vectors,
-    # the largest scalar-row residual sits 8 times below the bound at
-    # n = 128 and 1.1 times at n = 256 without it, and 36-71 and 7-24
-    # times below with it.
+    # the refined pair.  On laplace with k = 6 over seeds 0-7, the bound
+    # over the largest scalar-row residual is 1.73-1.75 at n = 128 and 0.22
+    # at n = 256 without it, which fails the check, and 44-75 and 12.6-22.0
+    # with it.
     k_block = sp.bmat([[sys.M, sys.B.T], [sys.B, -sp.diags(sys.C)]],
                       format="csr")
     rhs = np.zeros((ne + t, k))

@@ -79,10 +79,11 @@ def match_and_cluster(levels) -> LevelSequence:
     """Match eigenvalues across levels by ascending index and cluster them.
 
     `levels` is a sequence of (n, h, eigenvalues) with n strictly doubling
-    and eigenvalues ascending within each level.  Adjacent indices i, i+1
-    are clustered when their extrapolated limits, taken from the
-    two finest levels, agree to within CLUSTER_RTOL * max(1, |limit_i|);
-    clustering is transitive so a triple eigenvalue forms one group.
+    and eigenvalues finite (or ValueError) and ascending within each level.
+    Adjacent indices i, i+1 are clustered when their extrapolated limits,
+    taken from the two finest levels, agree to within
+    CLUSTER_RTOL * max(1, |limit_i|); clustering is transitive so a triple
+    eigenvalue forms one group.
     """
     levels = [(int(n), float(h), np.asarray(vals, dtype=float))
               for n, h, vals in levels]
@@ -96,6 +97,10 @@ def match_and_cluster(levels) -> LevelSequence:
             raise ValueError(
                 f"inconsistent eigenvalue count: level n={n} has "
                 f"{vals.size}, expected {k}")
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
+            raise ValueError(f"eigenvalue {bad[0]} on level n={n} is not "
+                             f"finite: {vals[bad[0]]}")
         if np.any(np.diff(vals) < 0):
             raise ValueError(f"eigenvalues not ascending on level n={n}")
     for (n0, _, _), (n1, _, _) in zip(levels, levels[1:]):
@@ -166,15 +171,21 @@ def build_table(seq: LevelSequence,
                 reference: np.ndarray | None = None) -> ConvergenceTable:
     """Extrapolate each cluster and attach errors and observed orders.
 
-    `reference` gives one analytic eigenvalue per matched index; when it is
-    None the table is self-referenced: each cluster's reference is the
-    Richardson extrapolation of its two finest raw values.
+    `reference` gives one finite analytic eigenvalue per matched index (or
+    ValueError); when it is None the table is self-referenced: each
+    cluster's reference is the Richardson extrapolation of its two finest
+    raw values.
     """
     table = ConvergenceTable(
         level_ns=[n for n, _, _ in seq.levels],
         level_hs=[h for _, h, _ in seq.levels],
         reference_kind="analytic" if reference is not None else "self",
     )
+    k = seq.matched.shape[0]
+    if reference is not None and not (np.shape(reference) == (k,)
+                                      and np.isfinite(reference).all()):
+        raise ValueError(
+            f"reference must be {k} finite eigenvalues, got {reference}")
     nlev = len(seq.levels)
     for indices, raw in zip(seq.clusters, seq.cluster_means()):
         extrap = richardson(raw[:-1], raw[1:])

@@ -51,7 +51,7 @@ def test_parse_readme_example(tmp_path):
     """The INI block of README.md, copied verbatim, comments and all."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
-    cfg = parse_config(_write(tmp_path, block))
+    cfg = parse_config(_write(tmp_path, block)).validate()
     assert cfg.preset == "laplace"
     assert cfg.levels == [8, 16, 32]
     assert cfg.k == 4
@@ -118,7 +118,7 @@ def test_non_doubling_levels_rejected_before_computation(tmp_path):
     bad = GOOD_CONFIG.format(out=tmp_path).replace("levels = 2 4",
                                                    "levels = 8 24")
     with pytest.raises(ConfigError, match="double"):
-        parse_config(_write(tmp_path, bad))
+        parse_config(_write(tmp_path, bad)).validate()
 
 
 def test_validate_bounds():
@@ -270,6 +270,21 @@ def test_malformed_override_is_config_error(tmp_path, capsys, flag, text,
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("study, levels", [
+    ("levels = 8 17\nk = 2", "4,8"), ("levels = 2 4\nk = 9", "8,16"),
+], ids=["bad_levels", "k_above_levels"])
+def test_overrides_are_validated_together_with_the_file(tmp_path, study,
+                                                        levels):
+    """An override replaces a file value that would fail on its own: the
+    study is validated once, after the overrides."""
+    out = tmp_path / "r"
+    cfgfile = _write(tmp_path, f"[study]\npreset = laplace\n{study}\n"
+                               f"[output]\ndirectory = {out}\n")
+    assert main(["run", str(cfgfile), "--levels", levels]) == 0
+    payload = json.loads((out / "report.json").read_text())
+    assert payload["study"]["levels"] == [int(n) for n in levels.split(",")]
+
+
 def test_shifted_study_columns_shift_by_five(tmp_path):
     base = StudyConfig(preset="laplace", levels=[4, 8], k=3,
                        output_dir=tmp_path / "lap")
@@ -411,7 +426,7 @@ def test_empty_output_dir_is_config_error(tmp_path):
         StudyConfig(preset="laplace", levels=[2, 4], k=2,
                     output_dir="").validate()
     with pytest.raises(ConfigError, match="^output_dir is empty"):
-        parse_config(_write(tmp_path, GOOD_CONFIG.format(out="")))
+        parse_config(_write(tmp_path, GOOD_CONFIG.format(out=""))).validate()
 
 
 def test_unwritable_output_dir_fails_before_any_level(tmp_path, monkeypatch,

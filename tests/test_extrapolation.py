@@ -127,6 +127,28 @@ def test_match_rejects_unsorted_values():
         match_and_cluster(levels)
 
 
+@pytest.mark.parametrize("level, index, value", [
+    (0, 2, np.nan), (2, 1, np.nan), (1, 3, np.inf), (1, 0, -np.inf),
+], ids=["NaN on a coarse level", "NaN on the finest level", "+inf", "-inf"])
+def test_match_rejects_non_finite_eigenvalues(level, index, value):
+    levels = _synthetic_levels([1.0, 2.0, 2.0, 3.0], [1.0, 1.0, 2.0, 1.0])
+    levels[level][2][index] = value
+    n = levels[level][0]
+    with pytest.raises(ValueError,
+                       match=f"eigenvalue {index} on level n={n} is "
+                             f"not finite"):
+        match_and_cluster(levels)
+
+
+@pytest.mark.parametrize("reference", [[2.0, 5.0], [2.0, np.nan, 5.0]],
+                         ids=["short", "NaN"])
+def test_build_table_rejects_a_reference_of_not_k_finite_values(reference):
+    seq = match_and_cluster(_synthetic_levels([2.0, 5.0, 5.0],
+                                              [1.0, 3.0, 7.0]))
+    with pytest.raises(ValueError, match="reference must be 3 finite"):
+        build_table(seq, reference=np.array(reference))
+
+
 def test_build_table_analytic_reference():
     seq = match_and_cluster(_synthetic_levels([2.0, 5.0, 5.0], [1.0, 3.0, 7.0]))
     table = build_table(seq, reference=np.array([2.0, 5.0, 5.0]))
@@ -166,11 +188,6 @@ def test_superclose_orders_are_derived_not_passed():
 # the array expressions against the loops they replace
 
 
-def _with_nan(levels, level, index):
-    levels[level][2][index] = np.nan
-    return levels
-
-
 SYNTHETIC = {
     "split double": _synthetic_levels([2.0, 5.0, 5.0, 8.0],
                                       [1.0, 3.0, 7.0, 2.0]),
@@ -179,10 +196,6 @@ SYNTHETIC = {
     "equal values": [(4, 0.35, np.array([1.0, 2.5, 2.5])),
                      (8, 0.17, np.array([1.0, 2.5, 2.5])),
                      (16, 0.09, np.array([1.0, 2.5, 2.5]))],
-    "NaN on the finest level": _with_nan(_synthetic_levels(
-        [1.0, 2.0, 2.0, 3.0], [1.0, 1.0, 2.0, 1.0]), 2, 1),
-    "NaN on a coarse level": _with_nan(_synthetic_levels(
-        [1.0, 2.0, 2.0, 3.0], [1.0, 1.0, 2.0, 1.0]), 0, 2),
     "saturated errors": _synthetic_levels([1.0, 1.0 + 1e-14, 7.0],
                                           [0.0, 0.0, 1e-12]),
     "two levels": _synthetic_levels([2.0, 5.0, 5.0], [1.0, 3.0, 7.0],
@@ -236,8 +249,8 @@ def _assert_matches_loops(levels, reference):
 @pytest.mark.parametrize("case", SYNTHETIC)
 def test_table_matches_loops_on_synthetic_sequences(case):
     levels = SYNTHETIC[case]
-    # one reference value per index: the finest values, a NaN replaced
-    reference = np.sort(np.nan_to_num(levels[-1][2], nan=2.0))
+    # one reference value per index: the finest values
+    reference = levels[-1][2]
     _assert_matches_loops(levels, reference)
 
 
