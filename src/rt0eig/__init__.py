@@ -5,7 +5,7 @@ distances on uniformly refined rectangle meshes."""
 
 __version__ = "0.1.0"
 
-from .assembly import AssembledSystem, AssemblyError, assemble, dump_matrix
+from .assembly import AssembledSystem, AssemblyError, assemble
 from .coefficients import ProblemSpec, get_preset, preset_names
 from .eigensolver import EigenResult, NumericalError, solve_mixed_eigenproblem
 from .extrapolation import (ConvergenceTable, SupercloseBlock, build_table,
@@ -19,7 +19,7 @@ __all__ = [
     "AssembledSystem", "AssemblyError", "ConvergenceTable", "EigenResult",
     "MeshError", "NumericalError", "ProblemSpec", "Rectangle",
     "SupercloseBlock", "UNIT_SQUARE", "assemble", "build_structured_mesh",
-    "build_table", "dump_matrix", "get_preset", "l2_errors",
+    "build_table", "get_preset", "l2_errors",
     "laplace_eigenpair", "laplace_eigenvalues", "match_and_cluster",
     "observed_order", "p0_project", "preset_names", "richardson",
     "solve_mixed_eigenproblem", "superclose_distance",

@@ -23,6 +23,11 @@ no edge degrees of freedom are eliminated.
 `assemble` forms the blocks of all triangles at once, with the quadrature
 rule coefficients.ASSEMBLY_RULE.  The tests compare it bit for bit with a
 loop over per-triangle reference routines.
+
+The blocks are plain scipy and numpy data, so other tools take them as
+Matrix Market files: a study with `dump_matrices` writes each level's M, B,
+C and D with `scipy.io.mmwrite`, C and D as diagonal matrices that keep
+their zero entries.
 """
 
 from dataclasses import dataclass
@@ -202,19 +207,3 @@ def assemble(mesh: Mesh, prob: ProblemSpec) -> AssembledSystem:
                            num_edges=ne, num_triangles=nt,
                            m_vals=m_vals, div_vals=div_vals)
 
-
-def dump_matrix(mat) -> str:
-    """Coordinate text dump, one `row col value` line per stored entry,
-    17 significant digits, sorted by (row, col).
-
-    Accepts a scipy sparse matrix or a 1-D array standing for a diagonal.
-    """
-    arr = np.asarray(mat) if not sp.issparse(mat) else None
-    if arr is not None and arr.ndim == 1:
-        triples = [(i, i, v) for i, v in enumerate(arr)]
-    else:
-        coo = sp.coo_matrix(mat)
-        order = np.lexsort((coo.col, coo.row))
-        triples = [(int(coo.row[k]), int(coo.col[k]), float(coo.data[k]))
-                   for k in order]
-    return "".join(f"{r} {c} {v:.17g}\n" for r, c, v in triples)

@@ -12,7 +12,6 @@ import argparse
 import configparser
 import json
 import math
-import operator
 import os
 import sys
 import time
@@ -20,6 +19,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 try:
     import resource
@@ -27,13 +27,13 @@ except ImportError:  # Unix only
     resource = None
 
 from . import __version__
-from .assembly import AssemblyError, assemble, dump_matrix
+from .assembly import AssemblyError, assemble
 from .coefficients import get_preset, preset_names
 from .eigensolver import (EigenResult, NumericalError, check_request,
                           solve_mixed_eigenproblem)
 from .extrapolation import (EXPANSION_ORDER, ClusterRow, ConvergenceTable,
                             SupercloseBlock, build_table, match_and_cluster)
-from .mesh import MeshError, build_structured_mesh
+from .mesh import MeshError, as_integer, build_structured_mesh
 from .superclose import (l2_errors, laplace_eigenpair, laplace_eigenvalues,
                          p0_project, superclose_distance)
 
@@ -83,10 +83,7 @@ class StudyConfig:
         `levels`, `k` and `seed` as ints and `output_dir` as a Path."""
         def index(key, v):
             try:
-                # bool is an int subclass: k = True would run k = 1
-                if isinstance(v, (bool, np.bool_)):
-                    raise TypeError
-                return operator.index(v)
+                return as_integer(v)
             except TypeError:
                 raise ConfigError(f"{key}: {v!r} is not an integer") from None
 
@@ -223,12 +220,20 @@ def run_level(cfg: StudyConfig, prob, n: int) -> Level:
     mesh = build_structured_mesh(prob.domain, n)
     sys_ = assemble(mesh, prob)
     if cfg.dump_matrices:
+        # only dumps need scipy.io, so a study without them does not load it
+        import scipy.io
         mdir = cfg.output_dir
+        # C and D as diagonal matrices that keep their zero entries
+        diag = np.arange(sys_.num_triangles)
+        blocks = {"M": sys_.M, "B": sys_.B,
+                  "C": sp.coo_matrix((sys_.C, (diag, diag))),
+                  "D": sp.coo_matrix((sys_.D, (diag, diag)))}
         try:
-            for name, block in (("M", sys_.M), ("B", sys_.B),
-                                ("C", sys_.C), ("D", sys_.D)):
-                (mdir / f"matrix_n{n}_{name}.txt").write_text(
-                    dump_matrix(block))
+            for name, block in blocks.items():
+                # mmwrite given a path it cannot open writes nothing and
+                # raises nothing, so the file is opened here
+                with open(mdir / f"matrix_n{n}_{name}.mtx", "wb") as fh:
+                    scipy.io.mmwrite(fh, block, symmetry="general")
         except OSError as exc:
             raise ConfigError(
                 f"cannot write matrix dumps under {mdir}: {exc}") from exc

@@ -46,7 +46,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import nested_dissection_order
+from .mesh import as_integer, nested_dissection_order
 
 # Residual and orthonormality contracts.
 RESIDUAL_RTOL = 1e-10
@@ -71,10 +71,16 @@ class NumericalError(Exception):
 def check_request(method: str, num_triangles: int, k: int, seed: int = 0):
     """Raise NumericalError unless solver `method` takes k eigenpairs of a
     level of num_triangles triangles from start vector `seed`: the one home
-    of the solver limits."""
+    of the solver limits.  k and seed must be integers (see as_integer)."""
     if method not in ("dense", "iterative"):
         raise NumericalError(
             f"solver must be 'dense' or 'iterative', got {method!r}")
+    for name, v in (("k", k), ("seed", seed)):
+        try:
+            as_integer(v)
+        except TypeError:
+            raise NumericalError(
+                f"{name} must be an integer, got {v!r}") from None
     if method == "dense" and num_triangles > DENSE_MAX_TRIANGLES:
         raise NumericalError(f"{num_triangles} triangles are more than the "
                              f"{DENSE_MAX_TRIANGLES} the dense solver can "

@@ -37,8 +37,10 @@ def richardson(coarse: float, fine: float,
     follow value + C h^p.  It works elementwise, so arrays of coarse and
     fine values give the extrapolations of all their pairs in one call.
     """
-    if p <= 0:
-        raise ValueError(f"expansion order must be positive, got {p}")
+    # negated, so that NaN fails it too
+    if not 0 < p < math.inf:
+        raise ValueError(
+            f"expansion order must be positive and finite, got {p}")
     f = 2.0 ** p
     return (f * fine - coarse) / (f - 1.0)
 

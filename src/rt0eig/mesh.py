@@ -10,6 +10,7 @@ The study reads these arrays whole; per-triangle accessors and the text
 dump of a mesh are test references in tests/oracles.py.
 """
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +18,16 @@ import numpy as np
 
 class MeshError(Exception):
     """Invalid mesh geometry or construction parameters."""
+
+
+def as_integer(v) -> int:
+    """v as an int, the package's one rule for a count, size or seed:
+    whatever operator.index takes (numpy integers included) except a bool,
+    an int subclass that would run k = True as k = 1.  TypeError
+    otherwise, which each caller turns into its own error naming v."""
+    if isinstance(v, (bool, np.bool_)):
+        raise TypeError(f"{v!r} is a bool")
+    return operator.index(v)
 
 
 @dataclass(frozen=True)
@@ -121,7 +132,7 @@ def build_structured_mesh(rect: Rectangle, n: int) -> Mesh:
     ----------
     rect : Rectangle
     n : int
-        Subdivisions per axis, at least 1.
+        Subdivisions per axis, an integer (see as_integer) of at least 1.
 
     Returns
     -------
@@ -129,8 +140,13 @@ def build_structured_mesh(rect: Rectangle, n: int) -> Mesh:
     """
     if not isinstance(rect, Rectangle):
         raise MeshError("rect must be a Rectangle")
-    if n < 1:
-        raise MeshError(f"subdivision count must be >= 1, got {n}")
+    try:
+        n = as_integer(n)
+        if n < 1:
+            raise TypeError
+    except TypeError:
+        raise MeshError(f"subdivision count n must be an integer >= 1, "
+                        f"got {n!r}") from None
 
     xs = np.linspace(rect.x0, rect.x1, n + 1)
     ys = np.linspace(rect.y0, rect.y1, n + 1)

@@ -23,7 +23,7 @@ import numpy as np
 from .coefficients import (PROJECTION_RULE, field_values, quad_points,
                            rowdot, weighted_sum)
 from .eigensolver import NumericalError
-from .mesh import Mesh, Rectangle
+from .mesh import Mesh, Rectangle, as_integer
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,15 @@ def laplace_eigenpair(m: int, n: int, rect: Rectangle) -> AnalyticEigenpair:
 def laplace_eigenvalues(count: int, rect: Rectangle,
                         shift: float = 0.0) -> np.ndarray:
     """The `count` smallest analytic eigenvalues, ascending, with `shift`
-    added: pi^2 (m^2 / width^2 + n^2 / height^2) + shift over m, n >= 1."""
+    added: pi^2 (m^2 / width^2 + n^2 / height^2) + shift over m, n >= 1.
+    `count` is an integer >= 0 (see as_integer)."""
+    try:
+        count = as_integer(count)
+        if count < 0:
+            raise TypeError
+    except TypeError:
+        raise ValueError(f"count must be an integer >= 0, "
+                         f"got {count!r}") from None
     # A mode (m, n) with m > count lies above the `count` modes (1..count, n),
     # and likewise in n, so the count smallest all have m, n <= count.
     m = np.arange(1, count + 1)

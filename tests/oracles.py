@@ -5,12 +5,14 @@ here.  First come the per-triangle routines that `assemble` is compared
 with bit for bit: the flux mass block and the row of B of one triangle
 (element_flux_mass, element_div), one triangle's quadrature integral
 (integrate_triangle), the vertex coordinates of one triangle and the
-vertex count of a mesh, and a plain-text dump of a mesh.  They use the
-package's quadrature rules, as assembly does.  Then comes the flux half of
-the mixed projection pair, the interpolant Pi_h (fortin_interpolate) with
-its unit edge normals and Gauss edge rule: the study measures superclose
-with the scalar half P_h alone, and the tests check the commuting diagram
-div Pi_h = P_h div with it against the package's B.
+vertex count of a mesh, and plain-text dumps of a mesh and of a matrix,
+through which the tests compare meshes and assembled blocks bit for bit.
+They use the package's quadrature rules, as assembly does.  Then comes
+the flux half of the mixed projection pair, the interpolant Pi_h
+(fortin_interpolate) with its unit edge normals and Gauss edge rule: the
+study measures superclose with the scalar half P_h alone, and the tests
+check the commuting diagram div Pi_h = P_h div with it against the
+package's B.
 
 The references after them deliberately avoid the package's own
 quadrature rules and solver paths: element matrices come from symbolic
@@ -155,6 +157,23 @@ def dump_mesh(mesh) -> str:
         flag = 1 if mesh.boundary_edge_flags[e] else 0
         lines.append(f"{e} {a} {b} {flag}")
     return "\n".join(lines) + "\n"
+
+
+def dump_matrix(mat) -> str:
+    """Coordinate text dump, one `row col value` line per stored entry,
+    17 significant digits, sorted by (row, col).
+
+    Accepts a scipy sparse matrix or a 1-D array standing for a diagonal.
+    """
+    arr = np.asarray(mat) if not sp.issparse(mat) else None
+    if arr is not None and arr.ndim == 1:
+        triples = [(i, i, v) for i, v in enumerate(arr)]
+    else:
+        coo = sp.coo_matrix(mat)
+        order = np.lexsort((coo.col, coo.row))
+        triples = [(int(coo.row[k]), int(coo.col[k]), float(coo.data[k]))
+                   for k in order]
+    return "".join(f"{r} {c} {v:.17g}\n" for r, c, v in triples)
 
 
 def edge_rule(npts: int) -> tuple[np.ndarray, np.ndarray]:

@@ -2,13 +2,14 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.io
 
 from rt0eig import (AssemblyError, Rectangle, assemble,
-                    build_structured_mesh, dump_matrix, get_preset,
-                    UNIT_SQUARE)
+                    build_structured_mesh, get_preset, UNIT_SQUARE)
+from rt0eig.cli import StudyConfig, run_level
 from rt0eig.coefficients import ASSEMBLY_RULE, ProblemSpec
-from oracles import (element_assembly, element_div, element_flux_mass,
-                     symbolic_flux_mass, triangle_coords)
+from oracles import (dump_matrix, element_assembly, element_div,
+                     element_flux_mass, symbolic_flux_mass, triangle_coords)
 
 REF_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 IDENTITY = lambda x, y: np.eye(2)
@@ -163,22 +164,46 @@ def test_assembly_error_names_location(unit_mesh_n2):
         assemble(unit_mesh_n2, prob)
 
 
-def test_dump_matrix_coordinate_format():
-    m = build_structured_mesh(UNIT_SQUARE, 1)
-    sys_ = assemble(m, get_preset("laplace"))
-    text = dump_matrix(sys_.B)
-    lines = text.strip().splitlines()
-    assert len(lines) == sys_.B.nnz
-    rows_cols = [tuple(map(float, ln.split()[:2])) for ln in lines]
-    assert rows_cols == sorted(rows_cols)
-    first = lines[0].split()
-    assert len(first) == 3
-    # diagonal dump of a 1-D array
-    diag_text = dump_matrix(np.array([0.125, 0.25]))
-    assert diag_text == "0 0 0.125\n1 1 0.25\n"
-    # 17 significant digits survive a round-trip
-    val = float(dump_matrix(np.array([1.0 / 3.0])).split()[2])
-    assert val == 1.0 / 3.0
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _assert_dumps_round_trip(out, name, n):
+    prob = get_preset(name)
+    out.mkdir()
+    cfg = StudyConfig(preset=name, levels=[n, 2 * n], k=1,
+                      dump_matrices=True, output_dir=out)
+    run_level(cfg, prob, n)
+    sys_ = assemble(build_structured_mesh(prob.domain, n), prob)
+    diag = np.arange(sys_.num_triangles)
+    for block in "MBCD":
+        path = out / f"matrix_n{n}_{block}.mtx"
+        assert path.read_text().startswith(
+            "%%MatrixMarket matrix coordinate real general\n")
+        got = scipy.io.mmread(path)
+        want = getattr(sys_, block)
+        if block in "MB":
+            assert got.shape == want.shape
+            want = want.tocoo()
+            rows, cols, vals = want.row, want.col, want.data
+        else:
+            assert got.shape == (diag.size, diag.size)
+            rows, cols, vals = diag, diag, want
+        np.testing.assert_array_equal(got.row, rows)
+        np.testing.assert_array_equal(got.col, cols)
+        np.testing.assert_array_equal(_bits(got.data), _bits(vals))
+    if name == "laplace":
+        assert not sys_.C.any()
+
+
+def test_dump_matrix_coordinate_format(tmp_path):
+    """A level's dumps are Matrix Market coordinate files from which
+    scipy.io.mmread returns every block exactly: M and B with their stored
+    entries in storage order, C and D as diagonals that keep their zeros
+    (all of laplace's C)."""
+    for name, n in (("laplace", 1), ("laplace", 16), ("shifted", 2),
+                    ("variable", 3)):
+        _assert_dumps_round_trip(tmp_path / f"{name}{n}", name, n)
 
 
 def _custom_tensor(x, y):

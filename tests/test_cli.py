@@ -11,6 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.io
 
 import rt0eig.cli as cli
 import rt0eig.eigensolver
@@ -565,12 +566,25 @@ def test_dump_matrices_flag(tmp_path):
     cfg = StudyConfig(preset="laplace", levels=[1, 2], k=1,
                       dump_matrices=True, output_dir=tmp_path / "dumps")
     run_study(cfg)
-    for name in ("M", "B", "C", "D"):
-        assert (tmp_path / "dumps" / f"matrix_n1_{name}.txt").exists()
-        assert (tmp_path / "dumps" / f"matrix_n2_{name}.txt").exists()
+    for n in (1, 2):
+        for name in ("M", "B", "C", "D"):
+            assert (tmp_path / "dumps" / f"matrix_n{n}_{name}.mtx").exists()
     # C of the laplace preset is all zeros: diagonal dump carries the zeros
-    c_text = (tmp_path / "dumps" / "matrix_n1_C.txt").read_text()
-    assert [ln.split()[2] for ln in c_text.splitlines()] == ["0", "0"]
+    c = scipy.io.mmread(tmp_path / "dumps" / "matrix_n1_C.mtx")
+    assert (c.row.tolist(), c.col.tolist(), c.data.tolist()) == (
+        [0, 1], [0, 1], [0.0, 0.0])
+
+
+def test_import_does_not_load_scipy_io():
+    """Only matrix dumps need scipy.io, so importing the command line,
+    which the benchmark times, does not load it."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys, rt0eig.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.io')))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout == "[]\n"
 
 
 def test_iterative_solver_study(tmp_path):

@@ -400,6 +400,30 @@ def test_check_request_rejects_just_past_each_limit(method, t, k, seed,
         eigensolver.check_request(method, t, k, seed)
 
 
+@pytest.mark.parametrize("method", ["dense", "iterative"])
+@pytest.mark.parametrize("k, seed, message", [
+    (1.5, 0, r"k must be an integer, got 1\.5$"),
+    (2.0, 0, r"k must be an integer, got 2\.0$"),
+    (True, 0, "k must be an integer, got True$"),
+    (2, True, "seed must be an integer, got True$"),
+    (2, 1.5, r"seed must be an integer, got 1\.5$"),
+], ids=["k1.5", "k2.0", "kTrue", "seedTrue", "seed1.5"])
+def test_solver_rejects_a_k_or_seed_that_is_not_an_integer(method, k, seed,
+                                                           message):
+    """By name and before any work: ARPACK died on a float k, eigsh on
+    k = True, and the dense path solved for them; seed = True ran as
+    seed 1."""
+    mesh = build_structured_mesh(UNIT_SQUARE, 4)
+    sys_ = assemble(mesh, get_preset("laplace"))
+    with pytest.raises(NumericalError, match=message):
+        solve_mixed_eigenproblem(mesh, sys_, k, method=method, seed=seed)
+
+
+def test_check_request_takes_numpy_integers():
+    for method in ("dense", "iterative"):
+        eigensolver.check_request(method, 8, np.int64(2), np.uint8(3))
+
+
 def test_iterative_k_equal_t_points_to_the_dense_solver():
     """Only the dense path takes k = T, and the iterative path's message
     says so, but only where the dense path would take it."""

@@ -30,6 +30,13 @@ def test_richardson_rejects_nonpositive_order():
         richardson(1.0, 2.0, 0.0)
 
 
+@pytest.mark.parametrize("p", [np.nan, np.inf], ids=["nan", "inf"])
+def test_richardson_rejects_a_non_finite_order(p):
+    """Both gave NaN without a word."""
+    with pytest.raises(ValueError, match="positive and finite"):
+        richardson(1.0, 2.0, p)
+
+
 def test_richardson_exact_on_model_sequences():
     rng = np.random.default_rng(31)
     for _ in range(20):

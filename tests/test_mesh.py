@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -41,6 +42,22 @@ def test_overflowing_triangle_areas_rejected():
 def test_invalid_subdivision_rejected():
     with pytest.raises(MeshError):
         build_structured_mesh(UNIT_SQUARE, 0)
+
+
+@pytest.mark.parametrize("n", [True, 2.5, np.float64(4.0), "4"],
+                         ids=["True", "2.5", "float64", "str"])
+def test_subdivision_count_must_be_an_integer(n):
+    """n = True gave a two-triangle mesh whose n was True; a float or a
+    string died inside numpy or in a comparison."""
+    with pytest.raises(MeshError, match=f"count n must be an integer >= 1, "
+                                        f"got {re.escape(repr(n))}$"):
+        build_structured_mesh(UNIT_SQUARE, n)
+
+
+def test_numpy_subdivision_count_is_stored_as_int():
+    m = build_structured_mesh(UNIT_SQUARE, np.int64(2))
+    assert type(m.n) is int and m.n == 2
+    assert m.num_triangles == 8
 
 
 def test_unit_square_n1_counts():

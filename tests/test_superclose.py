@@ -222,6 +222,21 @@ def test_laplace_eigenvalues_match_brute_force(rect, count):
     assert got == pytest.approx(brute[:count] + 1.5, rel=1e-14)
 
 
+@pytest.mark.parametrize("count", [-1, 2.5, True],
+                         ids=["-1", "2.5", "True"])
+def test_laplace_eigenvalues_rejects_a_count_that_is_not_a_count(count):
+    """-1 gave an empty array and 2.5 died in a slice."""
+    with pytest.raises(ValueError,
+                       match=f"count must be an integer >= 0, got {count}$"):
+        laplace_eigenvalues(count, UNIT_SQUARE)
+
+
+def test_laplace_eigenvalues_takes_numpy_and_zero_counts():
+    assert laplace_eigenvalues(0, UNIT_SQUARE).shape == (0,)
+    assert np.array_equal(laplace_eigenvalues(np.int64(3), UNIT_SQUARE),
+                          laplace_eigenvalues(3, UNIT_SQUARE))
+
+
 @pytest.mark.parametrize("rect", [UNIT_SQUARE,
                                   Rectangle(0.0, 0.0, 10.0, 1.0),
                                   Rectangle(0.0, 0.0, 1.0, 0.001),
