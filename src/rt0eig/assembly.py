@@ -21,7 +21,7 @@ The homogeneous Dirichlet condition on u is natural in this mixed form, so
 no edge degrees of freedom are eliminated.
 
 `assemble` forms the blocks of all triangles at once, with the quadrature
-rule coefficients.ASSEMBLY_RULE.  The tests compare it bit for bit with a
+rule coefficients.MIDPOINT_RULE.  The tests compare it bit for bit with a
 loop over per-triangle reference routines.
 
 The blocks are plain scipy and numpy data, so other tools take them as
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .coefficients import (ASSEMBLY_RULE, COEFF_EPS, ProblemSpec,
+from .coefficients import (COEFF_EPS, MIDPOINT_RULE, ProblemSpec,
                            field_values, quad_points, rowdot, weighted_sum)
 from .mesh import Mesh
 
@@ -137,7 +137,7 @@ def _inverse_tensor(a):
 def assemble(mesh: Mesh, prob: ProblemSpec) -> AssembledSystem:
     """Assemble the global mixed system by element scatter-add.
 
-    The coefficients are evaluated once on the ASSEMBLY_RULE points of all
+    The coefficients are evaluated once on the MIDPOINT_RULE points of all
     triangles and the element blocks of all triangles are formed together.
     Element geometry and the coefficient invariants (A SPD, c >= 0, b > 0)
     are checked at every quadrature point; a violation raises AssemblyError
@@ -145,7 +145,7 @@ def assemble(mesh: Mesh, prob: ProblemSpec) -> AssembledSystem:
     does an element block that is not finite, as on a rectangle so large
     that its edge lengths overflow.  Duplicate scatter entries are summed.
     """
-    rule = ASSEMBLY_RULE
+    rule = MIDPOINT_RULE
     if mesh.rect != prob.domain:
         raise AssemblyError(
             f"mesh domain {mesh.rect} differs from problem domain {prob.domain}")

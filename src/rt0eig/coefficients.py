@@ -25,10 +25,11 @@ Evaluation must be reentrant.
 The built-in problems are frozen ProblemSpec values with pure coefficients
 in one table by name: `get_preset` returns the shared entry itself.
 
-Quadrature is fixed, not a setting: the package has two immutable rules,
-ASSEMBLY_RULE (degree 2) for the element blocks and PROJECTION_RULE
-(degree 3) for the projections and L2 errors of the superclose module.
-`weighted_sum` adds up point values with a rule's weights for both.
+Quadrature is fixed, not a setting: the package has one immutable rule,
+MIDPOINT_RULE (the three edge midpoints, degree 2, positive weights), for
+the element blocks of assembly and for the projections and L2 errors of
+the superclose module.  `weighted_sum` adds up point values with its
+weights.
 """
 
 from dataclasses import dataclass
@@ -58,27 +59,16 @@ class QuadratureRule:
         self.weights.setflags(write=False)
 
 
-# Degree 2, the three edge midpoints: exact for the quadratic flux mass
-# integrand of a constant A.
-ASSEMBLY_RULE = QuadratureRule(
+# Degree 2, the three edge midpoints with weight 1/3 each: exact for the
+# quadratic flux mass integrand of a constant A, and with positive weights
+# a quadrature of a square is never negative.
+MIDPOINT_RULE = QuadratureRule(
     points=np.array([
         [0.5, 0.5, 0.0],
         [0.5, 0.0, 0.5],
         [0.0, 0.5, 0.5],
     ]),
     weights=np.array([1.0, 1.0, 1.0]) / 3.0)
-
-# Degree 3, the centroid with weight -27/48 and three points at barycentric
-# (3/5, 1/5, 1/5) with 25/48 each: measures the smooth exact eigenfunctions
-# in the projections and L2 errors.
-PROJECTION_RULE = QuadratureRule(
-    points=np.array([
-        [1 / 3, 1 / 3, 1 / 3],
-        [3 / 5, 1 / 5, 1 / 5],
-        [1 / 5, 3 / 5, 1 / 5],
-        [1 / 5, 1 / 5, 3 / 5],
-    ]),
-    weights=np.array([-27.0, 25.0, 25.0, 25.0]) / 48.0)
 
 
 def quad_points(tri: np.ndarray, rule: QuadratureRule) -> np.ndarray:

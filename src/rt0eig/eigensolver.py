@@ -64,8 +64,8 @@ ITER_BUDGET_PER_EIGENVALUE = 500
 
 
 class NumericalError(Exception):
-    """Factorization failure, non-convergence, violated residual bound, or
-    a quadrature of a squared error that came out negative."""
+    """Factorization failure, non-convergence or violated residual
+    bound."""
 
 
 def check_request(method: str, num_triangles: int, k: int, seed: int = 0):

@@ -84,7 +84,8 @@ def match_and_cluster(levels) -> LevelSequence:
     and eigenvalues finite (or ValueError) and ascending within each level.
     Adjacent indices i, i+1 are clustered when their extrapolated limits,
     taken from the two finest levels, agree to within
-    CLUSTER_RTOL * max(1, |limit_i|); clustering is transitive so a triple
+    CLUSTER_RTOL * |limit_i|, a bound relative at every scale, so distinct
+    eigenvalues below 1 do not merge; clustering is transitive so a triple
     eigenvalue forms one group.
     """
     levels = [(int(n), float(h), np.asarray(vals, dtype=float))
@@ -114,7 +115,7 @@ def match_and_cluster(levels) -> LevelSequence:
     limits = richardson(matched[:, -2], matched[:, -1])
     # a cluster ends wherever the gap test fails, a NaN gap included
     joined = (np.abs(np.diff(limits))
-              <= CLUSTER_RTOL * np.maximum(1.0, np.abs(limits[:-1])))
+              <= CLUSTER_RTOL * np.abs(limits[:-1]))
     clusters = [c.tolist() for c in
                 np.split(np.arange(k), np.flatnonzero(~joined) + 1)]
     return LevelSequence(levels=levels, matched=matched, clusters=clusters)

@@ -10,8 +10,9 @@ scalar half alone, so the package ships `p0_project` (P_h); Pi_h is a test
 oracle in tests/oracles.py, where the commuting diagram is checked
 against the package's B.
 
-Triangle integrals use coefficients.PROJECTION_RULE (degree 3) and add up
-their points with coefficients.weighted_sum.
+Triangle integrals use coefficients.MIDPOINT_RULE, the rule of assembly,
+and add up their points with coefficients.weighted_sum.  Its weights are
+positive, so the quadrature of a squared error is never negative.
 """
 
 import math
@@ -20,9 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from .coefficients import (PROJECTION_RULE, field_values, quad_points,
+from .coefficients import (MIDPOINT_RULE, field_values, quad_points,
                            rowdot, weighted_sum)
-from .eigensolver import NumericalError
 from .mesh import Mesh, Rectangle, as_integer
 
 
@@ -49,9 +49,15 @@ class AnalyticEigenpair:
 
 def laplace_eigenpair(m: int, n: int, rect: Rectangle) -> AnalyticEigenpair:
     """Analytic eigenpair of -Laplace u = lam u, u = 0 on the rectangle
-    boundary."""
-    if m < 1 or n < 1:
-        raise ValueError(f"mode numbers must be positive, got ({m}, {n})")
+    boundary.  The mode numbers m and n are integers >= 1 (see
+    as_integer)."""
+    try:
+        m, n = as_integer(m), as_integer(n)
+        if m < 1 or n < 1:
+            raise TypeError
+    except TypeError:
+        raise ValueError(f"mode numbers must be integers >= 1, "
+                         f"got ({m!r}, {n!r})") from None
     lx, ly = rect.width, rect.height
     lam = math.pi**2 * (m**2 / lx**2 + n**2 / ly**2)
     amp = 2.0 / math.sqrt(lx * ly)
@@ -92,10 +98,10 @@ def laplace_eigenvalues(count: int, rect: Rectangle,
 
 
 def _element_points(mesh: Mesh):
-    """Vertices (T, 3, 2) and PROJECTION_RULE points (T, Q, 2) of all
+    """Vertices (T, 3, 2) and MIDPOINT_RULE points (T, Q, 2) of all
     triangles."""
     tri = mesh.vertices[mesh.triangles]
-    return tri, quad_points(tri, PROJECTION_RULE)
+    return tri, quad_points(tri, MIDPOINT_RULE)
 
 
 def _sequential_sum(vals: np.ndarray) -> float:
@@ -109,7 +115,7 @@ def p0_project(u_exact: Callable[[np.ndarray, np.ndarray], np.ndarray],
     """Elementwise mean of u_exact: entry t is the average over triangle t."""
     _, pts = _element_points(mesh)
     return weighted_sum(field_values(u_exact, pts[..., 0], pts[..., 1]),
-                        PROJECTION_RULE.weights)
+                        MIDPOINT_RULE.weights)
 
 
 def superclose_distance(u_h: np.ndarray, pu: np.ndarray,
@@ -152,16 +158,14 @@ def l2_errors(u_h: np.ndarray, sigma_h: np.ndarray, mesh: Mesh,
     The sign of the discrete pair is aligned to the exact eigenfunction
     first.  A defaults to the identity.
 
-    PROJECTION_RULE weights its centroid by -27/48, so on a coarse mesh a
-    quadrature sum of squares can come out negative (the err_u sum is
-    -0.0764 for the first laplace mode at n = 1); that raises
-    NumericalError naming the sum.
+    Both integrals use MIDPOINT_RULE, whose positive weights keep each
+    sum of squares non-negative on every mesh.
     """
     tri, pts = _element_points(mesh)
     x, y = pts[..., 0], pts[..., 1]
     u = field_values(exact.u, x, y)
     # sign alignment: compare elementwise means against the exact function
-    means = weighted_sum(u, PROJECTION_RULE.weights)
+    means = weighted_sum(u, MIDPOINT_RULE.weights)
     overlap = _sequential_sum(mesh.areas * u_h * means)
     sign = 1.0 if overlap >= 0 else -1.0
 
@@ -178,19 +182,7 @@ def l2_errors(u_h: np.ndarray, sigma_h: np.ndarray, mesh: Mesh,
         flux_h += coeff[:, i, None, None] * (pts - tri[:, None, i])
     dsig = flux - sign * flux_h
     err_u = weighted_sum((u - sign * u_h[:, None]) ** 2,
-                         PROJECTION_RULE.weights)
-    err_sigma = weighted_sum(rowdot(dsig, dsig), PROJECTION_RULE.weights)
-    return (_root_of_sum("err_u", mesh.areas * err_u),
-            _root_of_sum("err_sigma", mesh.areas * err_sigma))
-
-
-def _root_of_sum(name: str, vals: np.ndarray) -> float:
-    """Square root of the sequential sum of vals, the quadrature of a
-    squared error; NumericalError if the sum is negative."""
-    total = _sequential_sum(vals)
-    if total < 0.0:
-        raise NumericalError(
-            f"{name} quadrature sum {total:.3g} is negative: the degree-3 "
-            f"rule's negative centroid weight outweighs the rest on this "
-            f"mesh")
-    return math.sqrt(total)
+                         MIDPOINT_RULE.weights)
+    err_sigma = weighted_sum(rowdot(dsig, dsig), MIDPOINT_RULE.weights)
+    return (math.sqrt(_sequential_sum(mesh.areas * err_u)),
+            math.sqrt(_sequential_sum(mesh.areas * err_sigma)))

@@ -7,7 +7,7 @@ with bit for bit: the flux mass block and the row of B of one triangle
 (integrate_triangle), the vertex coordinates of one triangle and the
 vertex count of a mesh, and plain-text dumps of a mesh and of a matrix,
 through which the tests compare meshes and assembled blocks bit for bit.
-They use the package's quadrature rules, as assembly does.  Then comes
+They use the package's quadrature rule, as assembly does.  Then comes
 the flux half of the mixed projection pair, the interpolant Pi_h
 (fortin_interpolate) with its unit edge normals and Gauss edge rule: the
 study measures superclose with the scalar half P_h alone, and the tests
@@ -15,7 +15,7 @@ check the commuting diagram div Pi_h = P_h div with it against the
 package's B.
 
 The references after them deliberately avoid the package's own
-quadrature rules and solver paths: element matrices come from symbolic
+quadrature rule and solver paths: element matrices come from symbolic
 integration, triangle integrals from a Duffy-transform tensor Gauss rule,
 eigenvalues of the reduced problem from the dense saddle-point pencil,
 the dense Schur complement, eigenpair residuals and Rayleigh quotients
@@ -32,8 +32,9 @@ assembly from the element routines, the dict walk that numbers mesh edges,
 the nested-dissection order of the unknowns by recursion over boxes, the
 iterative eigenvalues through a COLAMD-ordered factorization, the
 nested-dissection LU of the saddle-point block, and the projections and L2
-errors of the superclose module, at the points of a given rule.  The study's
-superclose block has a post-hoc reference that measures every level after
+errors of the superclose module, at the points of a given rule, and the
+same three superclose measures with every triangle integral a Duffy one.
+The study's superclose block has a post-hoc reference that measures every level after
 the last one is solved, where the package measures each level while it is
 alive.  The extrapolation table and the analytic Laplace spectrum follow,
 one index, level pair or mode at a time.  Last come the report renderers that walk the convergence table
@@ -256,7 +257,9 @@ _GAUSS_1D = leggauss(16)
 
 
 def duffy_triangle_integral(f, tri):
-    """High-order integral of f(x, y) over a triangle.
+    """High-order integral of f(x, y) over a triangle (3, 2), or over each
+    of a stack of triangles (T, 3, 2), where f gets coordinate arrays of
+    shape (T,) and the result has that shape.
 
     Collapses the unit square onto the simplex (Duffy transform) and uses a
     16x16 tensor Gauss-Legendre grid; exact to roundoff for the polynomial
@@ -267,14 +270,15 @@ def duffy_triangle_integral(f, tri):
     gx, gw = _GAUSS_1D
     gx = (gx + 1.0) / 2.0
     gw = gw / 2.0
-    u, v = tri[1] - tri[0], tri[2] - tri[0]
-    area2 = abs(u[0] * v[1] - u[1] * v[0])
+    p0, p1, p2 = tri[..., 0, :], tri[..., 1, :], tri[..., 2, :]
+    u, v = p1 - p0, p2 - p0
+    area2 = abs(u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0])
     total = 0.0
     for a, wa in zip(gx, gw):
         for b, wb in zip(gx, gw):
             l2, l3 = a * (1.0 - b), a * b
-            x = (1.0 - a) * tri[0] + l2 * tri[1] + l3 * tri[2]
-            total += wa * wb * a * f(x[0], x[1])
+            x = (1.0 - a) * p0 + l2 * p1 + l3 * p2
+            total += wa * wb * a * f(x[..., 0], x[..., 1])
     return area2 * total
 
 
@@ -577,6 +581,30 @@ def pointwise_l2_errors(u_h, sigma_h, mesh, exact, rule, A=None):
     return math.sqrt(err_u), math.sqrt(err_sigma)
 
 
+def duffy_superclose_measures(u_h, sigma_h, mesh, exact, D):
+    """(distance, err_u, err_sigma) of a discrete pair against the exact
+    one, every triangle integral taken by duffy_triangle_integral: the
+    projection as exact means, and A the identity."""
+    tri = mesh.vertices[mesh.triangles]
+    means = duffy_triangle_integral(exact.u, tri) / mesh.areas
+    sign = 1.0 if np.sum(mesh.areas * u_h * means) >= 0 else -1.0
+    te = mesh.triangle_edges
+    coeff = (sigma_h[te] * mesh.triangle_edge_signs * mesh.edge_lengths[te]
+             / (2.0 * mesh.areas[:, None]))
+
+    def flux_error_squared(x, y):
+        point = np.stack([x, y], axis=-1)
+        d = exact.grad_u(x, y) - sign * sum(
+            coeff[:, i, None] * (point - tri[:, i]) for i in range(3))
+        return np.sum(d * d, axis=-1)
+
+    err_u = duffy_triangle_integral(
+        lambda x, y: (exact.u(x, y) - sign * u_h) ** 2, tri)
+    err_sigma = duffy_triangle_integral(flux_error_squared, tri)
+    return (superclose_distance(u_h, means, D), math.sqrt(err_u.sum()),
+            math.sqrt(err_sigma.sum()))
+
+
 def posthoc_superclose_block(prob, solved):
     """Projection distances and plain errors for the first (simple) mode,
     measured after the fact from every level's (mesh, system, result)."""
@@ -619,7 +647,7 @@ def loop_match_and_cluster(levels):
     clusters = [[0]]
     for i in range(1, k):
         gap = abs(limits[i] - limits[i - 1])
-        if gap <= CLUSTER_RTOL * max(1.0, abs(limits[i - 1])):
+        if gap <= CLUSTER_RTOL * abs(limits[i - 1]):
             clusters[-1].append(i)
         else:
             clusters.append([i])

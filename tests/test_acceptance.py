@@ -11,7 +11,7 @@ from rt0eig import (assemble, build_structured_mesh, get_preset,
                     laplace_eigenpair, UNIT_SQUARE)
 from rt0eig.eigensolver import flux_mass_factor, schur_complement, solve_gevp
 from rt0eig.cli import StudyConfig, run_study
-from rt0eig.coefficients import ASSEMBLY_RULE
+from rt0eig.coefficients import MIDPOINT_RULE
 from oracles import (duffy_triangle_integral, element_flux_mass,
                      fortin_interpolate, saddle_point_eigenvalues,
                      symbolic_flux_mass, triangle_coords)
@@ -121,7 +121,7 @@ def test_criterion_6_small_instance_oracles():
         pencil_ok &= bool(
             np.abs(vals - oracle).max() <= 1e-9 * np.abs(oracle).max())
 
-    rule = ASSEMBLY_RULE
+    rule = MIDPOINT_RULE
     identity = lambda x, y: np.eye(2)
     tris = [np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])]
     rng = np.random.default_rng(2718)

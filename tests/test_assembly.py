@@ -7,7 +7,7 @@ import scipy.io
 from rt0eig import (AssemblyError, Rectangle, assemble,
                     build_structured_mesh, get_preset, UNIT_SQUARE)
 from rt0eig.cli import StudyConfig, run_level
-from rt0eig.coefficients import ASSEMBLY_RULE, ProblemSpec
+from rt0eig.coefficients import MIDPOINT_RULE, ProblemSpec
 from oracles import (dump_matrix, element_assembly, element_div,
                      element_flux_mass, symbolic_flux_mass, triangle_coords)
 
@@ -31,7 +31,7 @@ def _random_triangle(rng, min_area=0.05):
 
 
 def test_element_flux_mass_reference_triangle():
-    m = element_flux_mass(REF_TRI, [1, 1, 1], IDENTITY, ASSEMBLY_RULE)
+    m = element_flux_mass(REF_TRI, [1, 1, 1], IDENTITY, MIDPOINT_RULE)
     assert np.abs(m - REF_FLUX_MASS).max() <= 1e-12
 
 
@@ -40,7 +40,7 @@ def test_element_flux_mass_matches_symbolic_oracle_random():
     for _ in range(3):
         tri = _random_triangle(rng)
         signs = rng.choice([-1, 1], 3)
-        got = element_flux_mass(tri, signs, IDENTITY, ASSEMBLY_RULE)
+        got = element_flux_mass(tri, signs, IDENTITY, MIDPOINT_RULE)
         want = symbolic_flux_mass(tri, signs)
         assert np.abs(got - want).max() <= 1e-12
 
@@ -49,7 +49,7 @@ def test_element_flux_mass_spd():
     rng = np.random.default_rng(5)
     for _ in range(10):
         tri = _random_triangle(rng)
-        m = element_flux_mass(tri, [1, -1, 1], IDENTITY, ASSEMBLY_RULE)
+        m = element_flux_mass(tri, [1, -1, 1], IDENTITY, MIDPOINT_RULE)
         assert np.abs(m - m.T).max() == 0.0
         assert np.linalg.eigvalsh(m).min() > 0.0
 
@@ -57,15 +57,15 @@ def test_element_flux_mass_spd():
 def test_element_flux_mass_scaling_covariance():
     rng = np.random.default_rng(6)
     tri = _random_triangle(rng)
-    m1 = element_flux_mass(tri, [1, 1, -1], IDENTITY, ASSEMBLY_RULE)
-    m2 = element_flux_mass(2.0 * tri, [1, 1, -1], IDENTITY, ASSEMBLY_RULE)
+    m1 = element_flux_mass(tri, [1, 1, -1], IDENTITY, MIDPOINT_RULE)
+    m2 = element_flux_mass(2.0 * tri, [1, 1, -1], IDENTITY, MIDPOINT_RULE)
     assert np.abs(m2 - 4.0 * m1).max() <= 1e-12 * np.abs(m2).max()
 
 
 def test_element_flux_mass_rejects_degenerate():
     flat = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(AssemblyError):
-        element_flux_mass(flat, [1, 1, 1], IDENTITY, ASSEMBLY_RULE)
+        element_flux_mass(flat, [1, 1, 1], IDENTITY, MIDPOINT_RULE)
     with pytest.raises(AssemblyError):
         element_div(flat, [1, 1, 1])
 
@@ -221,7 +221,7 @@ CUSTOM = ProblemSpec(name="custom", domain=Rectangle(0.0, 0.0, 2.0, 1.0),
 
 def _assert_dumps_identical(mesh, prob):
     sys_ = assemble(mesh, prob)
-    want = element_assembly(mesh, prob, ASSEMBLY_RULE)
+    want = element_assembly(mesh, prob, MIDPOINT_RULE)
     for name, block in zip("MBCD", want):
         assert dump_matrix(getattr(sys_, name)) == dump_matrix(block), name
 
@@ -249,7 +249,7 @@ def _first_triangle_with_point(mesh, inside):
     """Scan triangles in mesh order for a quadrature point where `inside`."""
     for t in range(mesh.num_triangles):
         if any(inside(x, y)
-               for x, y in ASSEMBLY_RULE.points @ triangle_coords(mesh, t)):
+               for x, y in MIDPOINT_RULE.points @ triangle_coords(mesh, t)):
             return t
     raise AssertionError("no quadrature point inside the region")
 

@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import os
 import re
 import subprocess
@@ -546,20 +547,21 @@ def test_multiplier_factorization_failure_fails_the_level(
     assert payload["levels"][-1]["error"] == message
 
 
-def test_negative_quadrature_sum_at_n1_fails_the_level(tmp_path, capsys):
-    """At n = 1 the degree-3 rule's negative centroid weight makes the
-    err_u sum of the first laplace mode negative; the study fails that
-    level by name, with exit code 2, instead of a math domain error."""
+def test_superclose_study_from_n1_measures_every_level(tmp_path):
+    """The midpoint rule's weights are positive, so no quadrature of a
+    squared error comes out negative: a superclose study that starts at
+    n = 1 completes with finite measures on every level."""
     text = GOOD_CONFIG.format(out=tmp_path / "r").replace(
         "levels = 2 4\nk = 2",
-        "levels = 1 2\nk = 1\ncompute_superclose = true")
-    assert main(["run", str(_write(tmp_path, text))]) == 2
-    err = capsys.readouterr().err
-    assert re.search(r"numerical failure: level n=1 failed: err_u "
-                     r"quadrature sum -0\.0764 is negative", err), err
+        "levels = 1 2 4 8\nk = 1\ncompute_superclose = true")
+    assert main(["run", str(_write(tmp_path, text))]) == 0
     payload = json.loads((tmp_path / "r" / "report.json").read_text())
     assert [(lv["n"], lv["status"]) for lv in payload["levels"]] == [
-        (1, "failed")]
+        (1, "ok"), (2, "ok"), (4, "ok"), (8, "ok")]
+    for name in ("distance", "err_u", "err_sigma"):
+        values = payload["superclose"][name]
+        assert len(values) == 4 and all(
+            v is not None and math.isfinite(v) for v in values), name
 
 
 def test_dump_matrices_flag(tmp_path):

@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from rt0eig import (UNIT_SQUARE, SupercloseBlock, assemble, build_table,
-                    build_structured_mesh, get_preset, laplace_eigenvalues,
-                    match_and_cluster, observed_order, richardson,
-                    solve_mixed_eigenproblem)
+from rt0eig import (UNIT_SQUARE, Rectangle, SupercloseBlock, assemble,
+                    build_table, build_structured_mesh, get_preset,
+                    laplace_eigenvalues, match_and_cluster, observed_order,
+                    richardson, solve_mixed_eigenproblem)
 from rt0eig.extrapolation import SATURATION
 from oracles import (loop_build_table, loop_match_and_cluster,
                      loop_observed_order)
@@ -106,6 +108,22 @@ def test_exactly_equal_discrete_values_cluster():
               (8, 0.17, np.array([1.0, 2.5, 2.5]))]
     seq = match_and_cluster(levels)
     assert seq.clusters == [[0], [1, 2]]
+
+
+def test_clusters_are_relative_below_one():
+    """On a square of side 1e4 the laplace eigenvalues are about 1e-7 and
+    their gaps lie below 1e-6, yet the clusters are the unit square's: the
+    (1,2)/(2,1) pair alone is joined."""
+    rect = Rectangle(0.0, 0.0, 1e4, 1e4)
+    prob = replace(get_preset("laplace"), domain=rect)
+    levels = []
+    for n in (8, 16, 32):
+        mesh = build_structured_mesh(rect, n)
+        res = solve_mixed_eigenproblem(mesh, assemble(mesh, prob), 4,
+                                       method="dense")
+        levels.append((res.n, res.h, res.eigenvalues))
+    assert match_and_cluster(levels).clusters == [[0], [1, 2], [3]]
+    assert loop_match_and_cluster(levels).clusters == [[0], [1, 2], [3]]
 
 
 def test_match_rejects_inconsistent_k():

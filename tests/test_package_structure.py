@@ -59,6 +59,12 @@ def test_import_graph_has_no_cycle():
         pytest.fail(f"import cycle {' -> '.join(exc.args[1])}")
 
 
+def test_superclose_imports_nothing_from_the_solver():
+    """The superclose measures only integrate, with positive weights, so
+    they have no failure of the solver's kind to raise."""
+    assert "eigensolver" not in import_graph()["superclose"]
+
+
 @pytest.mark.parametrize("method", ["dense", "iterative"])
 def test_assembled_system_holds_only_its_fields_after_a_solve(method):
     """It holds what assemble computes: the multipliers' order and the

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,10 @@ from rt0eig import (assemble, build_structured_mesh, get_preset, l2_errors,
                     laplace_eigenpair, laplace_eigenvalues, p0_project,
                     solve_mixed_eigenproblem, superclose_distance,
                     UNIT_SQUARE)
-from rt0eig.coefficients import PROJECTION_RULE
+from rt0eig.coefficients import MIDPOINT_RULE
 from rt0eig.mesh import Rectangle
-from oracles import (duffy_triangle_integral, edge_normals,
-                     fortin_interpolate, gauss_edge_integral,
+from oracles import (duffy_superclose_measures, duffy_triangle_integral,
+                     edge_normals, fortin_interpolate, gauss_edge_integral,
                      loop_laplace_eigenvalues,
                      pointwise_fortin, pointwise_l2_errors,
                      pointwise_p0_project, triangle_coords)
@@ -27,6 +29,23 @@ def test_analytic_eigenpair_is_l2_normalized(unit_mesh_n4):
                                         triangle_coords(unit_mesh_n4, t))
                 for t in range(unit_mesh_n4.num_triangles))
     assert total == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("mode", [(1.5, 1), (True, 1), (1, 2.0)],
+                         ids=["1.5", "True", "2.0"])
+def test_laplace_eigenpair_rejects_a_mode_that_is_not_a_mode_number(mode):
+    """(1.5, 1) gave lam = 32.08, which is no eigenvalue, and (True, 1)
+    ran as (1, 1)."""
+    with pytest.raises(ValueError, match=re.escape(
+            f"mode numbers must be integers >= 1, got {mode}")):
+        laplace_eigenpair(*mode, UNIT_SQUARE)
+
+
+def test_laplace_eigenpair_takes_numpy_mode_numbers():
+    pair = laplace_eigenpair(np.int64(2), np.int32(3), UNIT_SQUARE)
+    assert pair.mode == (2, 3)
+    assert all(type(m) is int for m in pair.mode)
+    assert pair.lam == laplace_eigenpair(2, 3, UNIT_SQUARE).lam
 
 
 def test_gradient_matches_finite_differences():
@@ -155,9 +174,10 @@ def _solved_level(n, k=1):
 def test_l2_error_of_projection_equals_p0_error():
     """With u_h := P0(u), err_u is the pure piecewise-constant error.
 
-    The two sides differ only by the degree-3 quadrature error on the
-    squared difference, a few parts in a thousand at this resolution; the
-    order-1 decay of the projection error itself is checked separately.
+    The two sides differ only by the midpoint rule's quadrature error on
+    the projection and the squared difference, a few parts in a thousand
+    at this resolution; the order-1 decay of the projection error itself
+    is checked separately.
     """
     pair = laplace_eigenpair(1, 1, UNIT_SQUARE)
     errs = []
@@ -173,6 +193,23 @@ def test_l2_error_of_projection_equals_p0_error():
         assert err_u == pytest.approx(oracle, rel=8e-3)
         errs.append(oracle)
     assert 0.8 <= np.log2(errs[0] / errs[1]) <= 1.2  # order 1 in h
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_measures_match_a_duffy_reference(n):
+    """The superclose distance, err_u and err_sigma of laplace mode (1,1)
+    differ from a Duffy-Gauss reference by the midpoint rule's quadrature
+    error alone: at n = 8 relative errors of 1.2e-2, 8.0e-4 and 6.3e-4,
+    falling as h^2, here with a margin of a quarter."""
+    pair = laplace_eigenpair(1, 1, UNIT_SQUARE)
+    mesh, sys_, res = _solved_level(n)
+    u_h, sigma_h = res.vectors[:, 0], res.fluxes[:, 0]
+    got = (superclose_distance(u_h, p0_project(pair.u, mesh), sys_.D),
+           *l2_errors(u_h, sigma_h, mesh, pair))
+    want = duffy_superclose_measures(u_h, sigma_h, mesh, pair, sys_.D)
+    for name, g, w, rel in zip(("distance", "err_u", "err_sigma"), got,
+                               want, (1.2e-2, 8.0e-4, 6.3e-4)):
+        assert abs(g - w) <= 1.25 * rel * (8 / n) ** 2 * w, name
 
 
 def test_l2_error_of_zero_function_is_one():
@@ -280,7 +317,7 @@ def test_projections_and_errors_match_pointwise_oracles(rect, n, mode):
     pair = laplace_eigenpair(*mode, rect)
     rng = np.random.default_rng(n)
     got = p0_project(pair.u, mesh)
-    want = pointwise_p0_project(pair.u, mesh, PROJECTION_RULE)
+    want = pointwise_p0_project(pair.u, mesh, MIDPOINT_RULE)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
     for npts in (2, 3):
         got = fortin_interpolate(pair.grad_u, mesh, npts)
@@ -292,6 +329,6 @@ def test_projections_and_errors_match_pointwise_oracles(rect, n, mode):
         rng.standard_normal(mesh.num_edges))
     for A in (None, _tensor):
         got = l2_errors(u_h, sigma_h, mesh, pair, A=A)
-        want = pointwise_l2_errors(u_h, sigma_h, mesh, pair, PROJECTION_RULE,
+        want = pointwise_l2_errors(u_h, sigma_h, mesh, pair, MIDPOINT_RULE,
                                    A=A)
         assert got == pytest.approx(want, rel=1e-13)
