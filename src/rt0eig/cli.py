@@ -5,7 +5,9 @@ levels, extrapolates the matched eigenvalue sequences, optionally measures
 projection distances for the first mode, and writes a CSV table, a JSON
 mirror and a plain-text summary.  Reports are deterministic: identical
 configurations produce byte-identical CSV and JSON, so wall-clock timings
-and peak memory go to stdout and a separate timings file.
+and peak memory go to stdout and a separate timings file.  A study is read
+from a UTF-8 INI file of literal values; `rt0eig run`'s flags replace the
+text of its keys and are read by the same parsers (see _KEYS).
 """
 
 import argparse
@@ -15,7 +17,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -128,71 +130,74 @@ class StudyConfig:
 
 
 def _parse_levels(text: str) -> list[int]:
-    parts = text.replace(",", " ").split()
-    try:
-        return [int(p) for p in parts]
-    except ValueError:
-        raise ConfigError(f"levels must be integers, got {text!r}") from None
+    return [int(p) for p in text.replace(",", " ").split()]
 
 
 def _parse_bool(text: str) -> bool:
     if text not in ("true", "false"):
-        raise ValueError(f"expected 'true' or 'false', got {text!r}")
+        raise ValueError(text)
     return text == "true"
 
 
-# [study] key -> parser of its text, one key per StudyConfig field but
-# output_dir, which [output] directory sets
-_STUDY_PARSERS = {
-    "preset": str, "levels": _parse_levels, "k": int, "seed": int,
-    "compute_superclose": _parse_bool, "dump_matrices": _parse_bool,
-    "solver": str,
+# (section, key) of a config file -> the StudyConfig field it sets, the
+# parser of its text, and what the text must be if the parser raises
+# ValueError.  Each `rt0eig run` flag overrides the key of its field.
+_KEYS = {
+    ("study", "preset"): ("preset", str, None),
+    ("study", "levels"): ("levels", _parse_levels, "integers"),
+    ("study", "k"): ("k", int, "an integer"),
+    ("study", "seed"): ("seed", int, "an integer"),
+    ("study", "compute_superclose"):
+        ("compute_superclose", _parse_bool, "'true' or 'false'"),
+    ("study", "dump_matrices"):
+        ("dump_matrices", _parse_bool, "'true' or 'false'"),
+    ("study", "solver"): ("solver", str, None),
+    ("output", "directory"): ("output_dir", str, None),
 }
-_OUTPUT_KEYS = {"directory"}
 
 
-def parse_config(path) -> StudyConfig:
-    """Read a study configuration file, rejecting unknown sections or keys.
+def parse_config(path, overrides=None) -> StudyConfig:
+    """Read a UTF-8 study configuration file as literal text, rejecting
+    unknown sections or keys, [DEFAULT] among them.
 
-    The study is not validated yet: run_study does that once, after any
-    command-line overrides.
+    `overrides` maps (section, key) to text that replaces the file's and is
+    read like it.  The study is not validated yet: run_study does that
+    once, after the overrides.
     """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no section header can name "", so [DEFAULT] is an ordinary section
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None, default_section="")
     parser.optionxform = str  # keep keys case-sensitive
     try:
-        parser.read(path)
-    except configparser.Error as exc:
+        parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
 
-    sections = set(parser.sections())
-    unknown = sections - {"study", "output"}
+    unknown = set(parser.sections()) - {s for s, _ in _KEYS}
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    if "study" not in sections:
-        raise ConfigError("missing [study] section")
-    study = dict(parser["study"])
-    bad = set(study) - _STUDY_PARSERS.keys()
-    if bad:
-        raise ConfigError(f"unknown [study] keys: {sorted(bad)}")
-    out = dict(parser["output"]) if "output" in sections else {}
-    bad = set(out) - _OUTPUT_KEYS
-    if bad:
-        raise ConfigError(f"unknown [output] keys: {sorted(bad)}")
-    for f in fields(StudyConfig):
-        if f.default is MISSING and f.name not in study:
-            raise ConfigError(f"missing required [study] key: {f.name}")
+    text = {(s, key): v for s in parser.sections()
+            for key, v in parser[s].items()} | dict(overrides or {})
+    for section in sorted({s for s, _ in text}):
+        bad = sorted(k for s, k in text.keys() - _KEYS.keys() if s == section)
+        if bad:
+            raise ConfigError(f"unknown [{section}] keys: {bad}")
 
+    required = {f.name for f in fields(StudyConfig) if f.default is MISSING}
     values = {}
-    for key, text in study.items():
+    for (section, key), (name, parse, what) in _KEYS.items():
+        value = text.get((section, key))
+        if value is None:
+            if name in required:
+                raise ConfigError(f"missing required [{section}] key: {key}")
+            continue
         try:
-            values[key] = _STUDY_PARSERS[key](text)
-        except ValueError as exc:
-            raise ConfigError(f"invalid {key} in {path}: {exc}") from exc
-    if "directory" in out:
-        values["output_dir"] = out["directory"]
+            values[name] = parse(value)
+        except ValueError:
+            raise ConfigError(f"{key} must be {what}, got {value!r}") from None
     return StudyConfig(**values)
 
 
@@ -420,10 +425,11 @@ def emit_reports(table, cfg: StudyConfig, levels):
         for rec in _level_records(table) if table is not None else ():
             csv_lines.append(",".join(
                 [rec["eigen"]] + [_f12(rec[c]) for c in CSV_COLUMNS[1:]]))
-        (out / "report.csv").write_text("\n".join(csv_lines) + "\n")
+        (out / "report.csv").write_text(
+            "\n".join(csv_lines) + "\n", encoding="utf-8")
         payload = _json_payload(table, cfg, levels)
         (out / "report.json").write_text(
-            json.dumps(payload, indent=2) + "\n")
+            json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot write reports under {out}: {exc}") from exc
     return {"csv": out / "report.csv", "json": out / "report.json"}
@@ -437,7 +443,7 @@ def _peak_rss_mb():
     the process that launched this one across fork and exec.
     """
     try:
-        status = Path("/proc/self/status").read_text()
+        status = Path("/proc/self/status").read_text(encoding="utf-8")
     except OSError:
         status = ""
     for line in status.splitlines():
@@ -459,7 +465,7 @@ def _write_timings(cfg, levels, total):
     }
     try:
         (cfg.output_dir / "timings.json").write_text(
-            json.dumps(data, indent=2) + "\n")
+            json.dumps(data, indent=2) + "\n", encoding="utf-8")
     except OSError:
         pass  # timings are advisory
 
@@ -510,6 +516,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run a study from a config file")
     run.add_argument("config", help="path to the study config file")
+    # an override's dest is the StudyConfig field whose key it replaces
     run.add_argument("--output-dir", help="override the output directory")
     run.add_argument("--levels", help="override levels, e.g. '8,16,32'")
     run.add_argument("--k", help="override the eigenvalue count")
@@ -523,18 +530,10 @@ def main(argv=None) -> int:
         for name in preset_names():
             print(name)
         return EXIT_OK
+    overrides = {key: getattr(args, name) for key, (name, *_) in _KEYS.items()
+                 if getattr(args, name, None) is not None}
     try:
-        cfg = parse_config(args.config)
-        if args.output_dir is not None:
-            cfg = replace(cfg, output_dir=args.output_dir)
-        if args.levels is not None:
-            cfg = replace(cfg, levels=_parse_levels(args.levels))
-        if args.k is not None:
-            try:
-                cfg = replace(cfg, k=int(args.k))
-            except ValueError:
-                raise ConfigError(
-                    f"k must be an integer, got {args.k!r}") from None
+        cfg = parse_config(args.config, overrides)
         run_study(cfg)  # the one validation, of the file as overridden
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -73,6 +73,10 @@ def test_parse_rejects_unknown_key(tmp_path):
         "[output]", "expansion_order = 2\n[output]")
     with pytest.raises(ConfigError, match="unknown \\[study\\] keys"):
         parse_config(_write(tmp_path, bad))
+    # an override is text for a key, which must be known too
+    good = _write(tmp_path, GOOD_CONFIG.format(out=tmp_path))
+    with pytest.raises(ConfigError, match="unknown \\[study\\] keys"):
+        parse_config(good, {("study", "typo_key"): "1"})
 
 
 def test_parse_rejects_unknown_section(tmp_path):
@@ -106,14 +110,85 @@ def test_parse_malformed_value_names_its_key(tmp_path, key, text):
 
 
 def test_every_config_field_has_a_key():
-    """Each StudyConfig field is settable from a config file."""
-    assert set(cli._STUDY_PARSERS) | {"output_dir"} == {
-        f.name for f in fields(StudyConfig)}
+    """Each StudyConfig field is settable from a config file, by one key."""
+    names = [name for name, _, _ in cli._KEYS.values()]
+    assert sorted(names) == sorted(f.name for f in fields(StudyConfig))
+
+
+def test_every_override_flag_maps_to_a_key():
+    """Each `rt0eig run` flag names the field of a config key, whose text
+    it replaces."""
+    args = vars(cli._build_parser().parse_args(["run", "study.ini"]))
+    flags = set(args) - {"command", "config"}
+    assert flags == {"output_dir", "levels", "k"}
+    assert flags <= {name for name, _, _ in cli._KEYS.values()}
 
 
 def test_parse_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         parse_config(tmp_path / "absent.ini")
+
+
+def test_percent_in_a_value_is_literal(tmp_path):
+    out = tmp_path / "50%"
+    cfgfile = _write(tmp_path, GOOD_CONFIG.format(out=out))
+    assert main(["run", str(cfgfile)]) == 0
+    assert (out / "report.csv").is_file()
+    assert (out / "report.json").is_file()
+
+
+def test_interpolation_syntax_is_literal(tmp_path):
+    cfgfile = _write(tmp_path, GOOD_CONFIG.format(out="r/%(preset)s"))
+    cfg = parse_config(cfgfile)
+    assert cfg.output_dir == "r/%(preset)s"
+
+
+def test_default_section_is_an_unknown_section(tmp_path, capsys):
+    """[DEFAULT] does not lend its keys to [study]."""
+    text = "[DEFAULT]\nk = 3\n\n" + GOOD_CONFIG.format(
+        out=tmp_path / "r").replace("k = 2\n", "")
+    assert main(["run", str(_write(tmp_path, text))]) == 1
+    assert capsys.readouterr().err == (
+        "config error: unknown config sections: ['DEFAULT']\n")
+    assert not (tmp_path / "r").exists()
+
+
+def test_invalid_utf8_is_config_error(tmp_path, capsys):
+    path = tmp_path / "study.ini"
+    path.write_bytes(b"# caf\xe9\n"
+                     + GOOD_CONFIG.format(out=tmp_path / "r").encode())
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"config error: cannot parse {path}: 'utf-8' codec can't decode "
+        f"byte 0xe9")
+
+
+def test_config_is_utf8_whatever_the_locale(tmp_path):
+    """An ASCII locale does not change how a config file is decoded."""
+    path = tmp_path / "study.ini"
+    path.write_text(GOOD_CONFIG.format(out=tmp_path / "r").replace(
+        "k = 2", "k = 2  # café"), encoding="utf-8")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+           "PYTHONCOERCECLOCALE": "0", "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, "-m", "rt0eig.cli", "run", str(path)],
+        capture_output=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert json.loads((tmp_path / "r" / "report.json").read_text())[
+        "study"]["k"] == 2
+
+
+@pytest.mark.parametrize("key, text", [("k", "two"), ("levels", "8,x")])
+def test_a_bad_value_reads_the_same_in_the_file_and_as_a_flag(
+        tmp_path, capsys, key, text):
+    good = GOOD_CONFIG.format(out=tmp_path / "r")
+    bad = re.sub(rf"^{key} = .*$", f"{key} = {text}", good, flags=re.M)
+    assert main(["run", str(_write(tmp_path, bad, "bad.ini"))]) == 1
+    from_file = capsys.readouterr().err
+    assert main(["run", str(_write(tmp_path, good)), f"--{key}", text]) == 1
+    assert capsys.readouterr().err == from_file
 
 
 def test_non_doubling_levels_rejected_before_computation(tmp_path):
@@ -219,7 +294,7 @@ class _UnreadablePath:
     def __init__(self, path):
         self.path = path
 
-    def read_text(self):
+    def read_text(self, encoding=None):
         raise FileNotFoundError(self.path)
 
 
@@ -285,6 +360,14 @@ def test_overrides_are_validated_together_with_the_file(tmp_path, study,
     assert main(["run", str(cfgfile), "--levels", levels]) == 0
     payload = json.loads((out / "report.json").read_text())
     assert payload["study"]["levels"] == [int(n) for n in levels.split(",")]
+
+
+def test_an_override_supplies_a_missing_key(tmp_path):
+    out = tmp_path / "r"
+    cfgfile = _write(tmp_path, GOOD_CONFIG.format(out=out).replace(
+        "k = 2\n", ""))
+    assert main(["run", str(cfgfile), "--k", "3"]) == 0
+    assert json.loads((out / "report.json").read_text())["study"]["k"] == 3
 
 
 def test_shifted_study_columns_shift_by_five(tmp_path):
