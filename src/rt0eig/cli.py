@@ -94,11 +94,11 @@ class StudyConfig:
         try:
             # Path("") would be the working directory
             if os.fspath(self.output_dir) == "":
-                raise ConfigError("output_dir is empty")
+                raise ConfigError("output_dir is empty ([output] directory)")
             self.output_dir = Path(self.output_dir)
         except TypeError:
-            raise ConfigError(
-                f"output_dir: {self.output_dir!r} is not a path") from None
+            raise ConfigError(f"output_dir: {self.output_dir!r} is not a path "
+                              "([output] directory)") from None
         for key in ("compute_superclose", "dump_matrices"):
             # any object is truthy or not, and report.json records it as is
             if not isinstance(getattr(self, key), bool):
@@ -265,7 +265,9 @@ def run_study(cfg: StudyConfig):
     ConfigError before any solve.  A level failure, running out of memory
     included, ends the study with that level as the last, failed record;
     the reports are still written, and the failure is re-raised as a
-    NumericalError with the level attached.
+    NumericalError with the level attached.  The reports and timings.json
+    are written before the summary goes to stdout, and a summary that
+    cannot be written there is a ConfigError, unless a level failed.
     """
     cfg.validate()
     try:
@@ -307,10 +309,15 @@ def run_study(cfg: StudyConfig):
             )
 
     emit_reports(table, cfg, levels)
-    _print_summary(table, cfg, levels, total)
     _write_timings(cfg, levels, total)
-
     last = levels[-1]
+    try:
+        _print_summary(table, cfg, levels, total)
+    except OSError as exc:
+        # a closed pipe or a full device; a failed level outranks it
+        if last.error is None:
+            raise ConfigError(
+                f"cannot write the summary to stdout: {exc}") from None
     if last.error is not None:
         raise NumericalError(f"level n={last.n} failed: {last.error}")
     return table, levels
@@ -503,6 +510,7 @@ def _print_summary(table, cfg, levels, total):
                   f"err_u={sc.err_u[i]:.6e} ({ou[i]:>5}) "
                   f"err_sigma={sc.err_sigma[i]:.6e}\n")
     w(f"total time: {total:.2f}s\n")
+    sys.stdout.flush()
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +549,19 @@ def main(argv=None) -> int:
     except (MeshError, AssemblyError, NumericalError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    finally:
+        _release_stdout()
     return EXIT_OK
+
+
+def _release_stdout():
+    """Flush stdout, and point it at os.devnull if it cannot take what
+    is left, so that the interpreter's own flush at exit does not fail
+    again and print "Exception ignored"."""
+    try:
+        sys.stdout.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 if __name__ == "__main__":

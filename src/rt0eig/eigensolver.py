@@ -33,7 +33,9 @@ unknowns and H = G A^-1 G^T is a symmetric positive definite system on the
 interior edges with at most 5 entries per row.  One sparse LU of H per
 level, in the nested-dissection order of the mesh that the iterative path
 takes with its system, and without pivoting, applies S^-1 for shift-invert
-ARPACK and then gives the fluxes of the eigentriples.  Up to a sign and
+ARPACK and then gives the fluxes of the eigentriples; their refinement
+applies K through its blocks M, B^T, B and C, so K is never assembled
+either.  Up to a sign and
 the edge length, the multipliers approximate the scalar's trace on the
 interior edges, from which Arnold and Brezzi post-process it.
 """
@@ -367,8 +369,11 @@ def _hybridize(mesh, sys):
         bad = int(np.argmin(np.abs(np.linalg.det(blocks))))
         raise NumericalError(
             f"local block of triangle {bad} is singular") from None
-    inv = 0.5 * (inv + inv.transpose(0, 2, 1))
-    a_inv = sp.bsr_matrix((inv, np.arange(t), np.arange(t + 1))).tocsr()
+    # symmetrized into `blocks`, which is dead once inverted
+    np.add(inv, inv.transpose(0, 2, 1), out=blocks)
+    blocks *= 0.5
+    del inv
+    a_inv = sp.bsr_matrix((blocks, np.arange(t), np.arange(t + 1))).tocsr()
 
     te = mesh.triangle_edges.ravel()
     # local edge p = 3t + i has slot 4t + i; owner[e] is the first p of e
@@ -398,14 +403,24 @@ def _factor_multipliers(h):
     pivoting.
 
     H is symmetric, so h.T, which shares h's arrays, is H in CSC: SuperLU
-    gets the same arrays as from h.tocsc() without a copy of them.  A
-    singular H is a RuntimeError; SuperLU reports running out of memory as
+    gets the same arrays as from h.tocsc() without a copy of them.
+
+    The panels are 4 columns wide, not SuperLU's default: its panel work
+    arrays grow with the panel width times the rows of H (Demmel et al.,
+    SIAM J. Matrix Anal. Appl. 20, 1999).  In a laplace study, after the
+    level at n = 128, the default width raised VmHWM 31 MiB above what the
+    factor keeps at n = 256, the peak of the whole level; at 4 it rises by
+    what the factor keeps.  The fill is the same, and the factor at
+    n = 512 takes 1.30-1.44 s instead of 1.66-1.74 s.  `relax=4` alone
+    left the 31 MiB.
+
+    A singular H is a RuntimeError; SuperLU reports running out of memory as
     a SystemError ("gstrf was called with invalid arguments") or a
     MemoryError.  All three are a NumericalError of the level.
     """
     try:
         return spla.splu(h.T, permc_spec="NATURAL",
-                         diag_pivot_thresh=0.0,
+                         diag_pivot_thresh=0.0, panel_size=4,
                          options=dict(SymmetricMode=True))
     except (RuntimeError, SystemError, MemoryError) as exc:
         raise NumericalError(f"multiplier factorization failed: "
@@ -434,7 +449,8 @@ def solve_gevp_iterative(mesh, sys, k: int, seed: int = 0):
       applying S^-1 v as the triangle block of K^-1 [0; -v], from a start
       vector drawn from `seed`;
     * one solve K [sigma; v] = [0; -lambda D u] for all pairs, refined
-      once with K as a sparse matvec, is an inverse-iteration step; the
+      once with K applied through its blocks M, B^T, B and C, which are
+      never assembled into K, is an inverse-iteration step; the
       pairs are reported as u = v / ||v||_D with sigma scaled alike, so
       sigma is their flux, and lambda as the Rayleigh quotient
       u^T (C u - B sigma) / u^T D u;
@@ -474,20 +490,21 @@ def solve_gevp_iterative(mesh, sys, k: int, seed: int = 0):
     vals, vecs = 1.0 / mu, y / sqd[:, None]
     # one inverse-iteration step K [sigma; v] = [0; -lambda D u] for all
     # pairs, whose flux block is the flux of v.  One step of iterative
-    # refinement, with K applied as a sparse matvec, makes the flux row
+    # refinement, with K applied through its blocks, makes the flux row
     # hold to roundoff; what is left of it reaches S v - lambda D v
     # amplified by M^-1.  ARPACK's eigenvalues carry the error of its
     # unrefined solves, so lambda is then taken as the Rayleigh quotient of
     # the refined pair.  On laplace with k = 6 over seeds 0-7, the bound
     # over the largest scalar-row residual is 1.73-1.75 at n = 128 and 0.22
-    # at n = 256 without it, which fails the check, and 44-75 and 12.6-22.0
+    # at n = 256 without it, which fails the check, and 34-87 and 12.9-21.0
     # with it.
-    k_block = sp.bmat([[sys.M, sys.B.T], [sys.B, -sp.diags(sys.C)]],
-                      format="csr")
     rhs = np.zeros((ne + t, k))
     rhs[ne:] = -(d[:, None] * vecs) * vals[None, :]
     sol = _k_solve(z, w, h_lu, rhs)
-    sol += _k_solve(z, w, h_lu, rhs - k_block @ sol)
+    # rhs - K sol, in rhs's storage
+    rhs[:ne] -= sys.M @ sol[:ne] + sys.B.T @ sol[ne:]
+    rhs[ne:] -= sys.B @ sol[:ne] - sys.C[:, None] * sol[ne:]
+    sol += _k_solve(z, w, h_lu, rhs)
     scale = (np.sqrt(np.sum(d[:, None] * sol[ne:]**2, axis=0))
              * _column_signs(sol[ne:]))
     vecs, sigmas = sol[ne:] / scale[None, :], sol[:ne] / scale[None, :]

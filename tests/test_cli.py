@@ -514,6 +514,85 @@ def test_empty_output_dir_is_config_error(tmp_path):
         parse_config(_write(tmp_path, GOOD_CONFIG.format(out=""))).validate()
 
 
+def test_empty_directory_key_is_named_through_main(tmp_path, capsys):
+    """An empty `[output] directory` names its key, as README says a
+    malformed value does, before any level runs."""
+    cfgfile = _write(tmp_path, GOOD_CONFIG.format(out=""))
+    assert main(["run", str(cfgfile)]) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: output_dir is empty ([output] directory)\n"
+
+
+def _closed_pipe():
+    """A pipe whose read end is closed: a write to it fails with EPIPE."""
+    read, write = os.pipe()
+    os.close(read)
+    return write
+
+
+def _full_device():
+    if not Path("/dev/full").exists():
+        pytest.skip("no /dev/full")
+    return os.open("/dev/full", os.O_WRONLY)
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered",
+                                                       "buffered"])
+@pytest.mark.parametrize("stdout, message", [
+    (_closed_pipe, "[Errno 32] Broken pipe"),
+    (_full_device, "[Errno 28] No space left on device")],
+    ids=["closed_pipe", "full_device"])
+def test_a_failed_summary_write_is_one_line_after_the_reports(
+        tmp_path, stdout, message, unbuffered):
+    """The reports and timings.json are written before the summary, and a
+    stdout that cannot take it is a config error: exit 1, one line on
+    stderr, no traceback and no "Exception ignored" at shutdown."""
+    out = tmp_path / "res"
+    cfgfile = _write(tmp_path, GOOD_CONFIG.format(out=out))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    fd = stdout()
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "rt0eig.cli", "run", str(cfgfile)],
+            stdout=fd, stderr=subprocess.PIPE, text=True, env=env,
+            timeout=120)
+    finally:
+        os.close(fd)
+    assert run.returncode == 1
+    assert run.stderr == (
+        f"config error: cannot write the summary to stdout: {message}\n")
+    for name in ("report.csv", "report.json", "timings.json"):
+        assert (out / name).is_file()
+    assert json.loads((out / "report.json").read_text())["status"] == "ok"
+
+
+class _FullStdout:
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+    def flush(self):
+        pass
+
+
+def test_a_failed_level_outranks_a_failed_summary_write(tmp_path,
+                                                        monkeypatch):
+    cfg = StudyConfig(preset="laplace", levels=[2, 4], k=2,
+                      output_dir=tmp_path)
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    with pytest.raises(ConfigError, match="^cannot write the summary"):
+        run_study(cfg)
+
+    def breakdown(*args, **kwargs):
+        raise NumericalError("synthetic breakdown")
+
+    monkeypatch.setattr(cli, "solve_mixed_eigenproblem", breakdown)
+    with pytest.raises(NumericalError, match="synthetic breakdown"):
+        run_study(cfg)
+
+
 def test_unwritable_output_dir_fails_before_any_level(tmp_path, monkeypatch,
                                                       capsys):
     blocker = tmp_path / "afile"

@@ -6,12 +6,19 @@ Rayleigh-quotient eigenvalues, the checks it makes on them, and the dense
 Schur complement formed from the blocks of M's Cholesky factor against a
 sparse LU of M."""
 
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import rt0eig.eigensolver
 from rt0eig import (AssembledSystem, NumericalError, ProblemSpec, Rectangle,
                     UNIT_SQUARE, assemble, build_structured_mesh, get_preset,
                     solve_mixed_eigenproblem)
@@ -210,7 +217,7 @@ def test_reported_eigenvalues_are_rayleigh_quotients_n64():
 
 def test_residual_margin_n128(laplace128):
     """With lambda the Rayleigh quotient of the refined pair, the largest
-    residual sits 58 times below the bound; with ARPACK's lambda, 6.8."""
+    residual sits 60 times below the bound; with ARPACK's lambda, 6.8."""
     sys_, (vals, vecs, _, residuals) = laplace128
     bound = RESIDUAL_RTOL * max(vals[j] / (vecs[:, j] @ vecs[:, j])
                                 for j in range(len(vals)))
@@ -235,6 +242,83 @@ def test_iterative_matches_dense_n16():
                               (want_fluxes[:, 0], fluxes[:, 0])):
             assert (np.abs(col - want_col).max()
                     <= 1e-10 * np.abs(want_col).max())
+
+
+# Run in a fresh interpreter: VmHWM and VmRSS (bytes) around the factor of
+# laplace H at n = 256, after a level at n = 128 as in a study, from the
+# point where _hybridize has returned.
+_FACTOR_PEAK = """
+from pathlib import Path
+from rt0eig import UNIT_SQUARE, assemble, build_structured_mesh, get_preset
+from rt0eig.eigensolver import (_factor_multipliers, _hybridize,
+                                solve_gevp_iterative)
+
+def status():
+    fields = dict(line.split(":", 1) for line in
+                  Path("/proc/self/status").read_text().splitlines())
+    return [int(fields[key].split()[0]) * 1024 for key in ("VmHWM", "VmRSS")]
+
+def laplace(n):
+    mesh = build_structured_mesh(UNIT_SQUARE, n)
+    return mesh, assemble(mesh, get_preset("laplace"))
+
+solve_gevp_iterative(*laplace(128), 4)
+_, _, h = _hybridize(*laplace(256))
+before = status()
+lu = _factor_multipliers(h)
+print(*before, *status())
+"""
+
+
+def _has_vmhwm():
+    try:
+        return "VmHWM:" in Path("/proc/self/status").read_text()
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _has_vmhwm(), reason="no VmHWM in /proc/self/status")
+def test_multiplier_factor_peaks_at_what_it_keeps_n256():
+    """SuperLU's panel work arrays grow with the panel width times the rows
+    of H; at SuperLU's default panel width they raised VmHWM 31 MiB above
+    what stays resident here.  With panels of 4 columns the high-water
+    mark rises by what stays resident, within 4 MiB."""
+    src = str(Path(rt0eig.eigensolver.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", _FACTOR_PEAK], check=True,
+                         capture_output=True, text=True, timeout=300, env=env)
+    hwm0, rss0, hwm1, rss1 = map(int, out.stdout.split())
+    assert hwm1 - hwm0 <= rss1 - rss0 + 4 * 2**20
+
+
+def test_iterative_level_traced_peak_n128():
+    """The traced peak of an iterative level at n = 128 (k = 4) stays
+    within 8 times the (T, 4, 4) local inverses, 32 MiB: 29.0 MiB measured,
+    35.5 MiB while K was assembled for the refinement and the inverses
+    were symmetrized into new arrays."""
+    mesh, sys_ = _system("laplace", 128)
+    inverses = sys_.num_triangles * 16 * 8
+    tracemalloc.start()
+    try:
+        solve_gevp_iterative(mesh, sys_, 4, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * inverses
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_refinement_applies_k_through_its_blocks(monkeypatch, n):
+    """The refinement's residual takes M, B^T, B and C one at a time: K is
+    never assembled."""
+    def no_bmat(*args, **kwargs):
+        raise AssertionError("sp.bmat called")
+
+    monkeypatch.setattr(rt0eig.eigensolver.sp, "bmat", no_bmat)
+    mesh, sys_ = _system("laplace", n)
+    res = solve_mixed_eigenproblem(mesh, sys_, 4, method="iterative", seed=0)
+    assert np.all(np.isfinite(res.eigenvalues))
 
 
 @pytest.fixture(scope="module")
