@@ -534,15 +534,15 @@ def _build_parser():
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "presets":
-        for name in preset_names():
-            print(name)
-        return EXIT_OK
-    overrides = {key: getattr(args, name) for key, (name, *_) in _KEYS.items()
-                 if getattr(args, name, None) is not None}
     try:
-        cfg = parse_config(args.config, overrides)
-        run_study(cfg)  # the one validation, of the file as overridden
+        if args.command == "presets":
+            _print_presets()
+        else:
+            overrides = {key: getattr(args, name)
+                         for key, (name, *_) in _KEYS.items()
+                         if getattr(args, name, None) is not None}
+            cfg = parse_config(args.config, overrides)
+            run_study(cfg)  # the one validation, of the file as overridden
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -552,6 +552,17 @@ def main(argv=None) -> int:
     finally:
         _release_stdout()
     return EXIT_OK
+
+
+def _print_presets():
+    """The preset names, one a line; a stdout that cannot take them (a
+    closed pipe, a full device) is a ConfigError, as for run's summary."""
+    try:
+        sys.stdout.write("".join(f"{name}\n" for name in preset_names()))
+        sys.stdout.flush()
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot write the preset names to stdout: {exc}") from None
 
 
 def _release_stdout():

@@ -30,12 +30,15 @@ inverse A^-1 of the element blocks, over the mesh's triangle edges.
 With G the jump map from the element slots to the multipliers, K^-1 =
 Z - W H^-1 W^T, where Z and W are A^-1 and A^-1 G^T restricted to K's
 unknowns and H = G A^-1 G^T is a symmetric positive definite system on the
-interior edges with at most 5 entries per row.  One sparse LU of H per
-level, in the nested-dissection order of the mesh that the iterative path
-takes with its system, and without pivoting, applies S^-1 for shift-invert
-ARPACK and then gives the fluxes of the eigentriples; their refinement
-applies K through its blocks M, B^T, B and C, so K is never assembled
-either.  Up to a sign and
+interior edges with at most 5 entries per row.  The three are gathered row
+by row from the (T, 4, 4) local inverses, bit for bit the entries of the
+sparse products, without forming A^-1, G or any product.  One sparse LU of
+H per level, in the nested-dissection order of the mesh that the
+iterative path takes with its system, and without pivoting, applies S^-1
+for shift-invert ARPACK and then gives the fluxes of the eigentriples;
+their refinement applies K through its blocks M, B^T, B and C, so K is
+never assembled either.  H is released once factorized, and the triangle
+block of K^-1 that ARPACK applies once ARPACK returns.  Up to a sign and
 the edge length, the multipliers approximate the scalar's trace on the
 interior edges, from which Arnold and Brezzi post-process it.
 """
@@ -353,10 +356,91 @@ def _hybridize(mesh, sys):
         Z = A^-1 restricted to the slots of K,
         W = A^-1 G^T restricted to the slots of K,   H = G A^-1 G^T.
 
+    None of A^-1, G or their products is formed: each matrix is gathered
+    row by row from the (T, 4, 4) local inverses.  The row of an unknown in
+    Z is its slot's row of its triangle's inverse, at the unknowns of that
+    triangle, and in W the same row at the multipliers of the triangle's
+    interior edges, each times that edge's sign in G.  The row of a
+    multiplier in H is the sum of such rows of its two slots, each times
+    its own sign.  The entries are the ones the sparse products give, bit
+    for bit: W and H leave out exact zeros, as a product does, and Z keeps
+    them, as a row and column selection does.
+
     H couples the interior edges of one triangle, so it has at most 5
     entries per row, and it is symmetric positive definite.
     """
     t, ne = sys.num_triangles, sys.num_edges
+    inv = _local_inverses(sys)
+    # every index and entry count is below 16 T
+    index = np.int32 if 16 * t < np.iinfo(np.int32).max else np.int64
+    te = mesh.triangle_edges.ravel()
+    # local edge p = 3t + i has slot 4t + i = p + t, and its sign in G is
+    # +1 if it is its edge's owner, -1 if the neighbour
+    owner = _edge_owners(mesh)
+    sign = np.full(3 * t, -1, dtype=np.int8)
+    sign[owner] = 1
+    # per triangle: the unknowns of its slots (-1 where another triangle
+    # owns the edge), and the multipliers of its edges (-1 on the boundary)
+    unknown = np.full((t, 4), -1, dtype=index)
+    unknown[:, 3] = np.arange(ne, ne + t)
+    unknown.ravel()[owner + owner // 3] = np.arange(ne)
+    order = nested_dissection_order(mesh)
+    multiplier = np.full(ne, -1, dtype=index)
+    multiplier[order] = np.arange(order.size)
+    mult = multiplier.take(mesh.triangle_edges)
+    sign3 = sign.reshape(t, 3)
+    rows = inv.reshape(4 * t, 4)
+
+    # Temporaries go as soon as they are spent, and H, whose are the
+    # largest, is built while only the inverses are alive: at n = 512 this
+    # holds the traced peak to 257 MiB, against 464 MiB for the products.
+    # H: the two slots of each multiplier, its owner's and its neighbour's
+    pos = np.empty((order.size, 2), dtype=np.intp)
+    pos[:, 0] = owner.take(order)
+    neighbour = np.flatnonzero(sign < 0)
+    other = np.empty(ne, dtype=np.intp)
+    other[te.take(neighbour)] = neighbour
+    pos[:, 1] = other.take(order)
+    del neighbour, other
+    tri = pos // 3
+    vals = rows.take(pos + tri, axis=0)[:, :, :3] * sign3.take(tri, axis=0)
+    vals *= sign.take(pos)[:, :, None]
+    cols = mult.take(tri, axis=0)
+    del pos, tri
+    h = _csr_from_rows(vals.reshape(-1, 6), cols.reshape(-1, 6),
+                       (order.size, order.size))
+    del vals, cols
+
+    # Z and W: the rows of the unknowns of K, the edges' then the scalars'
+    slot = np.concatenate([owner + owner // 3, 4 * np.arange(t) + 3])
+    tri = slot // 4
+    vals = rows.take(slot, axis=0)
+    del inv, rows, slot
+    w = _csr_from_rows(vals[:, :3] * sign3.take(tri, axis=0),
+                       mult.take(tri, axis=0), (ne + t, order.size))
+    z = _csr_from_rows(vals, unknown.take(tri, axis=0), (ne + t, ne + t),
+                       keep_zeros=True)
+    return z, w, h
+
+
+def _edge_owners(mesh):
+    """The first local edge p = 3t + i of each edge in the mesh's
+    `triangle_edges`, its owner.  The mesh numbers its edges in the order
+    the walk over its triangles first meets them, so the owners are where
+    the running maximum of `triangle_edges` rises, by one each time;
+    raises ValueError for a mesh numbered otherwise."""
+    te = mesh.triangle_edges.ravel()
+    owner = np.flatnonzero(np.diff(np.maximum.accumulate(te), prepend=-1))
+    if not np.array_equal(te.take(owner), np.arange(mesh.num_edges)):
+        raise ValueError("mesh edges are not numbered in the order its "
+                         "triangles first meet them")
+    return owner
+
+
+def _local_inverses(sys):
+    """(T, 4, 4) inverses of the local blocks [[M_T, L_T^T], [L_T, -c_T]],
+    symmetrized; raises NumericalError naming a singular block."""
+    t = sys.num_triangles
     blocks = np.zeros((t, 4, 4))
     blocks[:, :3, :3] = sys.m_vals
     blocks[:, :3, 3] = blocks[:, 3, :3] = sys.div_vals
@@ -372,30 +456,26 @@ def _hybridize(mesh, sys):
     # symmetrized into `blocks`, which is dead once inverted
     np.add(inv, inv.transpose(0, 2, 1), out=blocks)
     blocks *= 0.5
-    del inv
-    a_inv = sp.bsr_matrix((blocks, np.arange(t), np.arange(t + 1))).tocsr()
+    return blocks
 
-    te = mesh.triangle_edges.ravel()
-    # local edge p = 3t + i has slot 4t + i; owner[e] is the first p of e
-    p = np.arange(3 * t)
-    local = 4 * (p // 3) + p % 3
-    owner = np.unique(te, return_index=True)[1]
-    slot = np.concatenate([local[owner], 4 * np.arange(t) + 3])
-    order = nested_dissection_order(mesh)
-    multiplier = np.full(ne, -1)
-    multiplier[order] = np.arange(order.size)
-    interior = multiplier[te] >= 0
-    g = sp.csr_matrix(
-        (np.where(owner[te] == p, 1.0, -1.0)[interior],
-         (multiplier[te][interior], local[interior])),
-        shape=(order.size, 4 * t))
 
-    a_inv_gt = a_inv @ g.T
-    z, w, h = a_inv[slot][:, slot], a_inv_gt[slot], g @ a_inv_gt
+def _csr_from_rows(vals, cols, shape, keep_zeros=False):
+    """CSR matrix whose row r holds vals[r, j] at column cols[r, j] for
+    every j with cols[r, j] >= 0, duplicates summed and indices sorted.
+    Exact zeros are left out unless keep_zeros."""
+    keep = cols >= 0
+    if not keep_zeros:
+        keep &= vals != 0
+    indptr = np.zeros(shape[0] + 1, dtype=cols.dtype)
+    for column in keep.T:
+        indptr[1:] += column
+    np.cumsum(indptr, out=indptr)
+    m = sp.csr_matrix((vals[keep], cols[keep], indptr), shape=shape)
     # SpMV and SuperLU sum in stored order: sorted indices fix the rounding
-    for m in (z, w, h):
-        m.sort_indices()
-    return z, w, h
+    m.sum_duplicates()
+    if not keep_zeros:
+        m.eliminate_zeros()
+    return m
 
 
 def _factor_multipliers(h):
@@ -467,6 +547,8 @@ def solve_gevp_iterative(mesh, sys, k: int, seed: int = 0):
     ne = sys.num_edges
     z, w, h = _hybridize(mesh, sys)
     h_lu = _factor_multipliers(h)
+    # the factor holds what the solves need of H
+    del h
     sqd = np.sqrt(d)
     # the triangle block of K^-1: Z's is diagonal
     z_tri, w_tri = z.diagonal()[ne:], w[ne:]
@@ -487,6 +569,8 @@ def solve_gevp_iterative(mesh, sys, k: int, seed: int = 0):
         raise NumericalError(
             f"iterative eigensolver did not converge for k={k}: {exc}"
         ) from exc
+    # the triangle block of K^-1 served ARPACK alone
+    del op, shift_invert, z_tri, w_tri, w_tri_t
     vals, vecs = 1.0 / mu, y / sqd[:, None]
     # one inverse-iteration step K [sigma; v] = [0; -lambda D u] for all
     # pairs, whose flux block is the flux of v.  One step of iterative

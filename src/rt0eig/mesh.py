@@ -78,7 +78,9 @@ class Mesh:
     edges : (num_edges, 2) int array
         Vertex index pairs, oriented from lower to higher index.
     triangle_edges : (num_triangles, 3) int array
-        Global edge index of the local edge opposite each vertex.
+        Global edge index of the local edge opposite each vertex.  Edges
+        are numbered in the order a walk over the triangles first meets
+        them, which the iterative solver's hybridization relies on.
     triangle_edge_signs : (num_triangles, 3) int array
         +1 where the triangle's outward normal on that edge equals the
         global edge normal (90-degree counterclockwise rotation of the

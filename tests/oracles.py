@@ -21,7 +21,9 @@ eigenvalues of the reduced problem from the dense saddle-point pencil,
 the dense Schur complement, eigenpair residuals and Rayleigh quotients
 through a sparse LU of M rather than the blocks of its Cholesky factor or
 the saddle-point block, and solves with that block from a sparse direct
-solve of it whole, not from its hybridization.  The dense eigensolve has a
+solve of it whole, not from its hybridization.  The hybridization's own
+three matrices have a reference as the sparse products of a global A^-1
+and jump map, which the package no longer forms.  The dense eigensolve has a
 reference that copies whole arrays where the package works in place, and
 the sign convention one that scans each column for the entry it makes
 positive.
@@ -64,6 +66,7 @@ from rt0eig.eigensolver import (NumericalError, _check_residuals,
 from rt0eig.extrapolation import (CLUSTER_RTOL, EXPANSION_ORDER, SATURATION,
                                   ClusterRow, ConvergenceTable, LevelSequence,
                                   SupercloseBlock, richardson)
+from rt0eig.mesh import nested_dissection_order
 
 
 def _local_geometry(tri):
@@ -400,6 +403,43 @@ def nested_dissection_k_factor(mesh, sys):
     order = recursive_nested_dissection(mesh)
     k = saddle_point_matrix(sys)[order][:, order]
     return spla.splu(k, permc_spec="NATURAL")
+
+
+def product_hybridization(mesh, sys):
+    """(Z, W, H) of the iterative path's hybridization as sparse products:
+    the global block diagonal A^-1 of the symmetrized local inverses, the
+    jump map G from the local slots to the multipliers (owner +1,
+    neighbour -1, in nested_dissection_order), A^-1 G^T, and the row and
+    column selections Z = A^-1[slot][:, slot], W = (A^-1 G^T)[slot] and
+    H = G A^-1 G^T, with sorted indices.  The owners come from np.unique.
+    The package gathers the same three matrices from the local inverses
+    without forming any of these products."""
+    t, ne = sys.num_triangles, sys.num_edges
+    blocks = np.zeros((t, 4, 4))
+    blocks[:, :3, :3] = sys.m_vals
+    blocks[:, :3, 3] = blocks[:, 3, :3] = sys.div_vals
+    blocks[:, 3, 3] = -sys.C
+    inv = np.linalg.inv(blocks)
+    inv = (inv + inv.transpose(0, 2, 1)) * 0.5
+    a_inv = sp.bsr_matrix((inv, np.arange(t), np.arange(t + 1))).tocsr()
+    te = mesh.triangle_edges.ravel()
+    p = np.arange(3 * t)
+    local = 4 * (p // 3) + p % 3
+    owner = np.unique(te, return_index=True)[1]
+    slot = np.concatenate([local[owner], 4 * np.arange(t) + 3])
+    order = nested_dissection_order(mesh)
+    multiplier = np.full(ne, -1)
+    multiplier[order] = np.arange(order.size)
+    interior = multiplier[te] >= 0
+    g = sp.csr_matrix(
+        (np.where(owner[te] == p, 1.0, -1.0)[interior],
+         (multiplier[te][interior], local[interior])),
+        shape=(order.size, 4 * t))
+    a_inv_gt = a_inv @ g.T
+    z, w, h = a_inv[slot][:, slot], a_inv_gt[slot], g @ a_inv_gt
+    for m in (z, w, h):
+        m.sort_indices()
+    return z, w, h
 
 
 def schur_rayleigh_quotients(sys, vecs):

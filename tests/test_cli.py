@@ -549,24 +549,46 @@ def test_a_failed_summary_write_is_one_line_after_the_reports(
     stderr, no traceback and no "Exception ignored" at shutdown."""
     out = tmp_path / "res"
     cfgfile = _write(tmp_path, GOOD_CONFIG.format(out=out))
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered,
-           "PYTHONPATH": os.pathsep.join(
-               filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    fd = stdout()
-    try:
-        run = subprocess.run(
-            [sys.executable, "-m", "rt0eig.cli", "run", str(cfgfile)],
-            stdout=fd, stderr=subprocess.PIPE, text=True, env=env,
-            timeout=120)
-    finally:
-        os.close(fd)
+    run = _run_cli_into(stdout, unbuffered, "run", str(cfgfile))
     assert run.returncode == 1
     assert run.stderr == (
         f"config error: cannot write the summary to stdout: {message}\n")
     for name in ("report.csv", "report.json", "timings.json"):
         assert (out / name).is_file()
     assert json.loads((out / "report.json").read_text())["status"] == "ok"
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered",
+                                                       "buffered"])
+@pytest.mark.parametrize("stdout, message", [
+    (_closed_pipe, "[Errno 32] Broken pipe"),
+    (_full_device, "[Errno 28] No space left on device")],
+    ids=["closed_pipe", "full_device"])
+def test_a_failed_presets_write_is_one_line(stdout, message, unbuffered):
+    """`rt0eig presets` into a stdout that cannot take the names is a
+    config error, as run's summary is: exit 1, one line on stderr."""
+    run = _run_cli_into(stdout, unbuffered, "presets")
+    assert run.returncode == 1
+    assert run.stderr == (
+        f"config error: cannot write the preset names to stdout: "
+        f"{message}\n")
+
+
+def _run_cli_into(stdout, unbuffered, *args):
+    """`python -m rt0eig.cli *args` in a fresh interpreter, with stdout on
+    the descriptor that `stdout()` opens, PYTHONUNBUFFERED set to
+    `unbuffered`, and stderr captured."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    fd = stdout()
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "rt0eig.cli", *args], stdout=fd,
+            stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(fd)
 
 
 class _FullStdout:

@@ -6,6 +6,7 @@ Rayleigh-quotient eigenvalues, the checks it makes on them, and the dense
 Schur complement formed from the blocks of M's Cholesky factor against a
 sparse LU of M."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -23,13 +24,14 @@ from rt0eig import (AssembledSystem, NumericalError, ProblemSpec, Rectangle,
                     UNIT_SQUARE, assemble, build_structured_mesh, get_preset,
                     solve_mixed_eigenproblem)
 from rt0eig.eigensolver import (RESIDUAL_RTOL, _check_eigentriples,
-                                _factor_multipliers, _hybridize, _k_solve,
+                                _edge_owners, _factor_multipliers,
+                                _hybridize, _k_solve,
                                 flux_mass_factor, schur_complement,
                                 solve_gevp_iterative)
 from oracles import (colamd_eigenvalues, dense_schur_eigentriples,
-                     flux_row_image, mass_solve, saddle_point_solve,
-                     schur_rayleigh_quotients, schur_residuals,
-                     sign_entries)
+                     flux_row_image, mass_solve, product_hybridization,
+                     saddle_point_solve, schur_rayleigh_quotients,
+                     schur_residuals, sign_entries)
 
 
 def _system(preset, n):
@@ -80,6 +82,64 @@ def test_hybrid_solve_matches_sparse_direct_solve(case, n):
     assert h.shape == (interior.sum(),) * 2
     if n == 1:
         assert h.shape == (1, 1)
+
+
+def _assert_bitwise_equal(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
+
+
+@pytest.mark.parametrize("case",
+                         ["laplace", "shifted", "variable", "anisotropic"])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
+def test_hybridization_is_the_product_build_bit_for_bit(case, n):
+    """Z, W and H gathered from the local inverses hold the entries of the
+    sparse products A^-1[slot][:, slot], (A^-1 G^T)[slot] and G A^-1 G^T,
+    bit for bit, in the same order."""
+    mesh, sys_ = _case_system(case, n)
+    for got, want in zip(_hybridize(mesh, sys_),
+                         product_hybridization(mesh, sys_), strict=True):
+        _assert_bitwise_equal(got, want)
+
+
+def test_hybridization_keeps_the_zeros_the_products_keep():
+    """Local inverses with exact zeros: the row and column selection that
+    gives Z keeps them, and the products that give W and H drop them."""
+    mesh, sys_ = _system("laplace", 4)
+    t = sys_.num_triangles
+    zeros = AssembledSystem(
+        M=sys_.M, B=sys_.B, C=sys_.C, D=sys_.D, num_edges=sys_.num_edges,
+        num_triangles=t, m_vals=np.tile(np.diag([2.0, 3.0, 4.0]), (t, 1, 1)),
+        div_vals=np.tile([1.0, 0.0, 0.0], (t, 1)))
+    z, w, h = _hybridize(mesh, zeros)
+    assert np.count_nonzero(z.data == 0) > 0
+    for got, want in zip((z, w, h), product_hybridization(mesh, zeros),
+                         strict=True):
+        _assert_bitwise_equal(got, want)
+
+
+@pytest.mark.parametrize("domain, n", [(UNIT_SQUARE, n) for n in range(1, 10)]
+                         + [(ANISOTROPIC.domain, 1), (ANISOTROPIC.domain, 6)])
+def test_edge_owners_are_the_first_occurrences(domain, n):
+    """The running-maximum rule finds the first local edge of each edge, as
+    np.unique does."""
+    mesh = build_structured_mesh(domain, n)
+    want = np.unique(mesh.triangle_edges, return_index=True)[1]
+    assert np.array_equal(_edge_owners(mesh), want)
+
+
+def test_edge_owners_reject_another_numbering():
+    """Swapping two edge numbers breaks the first-occurrence order that
+    the running-maximum rule reads."""
+    mesh = build_structured_mesh(UNIT_SQUARE, 3)
+    swap = np.arange(mesh.num_edges)
+    swap[[1, 2]] = [2, 1]
+    renumbered = dataclasses.replace(
+        mesh, triangle_edges=swap[mesh.triangle_edges])
+    with pytest.raises(ValueError, match="not numbered in the order"):
+        _edge_owners(renumbered)
 
 
 def test_singular_element_block_names_its_triangle():
@@ -294,9 +354,10 @@ def test_multiplier_factor_peaks_at_what_it_keeps_n256():
 
 def test_iterative_level_traced_peak_n128():
     """The traced peak of an iterative level at n = 128 (k = 4) stays
-    within 8 times the (T, 4, 4) local inverses, 32 MiB: 29.0 MiB measured,
-    35.5 MiB while K was assembled for the refinement and the inverses
-    were symmetrized into new arrays."""
+    within 6 times the (T, 4, 4) local inverses, 24 MiB: 21.6 MiB measured.
+    It was 29.0 MiB while Z, W and H were sparse products of a global A^-1
+    and the jump map, and H and ARPACK's operator lived to the end of the
+    level, and 35.5 MiB while K was assembled for the refinement."""
     mesh, sys_ = _system("laplace", 128)
     inverses = sys_.num_triangles * 16 * 8
     tracemalloc.start()
@@ -305,7 +366,7 @@ def test_iterative_level_traced_peak_n128():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * inverses
+    assert peak <= 6 * inverses
 
 
 @pytest.mark.parametrize("n", [4, 8])
