@@ -39,6 +39,8 @@ from .coefficients import (COEFF_EPS, MIDPOINT_RULE, ProblemSpec,
                            field_values, quad_points, rowdot, weighted_sum)
 from .mesh import Mesh
 
+# a triangle whose area is not above this times its squared longest edge
+# is degenerate: a shape test, so it holds at every scale of the domain
 DEGENERATE_AREA = 1e-14
 
 
@@ -153,15 +155,20 @@ def assemble(mesh: Mesh, prob: ProblemSpec) -> AssembledSystem:
     nt, ne = mesh.num_triangles, mesh.num_edges
     tri = mesh.vertices[mesh.triangles]  # (T, 3, 2)
     area = mesh.areas
+    # the degenerate test compares area / longest with DEGENERATE_AREA *
+    # longest, which, unlike longest squared, cannot overflow
+    longest = mesh.edge_lengths[mesh.triangle_edges].max(axis=1)
     pts = quad_points(tri, rule)  # (T, Q, 2)
     x, y = pts[..., 0], pts[..., 1]
     a = _coefficient(prob.A, "A", x, y, (2, 2))
     c_vals = _coefficient(prob.c, "c", x, y)
     b_vals = _coefficient(prob.b, "b", x, y)
     _first_violation(pts, [
-        (np.broadcast_to(area[:, None] < DEGENERATE_AREA, x.shape),
+        (np.broadcast_to(
+            ~(area / longest > DEGENERATE_AREA * longest)[:, None], x.shape),
          lambda t, q, where: (
-             f"degenerate triangle {t} with area {area[t]:g}")),
+             f"degenerate triangle {t} with area {area[t]:g} and longest "
+             f"edge {longest[t]:g}")),
         _tensor_check(a),
         _lower_bound_check(c_vals, "c", 0.0),
         _lower_bound_check(b_vals, "b", COEFF_EPS),

@@ -26,21 +26,23 @@ K = [[M, B^T], [B, -C]].  It hybridizes K (Arnold and Brezzi, M2AN 19,
 1985): the flux space is broken triangle by triangle, one multiplier per
 interior edge makes the normal flux continuous, and the flux and the
 scalar are eliminated element by element through the block diagonal
-inverse A^-1 of the element blocks, over the mesh's triangle edges.
-With G the jump map from the element slots to the multipliers, K^-1 =
-Z - W H^-1 W^T, where Z and W are A^-1 and A^-1 G^T restricted to K's
-unknowns and H = G A^-1 G^T is a symmetric positive definite system on the
-interior edges with at most 5 entries per row.  The three are gathered row
-by row from the (T, 4, 4) local inverses, bit for bit the entries of the
-sparse products, without forming A^-1, G or any product.  One sparse LU of
-H per level, in the nested-dissection order of the mesh that the
-iterative path takes with its system, and without pivoting, applies S^-1
-for shift-invert ARPACK and then gives the fluxes of the eigentriples;
-their refinement applies K through its blocks M, B^T, B and C, so K is
-never assembled either.  H is released once factorized, and the triangle
-block of K^-1 that ARPACK applies once ARPACK returns.  Up to a sign and
-the edge length, the multipliers approximate the scalar's trace on the
-interior edges, from which Arnold and Brezzi post-process it.
+inverse A^-1 of the element blocks.  With G the jump map from the element
+slots to the multipliers, K^-1 = Z - W H^-1 W^T, where Z and W are A^-1
+and A^-1 G^T restricted to K's unknowns and H = G A^-1 G^T is a symmetric
+positive definite system on the interior edges with at most 5 entries per
+row.  The owner of each edge's unknown and the two sides G joins come from
+the mesh's `edge_sides`, so no edge numbering is assumed.  The three are
+gathered row by row from the (T, 4, 4) local inverses, without forming
+A^-1, G or any product: bit for bit the entries of the sparse products,
+less any exact zeros.  One sparse LU of H per level, in the
+nested-dissection order of the mesh that the iterative path takes with
+its system, and without pivoting, applies S^-1 for shift-invert ARPACK
+and then gives the fluxes of the eigentriples; their refinement applies
+K through its blocks M, B^T, B and C, so K is never assembled either.  H
+is released once factorized, and the triangle block of K^-1 that ARPACK
+applies once ARPACK returns.  Up to a sign and the edge length, the
+multipliers approximate the scalar's trace on the interior edges, from
+which Arnold and Brezzi post-process it.
 """
 
 import re
@@ -348,9 +350,9 @@ def _hybridize(mesh, sys):
     scalar.  A^-1 is the block diagonal inverse of the local blocks
     [[M_T, L_T^T], [L_T, -c_T]] (M_T from m_vals, L_T from div_vals).  Each
     unknown of K has one slot: a triangle's scalar its own, and an edge's
-    flux that of its first triangle, its owner, which also gives its sigma
-    back.  The jump map G takes the owner's slot minus the neighbour's, at
-    the mesh's `triangle_edges`, to the multipliers, numbered in the mesh's
+    flux that of its owner, the first of its `edge_sides` in the mesh,
+    which also gives its sigma back.  The jump map G takes the owner's slot
+    minus the other side's to the multipliers, numbered in the mesh's
     nested_dissection_order of its interior edges.  Then
 
         Z = A^-1 restricted to the slots of K,
@@ -363,8 +365,7 @@ def _hybridize(mesh, sys):
     interior edges, each times that edge's sign in G.  The row of a
     multiplier in H is the sum of such rows of its two slots, each times
     its own sign.  The entries are the ones the sparse products give, bit
-    for bit: W and H leave out exact zeros, as a product does, and Z keeps
-    them, as a row and column selection does.
+    for bit, and all three leave out exact zeros, as a product does.
 
     H couples the interior edges of one triangle, so it has at most 5
     entries per row, and it is symmetric positive definite.
@@ -373,10 +374,9 @@ def _hybridize(mesh, sys):
     inv = _local_inverses(sys)
     # every index and entry count is below 16 T
     index = np.int32 if 16 * t < np.iinfo(np.int32).max else np.int64
-    te = mesh.triangle_edges.ravel()
     # local edge p = 3t + i has slot 4t + i = p + t, and its sign in G is
     # +1 if it is its edge's owner, -1 if the neighbour
-    owner = _edge_owners(mesh)
+    owner = mesh.edge_sides[:, 0]
     sign = np.full(3 * t, -1, dtype=np.int8)
     sign[owner] = 1
     # per triangle: the unknowns of its slots (-1 where another triangle
@@ -395,13 +395,7 @@ def _hybridize(mesh, sys):
     # largest, is built while only the inverses are alive: at n = 512 this
     # holds the traced peak to 257 MiB, against 464 MiB for the products.
     # H: the two slots of each multiplier, its owner's and its neighbour's
-    pos = np.empty((order.size, 2), dtype=np.intp)
-    pos[:, 0] = owner.take(order)
-    neighbour = np.flatnonzero(sign < 0)
-    other = np.empty(ne, dtype=np.intp)
-    other[te.take(neighbour)] = neighbour
-    pos[:, 1] = other.take(order)
-    del neighbour, other
+    pos = mesh.edge_sides.take(order, axis=0)
     tri = pos // 3
     vals = rows.take(pos + tri, axis=0)[:, :, :3] * sign3.take(tri, axis=0)
     vals *= sign.take(pos)[:, :, None]
@@ -418,23 +412,8 @@ def _hybridize(mesh, sys):
     del inv, rows, slot
     w = _csr_from_rows(vals[:, :3] * sign3.take(tri, axis=0),
                        mult.take(tri, axis=0), (ne + t, order.size))
-    z = _csr_from_rows(vals, unknown.take(tri, axis=0), (ne + t, ne + t),
-                       keep_zeros=True)
+    z = _csr_from_rows(vals, unknown.take(tri, axis=0), (ne + t, ne + t))
     return z, w, h
-
-
-def _edge_owners(mesh):
-    """The first local edge p = 3t + i of each edge in the mesh's
-    `triangle_edges`, its owner.  The mesh numbers its edges in the order
-    the walk over its triangles first meets them, so the owners are where
-    the running maximum of `triangle_edges` rises, by one each time;
-    raises ValueError for a mesh numbered otherwise."""
-    te = mesh.triangle_edges.ravel()
-    owner = np.flatnonzero(np.diff(np.maximum.accumulate(te), prepend=-1))
-    if not np.array_equal(te.take(owner), np.arange(mesh.num_edges)):
-        raise ValueError("mesh edges are not numbered in the order its "
-                         "triangles first meet them")
-    return owner
 
 
 def _local_inverses(sys):
@@ -459,13 +438,11 @@ def _local_inverses(sys):
     return blocks
 
 
-def _csr_from_rows(vals, cols, shape, keep_zeros=False):
+def _csr_from_rows(vals, cols, shape):
     """CSR matrix whose row r holds vals[r, j] at column cols[r, j] for
-    every j with cols[r, j] >= 0, duplicates summed and indices sorted.
-    Exact zeros are left out unless keep_zeros."""
-    keep = cols >= 0
-    if not keep_zeros:
-        keep &= vals != 0
+    every j with cols[r, j] >= 0, duplicates summed, indices sorted and
+    exact zeros left out."""
+    keep = (cols >= 0) & (vals != 0)
     indptr = np.zeros(shape[0] + 1, dtype=cols.dtype)
     for column in keep.T:
         indptr[1:] += column
@@ -473,8 +450,7 @@ def _csr_from_rows(vals, cols, shape, keep_zeros=False):
     m = sp.csr_matrix((vals[keep], cols[keep], indptr), shape=shape)
     # SpMV and SuperLU sum in stored order: sorted indices fix the rounding
     m.sum_duplicates()
-    if not keep_zeros:
-        m.eliminate_zeros()
+    m.eliminate_zeros()
     return m
 
 

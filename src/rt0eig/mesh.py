@@ -5,7 +5,8 @@ lower-left to upper-right diagonal, with globally oriented edges.  Edge
 degrees of freedom (one per edge) and triangle degrees of freedom (one per
 triangle) are the carriers of the lowest-order mixed discretization, so the
 mesh records, for every triangle, which global edge each local edge maps to
-and whether the triangle's outward normal agrees with the global edge normal.
+and whether the triangle's outward normal agrees with the global edge normal,
+and for every edge the local edges of its two sides.
 The study reads these arrays whole; per-triangle accessors and the text
 dump of a mesh are test references in tests/oracles.py.
 """
@@ -78,13 +79,15 @@ class Mesh:
     edges : (num_edges, 2) int array
         Vertex index pairs, oriented from lower to higher index.
     triangle_edges : (num_triangles, 3) int array
-        Global edge index of the local edge opposite each vertex.  Edges
-        are numbered in the order a walk over the triangles first meets
-        them, which the iterative solver's hybridization relies on.
+        Global edge index of the local edge opposite each vertex.
     triangle_edge_signs : (num_triangles, 3) int array
         +1 where the triangle's outward normal on that edge equals the
         global edge normal (90-degree counterclockwise rotation of the
         oriented edge direction), -1 otherwise.
+    edge_sides : (num_edges, 2) int array
+        The local edges p = 3t + i of each edge, the triangle_edges entries
+        that name it: first the one a walk over the triangles meets first,
+        its owner, then the other, or -1 on the boundary.
     boundary_edge_flags : (num_edges,) bool array
         True for edges referenced by exactly one triangle.
     h : float
@@ -101,6 +104,7 @@ class Mesh:
     edges: np.ndarray
     triangle_edges: np.ndarray
     triangle_edge_signs: np.ndarray
+    edge_sides: np.ndarray
     boundary_edge_flags: np.ndarray
     h: float
     areas: np.ndarray = field(repr=False)
@@ -175,8 +179,15 @@ def build_structured_mesh(rect: Rectangle, n: int) -> Mesh:
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     triangle_edges = rank[walk_edge].reshape(-1, 3)
-    edges = np.column_stack([lo, hi])[first[order]]
-    boundary_edge_flags = np.bincount(triangle_edges.ravel()) == 1
+    edge_sides = np.full((len(order), 2), -1, dtype=np.int64)
+    edge_sides[:, 0] = first[order]
+    edges = np.column_stack([lo, hi])[edge_sides[:, 0]]
+    # every local edge that is no owner is its edge's second side
+    second = np.ones(walk_edge.size, dtype=bool)
+    second[edge_sides[:, 0]] = False
+    second = np.flatnonzero(second)
+    edge_sides[triangle_edges.ravel()[second], 1] = second
+    boundary_edge_flags = edge_sides[:, 1] < 0
     # The counterclockwise walk a->b has the outward normal clockwise of the
     # walk direction; the global normal is counterclockwise of the low->high
     # direction, so the two agree exactly when the walk descends the vertex
@@ -196,7 +207,8 @@ def build_structured_mesh(rect: Rectangle, n: int) -> Mesh:
     h = float(edge_lengths.max())
 
     for arr in (vertices, triangles, edges, triangle_edges,
-                triangle_edge_signs, boundary_edge_flags, areas, edge_lengths):
+                triangle_edge_signs, edge_sides, boundary_edge_flags, areas,
+                edge_lengths):
         arr.setflags(write=False)
 
     return Mesh(
@@ -207,6 +219,7 @@ def build_structured_mesh(rect: Rectangle, n: int) -> Mesh:
         edges=edges,
         triangle_edges=triangle_edges,
         triangle_edge_signs=triangle_edge_signs,
+        edge_sides=edge_sides,
         boundary_edge_flags=boundary_edge_flags,
         h=h,
         areas=areas,

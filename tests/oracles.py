@@ -75,14 +75,14 @@ def _local_geometry(tri):
         raise AssemblyError(f"triangle must be a 3x2 array, got {tri.shape}")
     u, v = tri[1] - tri[0], tri[2] - tri[0]
     area = 0.5 * abs(float(u[0] * v[1] - u[1] * v[0]))
-    if area < DEGENERATE_AREA:
-        raise AssemblyError(f"degenerate triangle with area {area:g}")
     # edge opposite vertex i connects the other two vertices
     lengths = np.array([
         np.linalg.norm(tri[2] - tri[1]),
         np.linalg.norm(tri[0] - tri[2]),
         np.linalg.norm(tri[1] - tri[0]),
     ])
+    if not area > DEGENERATE_AREA * lengths.max() ** 2:
+        raise AssemblyError(f"degenerate triangle with area {area:g}")
     return tri, area, lengths
 
 

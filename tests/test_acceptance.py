@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from rt0eig import (assemble, build_structured_mesh, get_preset,
-                    laplace_eigenpair, UNIT_SQUARE)
+                    laplace_eigenpair, solve_mixed_eigenproblem, UNIT_SQUARE)
 from rt0eig.eigensolver import flux_mass_factor, schur_complement, solve_gevp
 from rt0eig.cli import StudyConfig, run_study
 from rt0eig.coefficients import MIDPOINT_RULE
@@ -41,6 +41,23 @@ def variable_study(tmp_path_factory):
                       output_dir=tmp_path_factory.mktemp("variable"))
     table, _ = run_study(cfg)
     return table
+
+
+def test_leading_coefficient_of_mode_1_1_is_pi2_over_18():
+    """The leading term of the expansion of the first laplace eigenvalue
+    on this mesh: lambda_h = 2 pi^2 + (pi^4 / 18) h^2 + O(h^4) with
+    h = 1 / n, the grid spacing, not the mesh's diagonal h.  The scaled
+    errors (lambda_h - 2 pi^2) n^2 / pi^2 at n = 32 and 64, extrapolated
+    in h^2, give pi^2 / 18 to 1.1e-7."""
+    prob = get_preset("laplace")
+    scaled = []
+    for n in (32, 64):
+        mesh = build_structured_mesh(UNIT_SQUARE, n)
+        lam = solve_mixed_eigenproblem(mesh, assemble(mesh, prob),
+                                       1).eigenvalues[0]
+        scaled.append((lam - 2.0 * PI2) * n**2 / PI2)
+    coefficient = (4.0 * scaled[1] - scaled[0]) / 3.0
+    assert abs(coefficient - PI2 / 18.0) <= 1e-6
 
 
 def test_criterion_1_raw_eigenvalue_order(laplace_study):

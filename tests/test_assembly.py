@@ -178,7 +178,7 @@ def _assert_dumps_round_trip(out, name, n):
     diag = np.arange(sys_.num_triangles)
     for block in "MBCD":
         path = out / f"matrix_n{n}_{block}.mtx"
-        assert path.read_text().startswith(
+        assert path.read_text(encoding="utf-8").startswith(
             "%%MatrixMarket matrix coordinate real general\n")
         got = scipy.io.mmread(path)
         want = getattr(sys_, block)
@@ -339,12 +339,32 @@ def test_non_broadcastable_coefficient_names_shape(unit_mesh_n2):
         assemble(unit_mesh_n2, _with(c=lambda x, y: np.ones(5)))
 
 
-def test_assemble_rejects_degenerate_triangle():
-    tiny = Rectangle(0.0, 0.0, 1e-7, 1e-7)
+def _laplace_on(domain):
     base = get_preset("laplace")
-    prob = ProblemSpec(name="tiny", domain=tiny, A=base.A, c=base.c, b=base.b)
+    return ProblemSpec(name="laplace", domain=domain, A=base.A, c=base.c,
+                       b=base.b)
+
+
+def test_assemble_rejects_degenerate_triangle():
+    """A sliver: its area is 5e-16 of its squared longest edge."""
+    sliver = Rectangle(0.0, 0.0, 1.0, 1e-15)
     with pytest.raises(AssemblyError, match="degenerate triangle 0"):
-        assemble(build_structured_mesh(tiny, 1), prob)
+        assemble(build_structured_mesh(sliver, 1), _laplace_on(sliver))
+
+
+def test_assemble_takes_a_small_square():
+    """The degenerate test is a shape test: the right isosceles triangles
+    of a square of side L = 1e-6, of area 7.8e-15 at n = 8, assemble, and
+    M / L^2, B / L and D / L^2 are the unit square's blocks to 1e-13."""
+    side = 1e-6
+    small = Rectangle(0.0, 0.0, side, side)
+    got = assemble(build_structured_mesh(small, 8), _laplace_on(small))
+    want = assemble(build_structured_mesh(UNIT_SQUARE, 8),
+                    get_preset("laplace"))
+    for block, power in (("M", 2), ("B", 1), ("D", 2)):
+        scaled = getattr(got, block) / side**power
+        unit = getattr(want, block)
+        assert np.abs(scaled - unit).max() <= 1e-13 * np.abs(unit).max()
 
 
 def test_assemble_rejects_overflowing_element_blocks():

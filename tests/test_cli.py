@@ -36,8 +36,12 @@ directory = {out}
 
 def _write(tmp_path, text, name="study.ini"):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return path
+
+
+def _load_json(path):
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def test_parse_good_config(tmp_path):
@@ -51,7 +55,8 @@ def test_parse_good_config(tmp_path):
 
 def test_parse_readme_example(tmp_path):
     """The INI block of README.md, copied verbatim, comments and all."""
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
     (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
     cfg = parse_config(_write(tmp_path, block)).validate()
     assert cfg.preset == "laplace"
@@ -176,8 +181,7 @@ def test_config_is_utf8_whatever_the_locale(tmp_path):
         [sys.executable, "-m", "rt0eig.cli", "run", str(path)],
         capture_output=True, env=env, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert json.loads((tmp_path / "r" / "report.json").read_text())[
-        "study"]["k"] == 2
+    assert _load_json(tmp_path / "r" / "report.json")["study"]["k"] == 2
 
 
 @pytest.mark.parametrize("key, text", [("k", "two"), ("levels", "8,x")])
@@ -230,12 +234,12 @@ def test_run_study_writes_reports(tmp_path, capsys):
     out = tmp_path / "res"
     cfgfile = _write(tmp_path, GOOD_CONFIG.format(out=out))
     assert main(["run", str(cfgfile)]) == 0
-    csv_lines = (out / "report.csv").read_text().splitlines()
+    csv_lines = (out / "report.csv").read_text(encoding="utf-8").splitlines()
     assert csv_lines[0] == ",".join(cli.CSV_COLUMNS)
     # one row per (eigenvalue-or-cluster, level), constant field count
     counts = {len(line.split(",")) for line in csv_lines}
     assert counts == {len(cli.CSV_COLUMNS)}
-    payload = json.loads((out / "report.json").read_text())
+    payload = _load_json(out / "report.json")
     assert payload["status"] == "ok"
     assert [lv["n"] for lv in payload["levels"]] == [2, 4]
     assert (out / "timings.json").exists()
@@ -266,7 +270,7 @@ def test_timings_record_peak_rss_per_level(tmp_path):
     cfg = StudyConfig(preset="laplace", levels=[2, 4, 8], k=2,
                       output_dir=tmp_path)
     run_study(cfg)
-    levels = json.loads((tmp_path / "timings.json").read_text())["levels"]
+    levels = _load_json(tmp_path / "timings.json")["levels"]
     assert [lv["n"] for lv in levels] == [2, 4, 8]
     peaks = [lv["peak_rss_mb"] for lv in levels]
     assert peaks[0] > 0
@@ -284,7 +288,7 @@ def test_timings_peak_rss_is_not_the_launchers(tmp_path):
     subprocess.run([sys.executable, "-m", "rt0eig.cli", "run", str(cfgfile)],
                    check=True, capture_output=True, env=env, timeout=120)
     del ballast
-    timings = json.loads((tmp_path / "res" / "timings.json").read_text())
+    timings = _load_json(tmp_path / "res" / "timings.json")
     assert 0 < max(lv["peak_rss_mb"] for lv in timings["levels"]) < 256
 
 
@@ -323,7 +327,7 @@ def test_cli_overrides(tmp_path):
     out2 = tmp_path / "b"
     assert main(["run", str(cfgfile), "--output-dir", str(out2),
                  "--levels", "4,8", "--k", "3"]) == 0
-    payload = json.loads((out2 / "report.json").read_text())
+    payload = _load_json(out2 / "report.json")
     assert payload["study"]["levels"] == [4, 8]
     assert payload["study"]["k"] == 3
     assert not out.exists()
@@ -358,7 +362,7 @@ def test_overrides_are_validated_together_with_the_file(tmp_path, study,
     cfgfile = _write(tmp_path, f"[study]\npreset = laplace\n{study}\n"
                                f"[output]\ndirectory = {out}\n")
     assert main(["run", str(cfgfile), "--levels", levels]) == 0
-    payload = json.loads((out / "report.json").read_text())
+    payload = _load_json(out / "report.json")
     assert payload["study"]["levels"] == [int(n) for n in levels.split(",")]
 
 
@@ -367,7 +371,7 @@ def test_an_override_supplies_a_missing_key(tmp_path):
     cfgfile = _write(tmp_path, GOOD_CONFIG.format(out=out).replace(
         "k = 2\n", ""))
     assert main(["run", str(cfgfile), "--k", "3"]) == 0
-    assert json.loads((out / "report.json").read_text())["study"]["k"] == 3
+    assert _load_json(out / "report.json")["study"]["k"] == 3
 
 
 def test_shifted_study_columns_shift_by_five(tmp_path):
@@ -385,7 +389,7 @@ def test_json_round_trip_at_12_digits(tmp_path):
     cfg = StudyConfig(preset="laplace", levels=[2, 4], k=2,
                       output_dir=tmp_path / "r")
     table, _ = run_study(cfg)
-    payload = json.loads((tmp_path / "r" / "report.json").read_text())
+    payload = _load_json(tmp_path / "r" / "report.json")
     for row, entry in zip(table.rows, payload["eigen"]):
         for want, got in zip(row.raw, entry["lambda_h"]):
             assert got == float(f"{want:.12g}")
@@ -413,16 +417,16 @@ def test_emit_reports_without_table(tmp_path):
     cfg = StudyConfig(preset="laplace", levels=[2, 4], k=2,
                       output_dir=tmp_path / "empty")
     paths = emit_reports(None, cfg, [])
-    lines = paths["csv"].read_text().splitlines()
+    lines = paths["csv"].read_text(encoding="utf-8").splitlines()
     assert lines == [",".join(cli.CSV_COLUMNS)]
-    payload = json.loads(paths["json"].read_text())
+    payload = _load_json(paths["json"])
     assert payload["eigen"] == []
     assert payload["levels"] == []
 
 
 def test_emit_reports_unwritable_path_named(tmp_path):
     blocker = tmp_path / "file"
-    blocker.write_text("x")
+    blocker.write_text("x", encoding="utf-8")
     cfg = StudyConfig(preset="laplace", levels=[2, 4], k=2,
                       output_dir=blocker / "sub")
     with pytest.raises(ConfigError, match="file"):
@@ -434,7 +438,7 @@ def test_unwritable_matrix_dump_is_config_error(tmp_path, capsys):
     the study finds it before the first level, and a level run on its own
     when it writes the dumps."""
     blocker = tmp_path / "afile"
-    blocker.write_text("x")
+    blocker.write_text("x", encoding="utf-8")
     text = GOOD_CONFIG.format(out=blocker / "sub").replace(
         "k = 2", "k = 2\ndump_matrices = true")
     assert main(["run", str(_write(tmp_path, text))]) == 1
@@ -555,7 +559,7 @@ def test_a_failed_summary_write_is_one_line_after_the_reports(
         f"config error: cannot write the summary to stdout: {message}\n")
     for name in ("report.csv", "report.json", "timings.json"):
         assert (out / name).is_file()
-    assert json.loads((out / "report.json").read_text())["status"] == "ok"
+    assert _load_json(out / "report.json")["status"] == "ok"
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered",
@@ -586,7 +590,7 @@ def _run_cli_into(stdout, unbuffered, *args):
     try:
         return subprocess.run(
             [sys.executable, "-m", "rt0eig.cli", *args], stdout=fd,
-            stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+            stderr=subprocess.PIPE, encoding="utf-8", env=env, timeout=120)
     finally:
         os.close(fd)
 
@@ -618,7 +622,7 @@ def test_a_failed_level_outranks_a_failed_summary_write(tmp_path,
 def test_unwritable_output_dir_fails_before_any_level(tmp_path, monkeypatch,
                                                       capsys):
     blocker = tmp_path / "afile"
-    blocker.write_text("x")
+    blocker.write_text("x", encoding="utf-8")
     monkeypatch.setattr(cli, "run_level", lambda *args: pytest.fail(
         "a level ran"))
     text = GOOD_CONFIG.format(out=blocker / "sub")
@@ -632,7 +636,7 @@ def test_default_solver_is_iterative(tmp_path):
                       output_dir=tmp_path).validate()
     assert cfg.solver == "iterative"
     run_study(cfg)
-    payload = json.loads((tmp_path / "report.json").read_text())
+    payload = _load_json(tmp_path / "report.json")
     assert payload["study"]["solver"] == "iterative"
 
 
@@ -643,7 +647,7 @@ def test_config_without_solver_runs_past_the_dense_cap(tmp_path):
         "levels = 2 4", "levels = 16 32 64"))
     assert parse_config(cfgfile).levels == [16, 32, 64]
     assert main(["run", str(cfgfile)]) == 0
-    payload = json.loads((tmp_path / "r" / "report.json").read_text())
+    payload = _load_json(tmp_path / "r" / "report.json")
     assert [(lv["n"], lv["status"]) for lv in payload["levels"]] == [
         (16, "ok"), (32, "ok"), (64, "ok")]
 
@@ -689,7 +693,7 @@ def test_numerical_failure_marks_level_and_exit_code(tmp_path, monkeypatch, caps
     cfgfile = _write(tmp_path, GOOD_CONFIG.format(out=out))
     assert main(["run", str(cfgfile)]) == 2
     assert "numerical failure" in capsys.readouterr().err
-    payload = json.loads((out / "report.json").read_text())
+    payload = _load_json(out / "report.json")
     assert payload["status"] == "failed"
     statuses = {lv["n"]: lv["status"] for lv in payload["levels"]}
     assert statuses == {2: "ok", 4: "failed"}
@@ -724,7 +728,7 @@ def test_multiplier_factorization_failure_fails_the_level(
                 else "") + f"{type(error).__name__}: {error}")
     assert (f"numerical failure: level n=4 failed: {message}"
             in capsys.readouterr().err)
-    payload = json.loads((tmp_path / "r" / "report.json").read_text())
+    payload = _load_json(tmp_path / "r" / "report.json")
     assert payload["status"] == "failed"
     assert [(lv["n"], lv["status"]) for lv in payload["levels"]] == [
         (2, "ok"), (4, "failed")]
@@ -739,7 +743,7 @@ def test_superclose_study_from_n1_measures_every_level(tmp_path):
         "levels = 2 4\nk = 2",
         "levels = 1 2 4 8\nk = 1\ncompute_superclose = true")
     assert main(["run", str(_write(tmp_path, text))]) == 0
-    payload = json.loads((tmp_path / "r" / "report.json").read_text())
+    payload = _load_json(tmp_path / "r" / "report.json")
     assert [(lv["n"], lv["status"]) for lv in payload["levels"]] == [
         (1, "ok"), (2, "ok"), (4, "ok"), (8, "ok")]
     for name in ("distance", "err_u", "err_sigma"):
@@ -768,7 +772,7 @@ def test_import_does_not_load_scipy_io():
     code = ("import sys, rt0eig.cli; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy.io')))")
     out = subprocess.run([sys.executable, "-c", code], check=True,
-                         capture_output=True, text=True, timeout=120,
+                         capture_output=True, encoding="utf-8", timeout=120,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout == "[]\n"
 

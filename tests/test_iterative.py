@@ -24,8 +24,7 @@ from rt0eig import (AssembledSystem, NumericalError, ProblemSpec, Rectangle,
                     UNIT_SQUARE, assemble, build_structured_mesh, get_preset,
                     solve_mixed_eigenproblem)
 from rt0eig.eigensolver import (RESIDUAL_RTOL, _check_eigentriples,
-                                _edge_owners, _factor_multipliers,
-                                _hybridize, _k_solve,
+                                _factor_multipliers, _hybridize, _k_solve,
                                 flux_mass_factor, schur_complement,
                                 solve_gevp_iterative)
 from oracles import (colamd_eigenvalues, dense_schur_eigentriples,
@@ -91,6 +90,14 @@ def _assert_bitwise_equal(got, want):
     assert np.array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
 
 
+def _assert_products_bit_for_bit(mesh, sys_):
+    """Z, W and H equal the sparse products, exact zeros eliminated."""
+    for got, want in zip(_hybridize(mesh, sys_),
+                         product_hybridization(mesh, sys_), strict=True):
+        want.eliminate_zeros()
+        _assert_bitwise_equal(got, want)
+
+
 @pytest.mark.parametrize("case",
                          ["laplace", "shifted", "variable", "anisotropic"])
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
@@ -98,48 +105,72 @@ def test_hybridization_is_the_product_build_bit_for_bit(case, n):
     """Z, W and H gathered from the local inverses hold the entries of the
     sparse products A^-1[slot][:, slot], (A^-1 G^T)[slot] and G A^-1 G^T,
     bit for bit, in the same order."""
-    mesh, sys_ = _case_system(case, n)
-    for got, want in zip(_hybridize(mesh, sys_),
-                         product_hybridization(mesh, sys_), strict=True):
-        _assert_bitwise_equal(got, want)
+    _assert_products_bit_for_bit(*_case_system(case, n))
 
 
-def test_hybridization_keeps_the_zeros_the_products_keep():
+def test_hybridization_drops_exact_zeros():
     """Local inverses with exact zeros: the row and column selection that
-    gives Z keeps them, and the products that give W and H drop them."""
+    gives the product build's Z keeps them, and Z, W and H all drop them,
+    as the products that give W and H do."""
     mesh, sys_ = _system("laplace", 4)
     t = sys_.num_triangles
     zeros = AssembledSystem(
         M=sys_.M, B=sys_.B, C=sys_.C, D=sys_.D, num_edges=sys_.num_edges,
         num_triangles=t, m_vals=np.tile(np.diag([2.0, 3.0, 4.0]), (t, 1, 1)),
         div_vals=np.tile([1.0, 0.0, 0.0], (t, 1)))
-    z, w, h = _hybridize(mesh, zeros)
-    assert np.count_nonzero(z.data == 0) > 0
-    for got, want in zip((z, w, h), product_hybridization(mesh, zeros),
-                         strict=True):
-        _assert_bitwise_equal(got, want)
+    assert np.count_nonzero(product_hybridization(mesh, zeros)[0].data == 0)
+    for m in _hybridize(mesh, zeros):
+        assert np.all(m.data != 0)
+    _assert_products_bit_for_bit(mesh, zeros)
+
+
+def _renumbered(mesh, seed):
+    """The mesh with its edges numbered in a random order: every array
+    indexed by edge permuted alike, and triangle_edges renamed."""
+    new = np.random.default_rng(seed).permutation(mesh.num_edges)
+    old = np.argsort(new)
+    return dataclasses.replace(
+        mesh, triangle_edges=new[mesh.triangle_edges],
+        **{name: getattr(mesh, name)[old] for name in (
+            "edges", "edge_sides", "boundary_edge_flags", "edge_lengths")})
+
+
+@pytest.mark.parametrize("preset", ["laplace", "variable"])
+def test_hybridization_takes_any_edge_numbering(preset):
+    """On the n = 16 mesh with its edges renumbered at random, Z, W and H
+    are the product build's bit for bit, and the eigenvalues are the
+    unpermuted mesh's to 1e-12 relative: the hybridization reads the
+    owners and the sides from the mesh, not from its edge numbering."""
+    mesh = build_structured_mesh(UNIT_SQUARE, 16)
+    renumbered = _renumbered(mesh, 16)
+    assert not np.array_equal(renumbered.triangle_edges, mesh.triangle_edges)
+    prob = get_preset(preset)
+    sys_ = assemble(renumbered, prob)
+    _assert_products_bit_for_bit(renumbered, sys_)
+    got = solve_mixed_eigenproblem(renumbered, sys_, 4).eigenvalues
+    want = solve_mixed_eigenproblem(mesh, assemble(mesh, prob), 4).eigenvalues
+    assert np.all(np.abs(got - want) <= 1e-12 * want)
 
 
 @pytest.mark.parametrize("domain, n", [(UNIT_SQUARE, n) for n in range(1, 10)]
                          + [(ANISOTROPIC.domain, 1), (ANISOTROPIC.domain, 6)])
 def test_edge_owners_are_the_first_occurrences(domain, n):
-    """The running-maximum rule finds the first local edge of each edge, as
-    np.unique does."""
+    """The mesh's edge_sides: the owners are the first local edges of
+    their edges, as np.unique finds them, every local edge is one side of
+    one edge, the edge its triangle_edges entry names, and -1 marks the
+    second side of exactly the boundary edges."""
     mesh = build_structured_mesh(domain, n)
-    want = np.unique(mesh.triangle_edges, return_index=True)[1]
-    assert np.array_equal(_edge_owners(mesh), want)
-
-
-def test_edge_owners_reject_another_numbering():
-    """Swapping two edge numbers breaks the first-occurrence order that
-    the running-maximum rule reads."""
-    mesh = build_structured_mesh(UNIT_SQUARE, 3)
-    swap = np.arange(mesh.num_edges)
-    swap[[1, 2]] = [2, 1]
-    renumbered = dataclasses.replace(
-        mesh, triangle_edges=swap[mesh.triangle_edges])
-    with pytest.raises(ValueError, match="not numbered in the order"):
-        _edge_owners(renumbered)
+    te = mesh.triangle_edges.ravel()
+    sides = mesh.edge_sides
+    assert sides.shape == (mesh.num_edges, 2)
+    assert np.array_equal(sides[:, 0], np.unique(te, return_index=True)[1])
+    inner = sides >= 0
+    assert np.array_equal(np.sort(sides[inner]), np.arange(te.size))
+    edge = np.broadcast_to(np.arange(mesh.num_edges)[:, None], sides.shape)
+    assert np.array_equal(te[sides[inner]], edge[inner])
+    assert np.all(inner[:, 0])
+    assert np.array_equal(~inner[:, 1], mesh.boundary_edge_flags)
+    assert np.array_equal(mesh.boundary_edge_flags, np.bincount(te) == 1)
 
 
 def test_singular_element_block_names_its_triangle():
@@ -314,8 +345,8 @@ from rt0eig.eigensolver import (_factor_multipliers, _hybridize,
                                 solve_gevp_iterative)
 
 def status():
-    fields = dict(line.split(":", 1) for line in
-                  Path("/proc/self/status").read_text().splitlines())
+    text = Path("/proc/self/status").read_text(encoding="utf-8")
+    fields = dict(line.split(":", 1) for line in text.splitlines())
     return [int(fields[key].split()[0]) * 1024 for key in ("VmHWM", "VmRSS")]
 
 def laplace(n):
@@ -332,7 +363,8 @@ print(*before, *status())
 
 def _has_vmhwm():
     try:
-        return "VmHWM:" in Path("/proc/self/status").read_text()
+        status = Path("/proc/self/status").read_text(encoding="utf-8")
+        return "VmHWM:" in status
     except OSError:
         return False
 
@@ -347,7 +379,8 @@ def test_multiplier_factor_peaks_at_what_it_keeps_n256():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", _FACTOR_PEAK], check=True,
-                         capture_output=True, text=True, timeout=300, env=env)
+                         capture_output=True, encoding="utf-8", timeout=300,
+                         env=env)
     hwm0, rss0, hwm1, rss1 = map(int, out.stdout.split())
     assert hwm1 - hwm0 <= rss1 - rss0 + 4 * 2**20
 

@@ -38,7 +38,7 @@ def import_graph():
     graph = {}
     for path in sorted(PACKAGE.glob("*.py")):
         deps = graph[path.stem] = set()
-        for node in ast.walk(ast.parse(path.read_text())):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if not isinstance(node, (ast.Import, ast.ImportFrom)):
                 continue
             for name in _imported_names(node):
@@ -96,7 +96,7 @@ def _public_definitions():
     """(qualified name, name) of every public function, class and method
     defined at the top level of the package's modules."""
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             if not node.name.startswith("_"):
@@ -115,7 +115,7 @@ def _names_referenced_by_the_package():
     for path in PACKAGE.glob("*.py"):
         if path.name == "__init__.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text())):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -143,7 +143,7 @@ def test_no_private_function_is_left_uncalled():
     """Every module-level private function is read, as a name or an
     attribute, by package code outside its own definition: a helper whose
     last call went is deleted with it."""
-    trees = {path.stem: ast.parse(path.read_text())
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py"))}
     counts = sum((_name_counts(tree) for tree in trees.values()), Counter())
     unused = [f"{module}.{node.name}"

@@ -11,8 +11,8 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 def test_readme_python_blocks_run(tmp_path, monkeypatch, capsys):
     """The blocks run in order in one namespace, from a scratch working
     directory, where the study block writes its reports."""
-    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(),
-                        re.S | re.M)
+    blocks = re.findall(r"^```python\n(.*?)^```",
+                        README.read_text(encoding="utf-8"), re.S | re.M)
     assert len(blocks) == 3
     monkeypatch.chdir(tmp_path)
     namespace = {}

@@ -30,8 +30,8 @@ def _render_new(table, cfg, levels, out):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         cli._print_summary(table, cfg, levels, TIMING * len(levels))
-    return (paths["csv"].read_text(), paths["json"].read_text(),
-            buf.getvalue())
+    return (paths["csv"].read_text(encoding="utf-8"),
+            paths["json"].read_text(encoding="utf-8"), buf.getvalue())
 
 
 def _render_old(table, cfg, results, failures):
