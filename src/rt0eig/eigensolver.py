@@ -533,7 +533,13 @@ def solve_gevp_iterative(mesh, sys, k: int, seed: int = 0):
     def shift_invert(y):
         # D^1/2 S^-1 D^1/2 y; S^-1 v is the triangle block of K^-1 [0; -v]
         v = sqd * np.ravel(y)
-        return sqd * (w_tri @ h_lu.solve(w_tri_t @ v) - z_tri * v)
+        # H is exactly symmetric, so H^-T = H^-1, and SuperLU's transposed
+        # sweeps take one column faster: 2.8-3.2 against 3.8-4.4 ms at
+        # n = 128 (laplace).  The 4-column solves of _k_solve are slower
+        # transposed: 11.1-12.2 against 7.9-8.6 ms at n = 128, and 68-93
+        # against 40-41 ms at n = 256.
+        return sqd * (w_tri @ h_lu.solve(w_tri_t @ v, trans="T")
+                      - z_tri * v)
 
     op = spla.LinearOperator((t, t), matvec=shift_invert, dtype=float)
     rng = np.random.default_rng(seed)
@@ -556,7 +562,7 @@ def solve_gevp_iterative(mesh, sys, k: int, seed: int = 0):
     # unrefined solves, so lambda is then taken as the Rayleigh quotient of
     # the refined pair.  On laplace with k = 6 over seeds 0-7, the bound
     # over the largest scalar-row residual is 1.73-1.75 at n = 128 and 0.22
-    # at n = 256 without it, which fails the check, and 34-87 and 12.9-21.0
+    # at n = 256 without it, which fails the check, and 40-82 and 9.4-21.7
     # with it.
     rhs = np.zeros((ne + t, k))
     rhs[ne:] = -(d[:, None] * vecs) * vals[None, :]
@@ -589,8 +595,8 @@ def _check_eigentriples(sys, vals, vecs, sigmas):
     _check_flux_rows(sys, vecs, sigmas)
     residuals = _residuals(sys.C[:, None] * vecs - sys.B @ sigmas,
                            sys.D[:, None] * vecs, vals)
-    s_norm = max(float(vals[j] / (vecs[:, j] @ vecs[:, j]))
-                 for j in range(len(vals)))
+    # a column reduction, not a BLAS dot: see superclose_distance
+    s_norm = float(np.max(vals / np.sum(vecs**2, axis=0)))
     _check_residuals(residuals, s_norm)
     return residuals
 

@@ -127,18 +127,21 @@ def superclose_distance(u_h: np.ndarray, pu: np.ndarray,
     aligned to the projection before measuring.  A vector whose D-norm is
     zero or not finite raises ValueError naming it.
     """
+    # Plain numpy reductions, not `@`: a 1-D dot goes to numpy's own
+    # OpenBLAS, which wakes its worker thread on long vectors, and that
+    # worker then contends with scipy's BLAS threads for the same cores.
     d = np.asarray(D, dtype=float)
     pu = _unit(pu, d, "projection vector")
     u = _unit(u_h, d, "u_h")
-    if float(u @ (d * pu)) < 0:
+    if float(np.sum(u * d * pu)) < 0:
         u = -u
     diff = u - pu
-    return math.sqrt(float(diff @ (d * diff)))
+    return math.sqrt(float(np.sum(d * diff**2)))
 
 
 def _unit(v, d, name):
     """v over its D-norm, which must be positive and finite."""
-    norm = math.sqrt(float(v @ (d * v)))
+    norm = math.sqrt(float(np.sum(d * v**2)))
     # negated, so that NaN fails it
     if not 0.0 < norm < math.inf:
         raise ValueError(f"{name} has zero or non-finite weighted norm")

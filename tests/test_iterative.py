@@ -1,8 +1,9 @@
 """The iterative path: its hybridized solve with the saddle-point block
 (one LU of the interface multiplier system per level, in the
 nested-dissection order of their edges) against a sparse direct solve, the
-loud failure on a singular element block, its eigenpairs and their
-Rayleigh-quotient eigenvalues, the checks it makes on them, and the dense
+loud failure on a singular element block, ARPACK's operator through the
+transposed solve, its eigenpairs and their Rayleigh-quotient eigenvalues,
+the checks it makes on them, numpy's BLAS threads left asleep, and the dense
 Schur complement formed from the blocks of M's Cholesky factor against a
 sparse LU of M."""
 
@@ -81,6 +82,33 @@ def test_hybrid_solve_matches_sparse_direct_solve(case, n):
     assert h.shape == (interior.sum(),) * 2
     if n == 1:
         assert h.shape == (1, 1)
+
+
+@pytest.mark.parametrize("case", ["laplace", "shifted", "variable"])
+@pytest.mark.parametrize("n", [16, 64])
+def test_shift_invert_transposed_solve_matches_plain(monkeypatch, case, n):
+    """ARPACK's operator D^1/2 S^-1 D^1/2 solves with H transposed, which
+    H's exact symmetry allows; it agrees with the operator through the
+    plain solve."""
+    mesh, sys_ = _case_system(case, n)
+    eigsh, applied = spla.eigsh, []
+
+    def recording_eigsh(op, *args, **kwargs):
+        y = np.random.default_rng(n).standard_normal((op.shape[0], 3))
+        applied.append((y, np.column_stack([op.matvec(c) for c in y.T])))
+        return eigsh(op, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", recording_eigsh)
+    solve_gevp_iterative(mesh, sys_, 2, 0)
+    [(y, got)], ne = applied, sys_.num_edges
+    z, w, h = _hybridize(mesh, sys_)
+    sqd = np.sqrt(sys_.D)[:, None]
+    v = sqd * y
+    w_tri = w[ne:]
+    want = sqd * (w_tri @ _factor_multipliers(h).solve(w_tri.T @ v)
+                  - z.diagonal()[ne:, None] * v)
+    assert np.all(np.linalg.norm(got - want, axis=0)
+                  <= 1e-13 * np.linalg.norm(want, axis=0))
 
 
 def _assert_bitwise_equal(got, want):
@@ -308,7 +336,7 @@ def test_reported_eigenvalues_are_rayleigh_quotients_n64():
 
 def test_residual_margin_n128(laplace128):
     """With lambda the Rayleigh quotient of the refined pair, the largest
-    residual sits 60 times below the bound; with ARPACK's lambda, 6.8."""
+    residual sits 61 times below the bound; with ARPACK's lambda, 6.8."""
     sys_, (vals, vecs, _, residuals) = laplace128
     bound = RESIDUAL_RTOL * max(vals[j] / (vecs[:, j] @ vecs[:, j])
                                 for j in range(len(vals)))
@@ -369,20 +397,70 @@ def _has_vmhwm():
         return False
 
 
+def _run_fresh(code):
+    """stdout of `code` run in a fresh interpreter that imports this
+    package's source."""
+    src = str(Path(rt0eig.eigensolver.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], check=True,
+                          capture_output=True, encoding="utf-8", timeout=300,
+                          env=env).stdout
+
+
 @pytest.mark.skipif(not _has_vmhwm(), reason="no VmHWM in /proc/self/status")
 def test_multiplier_factor_peaks_at_what_it_keeps_n256():
     """SuperLU's panel work arrays grow with the panel width times the rows
     of H; at SuperLU's default panel width they raised VmHWM 31 MiB above
     what stays resident here.  With panels of 4 columns the high-water
     mark rises by what stays resident, within 4 MiB."""
-    src = str(Path(rt0eig.eigensolver.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", _FACTOR_PEAK], check=True,
-                         capture_output=True, encoding="utf-8", timeout=300,
-                         env=env)
-    hwm0, rss0, hwm1, rss1 = map(int, out.stdout.split())
+    hwm0, rss0, hwm1, rss1 = map(int, _run_fresh(_FACTOR_PEAK).split())
     assert hwm1 - hwm0 <= rss1 - rss0 + 4 * 2**20
+
+
+# Run in a fresh interpreter: the threads that `import numpy` starts are
+# the worker pool of numpy's own OpenBLAS.  Prints the context switches
+# each of them made over a laplace 64/128 study with superclose, or
+# nothing when the import started no thread.
+_NUMPY_POOL_SWITCHES = """
+import contextlib, io, os, tempfile
+from pathlib import Path
+
+def threads():
+    return set(os.listdir("/proc/self/task"))
+
+def switches(tid):
+    text = Path(f"/proc/self/task/{tid}/status").read_text(encoding="utf-8")
+    fields = dict(line.split(":", 1) for line in text.splitlines())
+    return sum(int(fields[key]) for key in
+               ("voluntary_ctxt_switches", "nonvoluntary_ctxt_switches"))
+
+before = threads()
+import numpy
+pool = sorted(threads() - before)
+from rt0eig.cli import StudyConfig, run_study
+start = [switches(tid) for tid in pool]
+with tempfile.TemporaryDirectory() as out, \
+        contextlib.redirect_stdout(io.StringIO()):
+    run_study(StudyConfig(preset="laplace", levels=[64, 128], k=4,
+                          compute_superclose=True, output_dir=Path(out)))
+print(*(switches(tid) - s for tid, s in zip(pool, start)))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                    reason="no /proc/self/task to list threads")
+def test_numpy_blas_pool_stays_asleep_in_an_iterative_study():
+    """No long numpy dot on the iterative path: a 1-D `@` over T entries
+    wakes the worker of numpy's OpenBLAS, which then contends with scipy's
+    BLAS threads for the same cores.  With the dots of the residual bound
+    and superclose_distance as `@`, the pool made 4 switches in each of
+    three runs on a 2-vCPU host."""
+    moved = _run_fresh(_NUMPY_POOL_SWITCHES).split()
+    if not moved:
+        pytest.skip("import numpy started no thread (one CPU, "
+                    "OPENBLAS_NUM_THREADS=1, or a lazily threaded BLAS)")
+    assert [int(m) for m in moved] == [0] * len(moved)
 
 
 def test_iterative_level_traced_peak_n128():
