@@ -39,10 +39,11 @@ nested-dissection order of the mesh that the iterative path takes with
 its system, and without pivoting, applies S^-1 for shift-invert ARPACK
 and then gives the fluxes of the eigentriples; their refinement applies
 K through its blocks M, B^T, B and C, so K is never assembled either.  H
-is released once factorized, and the triangle block of K^-1 that ARPACK
-applies once ARPACK returns.  Up to a sign and the edge length, the
-multipliers approximate the scalar's trace on the interior edges, from
-which Arnold and Brezzi post-process it.
+is released once factorized, the triangle block of K^-1 that ARPACK
+applies once ARPACK returns, and Z, W and the factor once the refinement
+is done.  Up to a sign and the edge length, the multipliers approximate
+the scalar's trace on the interior edges, from which Arnold and Brezzi
+post-process it.
 """
 
 import re
@@ -53,7 +54,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import as_integer, nested_dissection_order
+from .mesh import as_integer, index_dtype, nested_dissection_order
 
 # Residual and orthonormality contracts.
 RESIDUAL_RTOL = 1e-10
@@ -373,10 +374,11 @@ def _hybridize(mesh, sys):
     t, ne = sys.num_triangles, sys.num_edges
     inv = _local_inverses(sys)
     # every index and entry count is below 16 T
-    index = np.int32 if 16 * t < np.iinfo(np.int32).max else np.int64
+    index = index_dtype(16 * t)
     # local edge p = 3t + i has slot 4t + i = p + t, and its sign in G is
-    # +1 if it is its edge's owner, -1 if the neighbour
-    owner = mesh.edge_sides[:, 0]
+    # +1 if it is its edge's owner, -1 if the neighbour; the mesh's own
+    # index type need only hold 3T
+    owner = mesh.edge_sides[:, 0].astype(index, copy=False)
     sign = np.full(3 * t, -1, dtype=np.int8)
     sign[owner] = 1
     # per triangle: the unknowns of its slots (-1 where another triangle
@@ -395,7 +397,7 @@ def _hybridize(mesh, sys):
     # largest, is built while only the inverses are alive: at n = 512 this
     # holds the traced peak to 257 MiB, against 464 MiB for the products.
     # H: the two slots of each multiplier, its owner's and its neighbour's
-    pos = mesh.edge_sides.take(order, axis=0)
+    pos = mesh.edge_sides.take(order, axis=0).astype(index, copy=False)
     tri = pos // 3
     vals = rows.take(pos + tri, axis=0)[:, :, :3] * sign3.take(tri, axis=0)
     vals *= sign.take(pos)[:, :, None]
@@ -485,7 +487,9 @@ def _factor_multipliers(h):
 
 def _k_solve(z, w, h_lu, rhs):
     """K^-1 rhs from the hybridization (Z, W, LU of H)."""
-    return z @ rhs - w @ h_lu.solve(w.T @ rhs)
+    sol = z @ rhs
+    sol -= w @ h_lu.solve(w.T @ rhs)
+    return sol
 
 
 def solve_gevp_iterative(mesh, sys, k: int, seed: int = 0):
@@ -504,9 +508,9 @@ def solve_gevp_iterative(mesh, sys, k: int, seed: int = 0):
     * ARPACK finds the largest eigenvalues 1/lambda of D^1/2 S^-1 D^1/2,
       applying S^-1 v as the triangle block of K^-1 [0; -v], from a start
       vector drawn from `seed`;
-    * one solve K [sigma; v] = [0; -lambda D u] for all pairs, refined
-      once with K applied through its blocks M, B^T, B and C, which are
-      never assembled into K, is an inverse-iteration step; the
+    * one solve K [sigma; v] = [0; -lambda D u] per pair, two pairs at a
+      time, refined once with K applied through its blocks M, B^T, B and
+      C, which are never assembled into K, is an inverse-iteration step; the
       pairs are reported as u = v / ||v||_D with sigma scaled alike, so
       sigma is their flux, and lambda as the Rayleigh quotient
       u^T (C u - B sigma) / u^T D u;
@@ -526,18 +530,21 @@ def solve_gevp_iterative(mesh, sys, k: int, seed: int = 0):
     # the factor holds what the solves need of H
     del h
     sqd = np.sqrt(d)
-    # the triangle block of K^-1: Z's is diagonal
+    # the triangle block of K^-1: Z's is diagonal.  w_tri.T is CSC on
+    # w_tri's own arrays, and its product adds the terms of each entry in
+    # the ascending row order of w_tri, as a product with a CSR copy of it
+    # would: the same apply, bit for bit, without the copy
     z_tri, w_tri = z.diagonal()[ne:], w[ne:]
-    w_tri_t = w_tri.T.tocsr()
+    w_tri_t = w_tri.T
 
     def shift_invert(y):
         # D^1/2 S^-1 D^1/2 y; S^-1 v is the triangle block of K^-1 [0; -v]
         v = sqd * np.ravel(y)
         # H is exactly symmetric, so H^-T = H^-1, and SuperLU's transposed
         # sweeps take one column faster: 2.8-3.2 against 3.8-4.4 ms at
-        # n = 128 (laplace).  The 4-column solves of _k_solve are slower
-        # transposed: 11.1-12.2 against 7.9-8.6 ms at n = 128, and 68-93
-        # against 40-41 ms at n = 256.
+        # n = 128 (laplace).  The multi-column solves of the refinement are
+        # slower transposed: 11.1-12.2 against 7.9-8.6 ms for 4 columns at
+        # n = 128, and 68-93 against 40-41 ms at n = 256.
         return sqd * (w_tri @ h_lu.solve(w_tri_t @ v, trans="T")
                       - z_tri * v)
 
@@ -554,8 +561,8 @@ def solve_gevp_iterative(mesh, sys, k: int, seed: int = 0):
     # the triangle block of K^-1 served ARPACK alone
     del op, shift_invert, z_tri, w_tri, w_tri_t
     vals, vecs = 1.0 / mu, y / sqd[:, None]
-    # one inverse-iteration step K [sigma; v] = [0; -lambda D u] for all
-    # pairs, whose flux block is the flux of v.  One step of iterative
+    # one inverse-iteration step K [sigma; v] = [0; -lambda D u] per pair,
+    # whose flux block is the flux of v.  One step of iterative
     # refinement, with K applied through its blocks, makes the flux row
     # hold to roundoff; what is left of it reaches S v - lambda D v
     # amplified by M^-1.  ARPACK's eigenvalues carry the error of its
@@ -564,16 +571,33 @@ def solve_gevp_iterative(mesh, sys, k: int, seed: int = 0):
     # over the largest scalar-row residual is 1.73-1.75 at n = 128 and 0.22
     # at n = 256 without it, which fails the check, and 40-82 and 9.4-21.7
     # with it.
-    rhs = np.zeros((ne + t, k))
-    rhs[ne:] = -(d[:, None] * vecs) * vals[None, :]
-    sol = _k_solve(z, w, h_lu, rhs)
-    # rhs - K sol, in rhs's storage
-    rhs[:ne] -= sys.M @ sol[:ne] + sys.B.T @ sol[ne:]
-    rhs[ne:] -= sys.B @ sol[:ne] - sys.C[:, None] * sol[ne:]
-    sol += _k_solve(z, w, h_lu, rhs)
-    scale = (np.sqrt(np.sum(d[:, None] * sol[ne:]**2, axis=0))
-             * _column_signs(sol[ne:]))
-    vecs, sigmas = sol[ne:] / scale[None, :], sol[:ne] / scale[None, :]
+    #
+    # A column's arithmetic does not depend on the width of its solve, so
+    # two columns at a time give the all-columns step bit for bit.  Pairs
+    # keep most of SuperLU's cheaper multi-column sweeps, 2.4-2.8 ms a
+    # column at n = 128 against 3.7-3.9 alone and 2.0-2.2 in fours, and
+    # hold the (E + T) x 2 temporaries near ARPACK's own peak: with all k
+    # columns at once the refinement set the level's peak, 1051-1093 MiB
+    # at n = 512 against ARPACK's 977.
+    sol = np.empty((ne + t, k))
+    for j in range(0, k, 2):
+        pair = slice(j, j + 2)
+        rhs = np.zeros((ne + t, min(2, k - j)))
+        rhs[ne:] = -(d[:, None] * vecs[:, pair]) * vals[None, pair]
+        step = _k_solve(z, w, h_lu, rhs)
+        # rhs - K step, in rhs's storage, one temporary at a time
+        r = sys.M @ step[:ne]
+        r += sys.B.T @ step[ne:]
+        rhs[:ne] -= r
+        r = sys.B @ step[:ne]
+        r -= sys.C[:, None] * step[ne:]
+        rhs[ne:] -= r
+        del r
+        np.add(step, _k_solve(z, w, h_lu, rhs), out=sol[:, pair])
+    del z, w, h_lu, rhs, step
+    sol /= (np.sqrt(np.sum(d[:, None] * sol[ne:]**2, axis=0))
+            * _column_signs(sol[ne:]))[None, :]
+    vecs, sigmas = sol[ne:], sol[:ne]
     vals = (np.sum(vecs * (sys.C[:, None] * vecs - sys.B @ sigmas), axis=0)
             / np.sum(d[:, None] * vecs**2, axis=0))
     order = np.argsort(vals, kind="stable")

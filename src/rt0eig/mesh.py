@@ -21,6 +21,14 @@ class MeshError(Exception):
     """Invalid mesh geometry or construction parameters."""
 
 
+def index_dtype(bound: int) -> np.dtype:
+    """int32 if `bound`, above every index and count an array holds, is
+    below 2^31 - 1, else int64: the package's one rule for the width of an
+    index array."""
+    return np.dtype(np.int32 if bound < np.iinfo(np.int32).max
+                    else np.int64)
+
+
 def as_integer(v) -> int:
     """v as an int, the package's one rule for a count, size or seed:
     whatever operator.index takes (numpy integers included) except a bool,
@@ -80,7 +88,7 @@ class Mesh:
         Vertex index pairs, oriented from lower to higher index.
     triangle_edges : (num_triangles, 3) int array
         Global edge index of the local edge opposite each vertex.
-    triangle_edge_signs : (num_triangles, 3) int array
+    triangle_edge_signs : (num_triangles, 3) int8 array
         +1 where the triangle's outward normal on that edge equals the
         global edge normal (90-degree counterclockwise rotation of the
         oriented edge direction), -1 otherwise.
@@ -93,6 +101,8 @@ class Mesh:
     h : float
         Mesh size, the maximum edge length.
 
+    The four index arrays are int32 where every index fits (see
+    index_dtype; 3 num_triangles bounds them all), int64 otherwise.
     Derived arrays `areas` and `edge_lengths` are precomputed.  All arrays
     are read-only; a Mesh is safe to share across threads.
     """
@@ -192,7 +202,14 @@ def build_structured_mesh(rect: Rectangle, n: int) -> Mesh:
     # walk direction; the global normal is counterclockwise of the low->high
     # direction, so the two agree exactly when the walk descends the vertex
     # indices.
-    triangle_edge_signs = np.where(a > b, 1, -1).reshape(-1, 3)
+    triangle_edge_signs = np.where(a > b, np.int8(1),
+                                   np.int8(-1)).reshape(-1, 3)
+    # the walk needs int64 for lo * len(vertices) + hi; the mesh keeps its
+    # indices narrow where they fit
+    index = index_dtype(walk_edge.size)
+    triangles, edges, triangle_edges, edge_sides = (
+        arr.astype(index, copy=False)
+        for arr in (triangles, edges, triangle_edges, edge_sides))
 
     # a finite rectangle can still overflow the areas; the check below names
     # that, so numpy need not warn first

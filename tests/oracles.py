@@ -23,10 +23,11 @@ through a sparse LU of M rather than the blocks of its Cholesky factor or
 the saddle-point block, and solves with that block from a sparse direct
 solve of it whole, not from its hybridization.  The hybridization's own
 three matrices have a reference as the sparse products of a global A^-1
-and jump map, which the package no longer forms.  The dense eigensolve has a
-reference that copies whole arrays where the package works in place, and
-the sign convention one that scans each column for the entry it makes
-positive.
+and jump map, which the package no longer forms, and the refinement of
+the iterative eigenpairs one that refines all of them in one block.  The
+dense eigensolve has a reference that copies whole arrays where the
+package works in place, and the sign convention one that scans each
+column for the entry it makes positive.
 
 The per-element and per-point references at the end redo, one triangle,
 edge or point at a time, what the package computes on whole arrays: global
@@ -61,8 +62,9 @@ from rt0eig.assembly import DEGENERATE_AREA, AssemblyError
 from rt0eig.cli import CSV_COLUMNS
 from rt0eig.coefficients import (QuadratureRule, field_values, quad_points,
                                  rowdot, weighted_sum)
-from rt0eig.eigensolver import (NumericalError, _check_residuals,
-                                _column_signs, _residuals)
+from rt0eig.eigensolver import (NumericalError, _check_eigentriples,
+                                _check_residuals, _column_signs,
+                                _factor_multipliers, _hybridize, _residuals)
 from rt0eig.extrapolation import (CLUSTER_RTOL, EXPANSION_ORDER, SATURATION,
                                   ClusterRow, ConvergenceTable, LevelSequence,
                                   SupercloseBlock, richardson)
@@ -440,6 +442,40 @@ def product_hybridization(mesh, sys):
     for m in (z, w, h):
         m.sort_indices()
     return z, w, h
+
+
+def all_columns_refinement(mesh, sys, mu, y):
+    """What solve_gevp_iterative makes of ARPACK's output (mu, y) when all
+    k pairs are refined together: one k-column solve K [sigma; v] =
+    [0; -lambda D u] through the hybridization, its residual with K
+    applied through its blocks in fresh arrays, one k-column correction,
+    the D-normalization, the Rayleigh quotients, the ascending order and
+    the checks.  Returns (values, vectors, fluxes, residuals).  The
+    package refines two pairs at a time and frees its solver data before
+    the Rayleigh quotients."""
+    t, ne, d = sys.num_triangles, sys.num_edges, sys.D
+    z, w, h = _hybridize(mesh, sys)
+    h_lu = _factor_multipliers(h)
+
+    def k_solve(rhs):
+        return z @ rhs - w @ h_lu.solve(w.T @ rhs)
+
+    sqd = np.sqrt(d)
+    vals, vecs = 1.0 / mu, y / sqd[:, None]
+    rhs = np.zeros((ne + t, len(vals)))
+    rhs[ne:] = -(d[:, None] * vecs) * vals[None, :]
+    sol = k_solve(rhs)
+    rhs[:ne] -= sys.M @ sol[:ne] + sys.B.T @ sol[ne:]
+    rhs[ne:] -= sys.B @ sol[:ne] - sys.C[:, None] * sol[ne:]
+    sol += k_solve(rhs)
+    scale = (np.sqrt(np.sum(d[:, None] * sol[ne:]**2, axis=0))
+             * _column_signs(sol[ne:]))
+    vecs, sigmas = sol[ne:] / scale[None, :], sol[:ne] / scale[None, :]
+    vals = (np.sum(vecs * (sys.C[:, None] * vecs - sys.B @ sigmas), axis=0)
+            / np.sum(d[:, None] * vecs**2, axis=0))
+    order = np.argsort(vals, kind="stable")
+    vals, vecs, sigmas = vals[order], vecs[:, order], sigmas[:, order]
+    return vals, vecs, sigmas, _check_eigentriples(sys, vals, vecs, sigmas)
 
 
 def schur_rayleigh_quotients(sys, vecs):

@@ -3,7 +3,8 @@
 nested-dissection order of their edges) against a sparse direct solve, the
 loud failure on a singular element block, ARPACK's operator through the
 transposed solve, its eigenpairs and their Rayleigh-quotient eigenvalues,
-the checks it makes on them, numpy's BLAS threads left asleep, and the dense
+their pairwise refinement against the all-columns one, the checks it makes
+on them, its memory peaks, numpy's BLAS threads left asleep, and the dense
 Schur complement formed from the blocks of M's Cholesky factor against a
 sparse LU of M."""
 
@@ -28,10 +29,11 @@ from rt0eig.eigensolver import (RESIDUAL_RTOL, _check_eigentriples,
                                 _factor_multipliers, _hybridize, _k_solve,
                                 flux_mass_factor, schur_complement,
                                 solve_gevp_iterative)
-from oracles import (colamd_eigenvalues, dense_schur_eigentriples,
-                     flux_row_image, mass_solve, product_hybridization,
-                     saddle_point_solve, schur_rayleigh_quotients,
-                     schur_residuals, sign_entries)
+from oracles import (all_columns_refinement, colamd_eigenvalues,
+                     dense_schur_eigentriples, flux_row_image, mass_solve,
+                     product_hybridization, saddle_point_solve,
+                     schur_rayleigh_quotients, schur_residuals,
+                     sign_entries)
 
 
 def _system(preset, n):
@@ -134,6 +136,25 @@ def test_hybridization_is_the_product_build_bit_for_bit(case, n):
     sparse products A^-1[slot][:, slot], (A^-1 G^T)[slot] and G A^-1 G^T,
     bit for bit, in the same order."""
     _assert_products_bit_for_bit(*_case_system(case, n))
+
+
+@pytest.mark.parametrize("preset", ["laplace", "shifted", "variable"])
+@pytest.mark.parametrize("n", [1, 3, 16])
+def test_narrow_mesh_builds_the_wide_mesh_matrices_bit_for_bit(preset, n):
+    """M, B, Z, W and H from the mesh's int32 indices and int8 signs are
+    those from the same arrays cast to int64, bit for bit."""
+    narrow = build_structured_mesh(UNIT_SQUARE, n)
+    wide = dataclasses.replace(narrow, **{
+        name: getattr(narrow, name).astype(np.int64)
+        for name in ("triangles", "edges", "triangle_edges", "edge_sides",
+                     "triangle_edge_signs")})
+    prob = get_preset(preset)
+    sys_narrow, sys_wide = assemble(narrow, prob), assemble(wide, prob)
+    for got, want in zip(
+            (sys_narrow.M, sys_narrow.B, *_hybridize(narrow, sys_narrow)),
+            (sys_wide.M, sys_wide.B, *_hybridize(wide, sys_wide)),
+            strict=True):
+        _assert_bitwise_equal(got, want)
 
 
 def test_hybridization_drops_exact_zeros():
@@ -465,10 +486,11 @@ def test_numpy_blas_pool_stays_asleep_in_an_iterative_study():
 
 def test_iterative_level_traced_peak_n128():
     """The traced peak of an iterative level at n = 128 (k = 4) stays
-    within 6 times the (T, 4, 4) local inverses, 24 MiB: 21.6 MiB measured.
-    It was 29.0 MiB while Z, W and H were sparse products of a global A^-1
-    and the jump map, and H and ARPACK's operator lived to the end of the
-    level, and 35.5 MiB while K was assembled for the refinement."""
+    within 6 times the (T, 4, 4) local inverses, 24 MiB: 20.3 MiB measured,
+    set by _hybridize.  It was 21.6 MiB while all k pairs were refined in
+    one block, 29.0 MiB while Z, W and H were sparse products of a global
+    A^-1 and the jump map, and H and ARPACK's operator lived to the end of
+    the level, and 35.5 MiB while K was assembled for the refinement."""
     mesh, sys_ = _system("laplace", 128)
     inverses = sys_.num_triangles * 16 * 8
     tracemalloc.start()
@@ -478,6 +500,53 @@ def test_iterative_level_traced_peak_n128():
     finally:
         tracemalloc.stop()
     assert peak <= 6 * inverses
+
+
+def test_after_arpack_traced_peak_n128(monkeypatch):
+    """From ARPACK's return to the end of an iterative level at n = 128
+    (k = 4), the traced peak stays within 12 MiB: 10.0 MiB measured.  It
+    was 14.0 MiB while all k pairs were refined in one block, with the
+    (E + T) x k temporaries of its residual alive together."""
+    mesh, sys_ = _system("laplace", 128)
+    eigsh = spla.eigsh
+
+    def tracing_eigsh(*args, **kwargs):
+        out = eigsh(*args, **kwargs)
+        tracemalloc.start()
+        return out
+
+    monkeypatch.setattr(spla, "eigsh", tracing_eigsh)
+    try:
+        solve_gevp_iterative(mesh, sys_, 4, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2**20
+
+
+@pytest.mark.parametrize("case", ["laplace", "shifted", "variable"])
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("k", [3, 4, 6])
+def test_pair_refinement_is_the_all_columns_step_bit_for_bit(
+        monkeypatch, case, n, k):
+    """Refined two eigenpairs at a time, the last alone when k is odd, the
+    eigenvalues, vectors, fluxes and residuals are those of one k-column
+    refinement of the same ARPACK output, bit for bit."""
+    mesh, sys_ = _case_system(case, n)
+    eigsh, returned = spla.eigsh, []
+
+    def recording_eigsh(*args, **kwargs):
+        returned.append(eigsh(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(spla, "eigsh", recording_eigsh)
+    got = solve_gevp_iterative(mesh, sys_, k, 0)
+    [(mu, y)] = returned
+    want = all_columns_refinement(mesh, sys_, mu, y)
+    for g, w in zip(got, want, strict=True):
+        assert g.shape == w.shape
+        assert np.array_equal(np.ascontiguousarray(g).view(np.uint64),
+                              np.ascontiguousarray(w).view(np.uint64))
 
 
 @pytest.mark.parametrize("n", [4, 8])

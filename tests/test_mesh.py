@@ -7,7 +7,7 @@ import pytest
 from rt0eig import (MeshError, Rectangle, UNIT_SQUARE, assemble,
                     build_structured_mesh, get_preset)
 from rt0eig.eigensolver import _hybridize
-from rt0eig.mesh import nested_dissection_order
+from rt0eig.mesh import index_dtype, nested_dissection_order
 from oracles import (brute_force_edges, dict_walk_topology, dump_mesh,
                      edge_normals, num_vertices, recursive_nested_dissection,
                      triangle_coords)
@@ -212,8 +212,24 @@ def test_edge_numbering_matches_dict_walk(rect, n):
     assert np.array_equal(m.boundary_edge_flags, boundary)
 
 
+def test_index_dtype_widens_past_int32():
+    """int32 while the bound stays below 2^31 - 1, int64 from there on;
+    the mesh passes 3 T, the hybridization 16 T."""
+    assert index_dtype(0) == index_dtype(2**31 - 2) == np.int32
+    assert index_dtype(2**31 - 1) == index_dtype(2**40) == np.int64
+    assert index_dtype(np.int64(2**31)) == np.int64
+
+
 NESTED_DISSECTION_MESHES = [(UNIT_SQUARE, n) for n in range(1, 10)] + [
     (Rectangle(0.0, 0.0, 2.0, 1.0), 1), (Rectangle(0.0, 0.0, 2.0, 1.0), 6)]
+
+
+@pytest.mark.parametrize("rect,n", NESTED_DISSECTION_MESHES)
+def test_mesh_indices_are_int32_and_signs_int8(rect, n):
+    m = build_structured_mesh(rect, n)
+    for name in ("triangles", "edges", "triangle_edges", "edge_sides"):
+        assert getattr(m, name).dtype == np.int32, name
+    assert m.triangle_edge_signs.dtype == np.int8
 
 
 @pytest.mark.parametrize("rect,n", NESTED_DISSECTION_MESHES)
